@@ -54,6 +54,11 @@ def _complex_out(values):
     return [[float(z.real), float(z.imag)] for z in np.asarray(values, complex)]
 
 
+def _is_number(v):
+    # JSON true/false load as bool, which is a subclass of int
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _parse_complex_list(data, name):
     if not isinstance(data, list) or not data:
         raise ValueError(f"{name} must be a nonempty JSON array of [re, im] pairs")
@@ -62,7 +67,7 @@ def _parse_complex_list(data, name):
         if (
             not isinstance(item, list)
             or len(item) != 2
-            or not all(isinstance(v, (int, float)) for v in item)
+            or not all(_is_number(v) for v in item)
         ):
             raise ValueError(f"{name} entries must be [re, im] number pairs")
         out.append(complex(item[0], item[1]))
@@ -72,7 +77,7 @@ def _parse_complex_list(data, name):
 def _parse_real_vector(data, name):
     if not isinstance(data, list) or not data:
         raise ValueError(f"{name} must be a nonempty JSON array of numbers")
-    if not all(isinstance(v, (int, float)) for v in data):
+    if not all(_is_number(v) for v in data):
         raise ValueError(f"{name} entries must be numbers")
     return np.asarray(data, float)
 
@@ -80,6 +85,9 @@ def _parse_real_vector(data, name):
 def _parse_matrix(data, name):
     if not isinstance(data, list) or not data:
         raise ValueError(f"{name} must be a nonempty row-major JSON array of arrays")
+    rows = [row if isinstance(row, list) else [row] for row in data]
+    if any(isinstance(v, bool) for row in rows for v in row):
+        raise ValueError(f"{name} entries must be numbers, not booleans")
     return np.asarray(data, float)
 
 
@@ -372,8 +380,20 @@ def build_parser():
     return parser
 
 
+def _log_level():
+    """The level named by NIEPKIT_LOG; an unknown name warns and gives WARNING."""
+    name = os.environ.get("NIEPKIT_LOG") or "WARNING"
+    if isinstance(logging.getLevelName(name), int):
+        return name
+    print(
+        f"warning: NIEPKIT_LOG={name!r} is not a logging level; using WARNING",
+        file=sys.stderr,
+    )
+    return "WARNING"
+
+
 def main(argv=None):
-    logging.basicConfig(level=os.environ.get("NIEPKIT_LOG", "WARNING"))
+    logging.basicConfig(level=_log_level())
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -31,7 +31,7 @@ from .spectra import (
     satisfies_circulant_pairing,
     satisfies_skew_pairing,
 )
-from .structured import abs_circulant, circulant, skew_circulant
+from .structured import abs_circulant, circulant
 
 _COND_RTOL = 1e-12
 
@@ -260,24 +260,29 @@ def circulant_head_bound(values, cap=DEFAULT_ENUMERATION_CAP):
     inverse-DFT used by the constructive checker.
     """
     v = as_complex_vector(values, "spectrum")
+    return _head_bound(v, enumerate_circulant_permutations(v, cap=cap))
+
+
+def _head_bound(v, perms):
+    """:func:`circulant_head_bound` of ``v`` over its enumerated orderings."""
     n = v.size
     if n == 1:
         return 0.0
-    perms = enumerate_circulant_permutations(v, cap=cap)
     if not perms:
         raise PairingError("list does not admit any circulant-layout ordering")
     k = np.arange(n)
+    if n % 2 == 1:
+        j = np.arange(1, (n - 1) // 2 + 1)
+    else:
+        j = np.arange(1, n // 2)
+        alternating = -((-1.0) ** k)
+    ang = 2.0 * np.pi * np.outer(k, j) / n
+    cos, sin = np.cos(ang), np.sin(ang)
     best = np.inf
     for perm in perms:
         nu = v[list(perm.mapping)]
-        if n % 2 == 1:
-            j = np.arange(1, (n - 1) // 2 + 1)
-            extra = np.zeros(n)
-        else:
-            j = np.arange(1, n // 2)
-            extra = -((-1.0) ** k) * nu[n // 2].real
-        ang = 2.0 * np.pi * np.outer(k, j) / n
-        load = -2.0 * (np.cos(ang) @ nu[j].real + np.sin(ang) @ nu[j].imag) + extra
+        extra = np.zeros(n) if n % 2 == 1 else alternating * nu[n // 2].real
+        load = -2.0 * (cos @ nu[j].real + sin @ nu[j].imag) + extra
         best = min(best, float(load.max()))
     return best
 
@@ -292,6 +297,23 @@ def _row_candidates(values, kind, cap):
     return [(perm, recover(values[list(perm.mapping)])) for perm in perms]
 
 
+def _dominated(s_row, c_abs, odd, slack):
+    """Which rows of ``c_abs`` (skew row magnitudes, one per row) the
+    circulant row ``s_row`` dominates within ``slack``.
+
+    Even case: ``s - |c| >= -slack``.  Bordered case (``s_row`` one longer):
+    the dense test ``|skew_circulant(c)| <= circulant(clip(s))[:n, :n] +
+    slack`` compares ``|c_d|`` with ``clip(s)_d`` on and above the diagonal
+    (d = j - i) and with ``clip(s)_{d+1}`` below it (d = n + j - i), so the
+    same comparisons are made on the rows.
+    """
+    if not odd:
+        return np.all(s_row - c_abs >= -slack, axis=1)
+    n = c_abs.shape[1]
+    body = np.clip(s_row, 0.0, None) + slack
+    return np.all(c_abs <= body[:n], axis=1) & np.all(c_abs[:, 1:] <= body[2:], axis=1)
+
+
 def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
     """Sufficient-condition check for realizing Lambda union (+/-gamma)*Upsilon.
 
@@ -302,11 +324,17 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
     lengths) or :func:`niepkit.blocks.build_odd` (circulant part longer by
     one).  Formula mode only compares the head of the circulant part
     against :func:`circulant_head_bound` and reports no witness.
+
+    Each side is enumerated once; the head bound and the circulant rows
+    share one ordering list.  For each circulant row with no entry below
+    the slack, all skew rows are tested at once (:func:`_dominated`) and
+    the first passing one is the witness.
     """
     if mode not in ("constructive", "formula"):
         raise ValueError(f"mode must be 'constructive' or 'formula', got {mode!r}")
     lam, ups = pair.arrays()
-    bound = circulant_head_bound(lam, cap=cap)
+    alphas = enumerate_circulant_permutations(lam, cap=cap)
+    bound = _head_bound(lam, alphas)
     scale = max(max_abs(lam), max_abs(ups), 1.0)
     slack = _COND_RTOL * scale
 
@@ -315,30 +343,31 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
         return ConditionReport(satisfied, "formula", bound, None)
 
     odd = lam.size == ups.size + 1
-    s_candidates = _row_candidates(lam, "circulant", cap)
+    s_candidates = [
+        (alpha, circulant_row_from_spectrum(lam[list(alpha.mapping)])) for alpha in alphas
+    ]
     c_candidates = _row_candidates(ups, "skew", cap)
+    c_abs = np.abs(np.array([row for _, row in c_candidates]))
     for alpha, s_row in s_candidates:
         if np.any(s_row < -slack):
             continue
-        S = circulant(np.clip(s_row, 0.0, None)) if odd else None
-        for beta, c_row in c_candidates:
-            if odd:
-                n = c_row.size
-                ok = np.all(np.abs(skew_circulant(c_row)) <= S[:n, :n] + slack)
-                padded = np.concatenate([np.abs(c_row), [0.0]])
-                margins = s_row - padded
-            else:
-                margins = s_row - np.abs(c_row)
-                ok = np.all(margins >= -slack)
-            if ok:
-                witness = ConditionWitness(
-                    alpha=alpha,
-                    beta=beta,
-                    circulant_row=tuple(s_row.tolist()),
-                    skew_row=tuple(c_row.tolist()),
-                    margins=tuple(np.asarray(margins, dtype=float).tolist()),
-                )
-                return ConditionReport(True, "constructive", bound, witness)
+        ok = _dominated(s_row, c_abs, odd, slack)
+        hit = int(np.argmax(ok))
+        if not ok[hit]:
+            continue
+        beta, c_row = c_candidates[hit]
+        if odd:
+            margins = s_row - np.concatenate([np.abs(c_row), [0.0]])
+        else:
+            margins = s_row - np.abs(c_row)
+        witness = ConditionWitness(
+            alpha=alpha,
+            beta=beta,
+            circulant_row=tuple(s_row.tolist()),
+            skew_row=tuple(c_row.tolist()),
+            margins=tuple(np.asarray(margins, dtype=float).tolist()),
+        )
+        return ConditionReport(True, "constructive", bound, witness)
     return ConditionReport(False, "constructive", bound, None)
 
 

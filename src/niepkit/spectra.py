@@ -9,13 +9,25 @@ k; real skew circulant matrices have exactly such spectra.
 
 This module classifies lists against both layouts and enumerates every
 pairing-preserving permutation (the search space used by the sufficient
-condition checker in :mod:`niepkit.realize`).
+condition checker in :mod:`niepkit.realize`).  The orderings are generated
+position by position rather than filtered out of all n! permutations, so
+the cost scales with the number of orderings kept, not with n!.
+
+Two conventions hold throughout:
+
+* Circulant enumeration fixes index 0 as the head (position 0); only the
+  tail is reordered.  :func:`classify_pairing`, by contrast, may pick any
+  real entry as the head of its witness.
+* Pairing compares values within the relative tolerance of
+  :func:`pairing_tolerance` (1e-12 * max modulus), while ``dedup`` merges
+  orderings only when their reordered lists are exactly equal.  Two entries
+  closer than the tolerance but not equal therefore still give two
+  orderings.
 
 All functions are pure and deterministic; enumeration order is the
 lexicographic order of the permutation image tuples.
 """
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -241,7 +253,39 @@ def classify_pairing(entries):
     )
 
 
+def _layout_partners(n, kind):
+    """Position holding the conjugate partner of each position of a layout.
+
+    Position 0 of the circulant layout is the head; it is its own partner
+    but must hold a real entry rather than a self-conjugate one.
+    """
+    if kind == "circulant":
+        return [0] + [n - k for k in range(1, n)]
+    return [n - 1 - k for k in range(n)]
+
+
 def _enumerate(entries, kind, limit, cap, dedup):
+    """Generate the pairing-preserving orderings in lexicographic order.
+
+    Orderings are built position by position, 0 to n-1, trying original
+    indices in increasing order, so they come out in lexicographic order of
+    the image tuple without generating and filtering all n! permutations;
+    the cost scales with the number of orderings kept (plus the dead ends
+    of partial placements), not with n!.  Index j may go to a position whose
+    layout partner already holds index i when |e_j - conj(e_i)| <= tol, with
+    the tolerance of :func:`pairing_tolerance`; a self-partnered position
+    (the skew middle, the circulant position n/2) takes only indices
+    compatible with themselves.  This is the test the ``satisfies_*``
+    predicates apply, so every generated ordering passes them and no
+    ordering passing them is missed.  The circulant head is not searched:
+    index 0 stays at position 0 and must be real within tol.
+
+    With ``dedup``, an index is skipped at a position when an index with
+    exactly the same value (``==``, not the pairing tolerance) was already
+    tried there.  Exactly equal entries are interchangeable, so the
+    ordering kept for each distinct reordered list is the lexicographically
+    first one, and k repeated values cost one branch rather than k!.
+    """
     entries = as_complex_vector(entries)
     n = entries.size
     if limit is not None and limit < 0:
@@ -252,25 +296,67 @@ def _enumerate(entries, kind, limit, cap, dedup):
             "pass a larger cap explicitly to override"
         )
     tol = pairing_tolerance(entries)
+    values = entries.tolist()
+    compatible = [
+        [abs(v - u.conjugate()) <= tol for v in values] for u in values
+    ]
+    partner = _layout_partners(n, kind)
+    order = [-1] * n
+    used = [False] * n
+    first = 0
     if kind == "circulant":
-        candidates = ((0,) + tail for tail in itertools.permutations(range(1, n)))
-        check = satisfies_circulant_pairing
-    else:
-        candidates = itertools.permutations(range(n))
-        check = satisfies_skew_pairing
+        if abs(values[0].imag) > tol:
+            return []
+        order[0] = 0
+        used[0] = True
+        first = 1
+    if first == n:
+        return [] if limit == 0 else [PairingPermutation(tuple(order), kind)]
+
     out = []
-    seen = set()
-    for perm in candidates:
-        if limit is not None and len(out) >= limit:
-            break
-        if not check(entries, perm, tol):
-            continue
-        if dedup:
-            key = tuple(complex(entries[i]) for i in perm)
-            if key in seen:
+    # next index to try at each position, and the values already tried there
+    cursor = [0] * n
+    tried = [[] for _ in range(n)]
+    pos = first
+    while pos >= first and (limit is None or len(out) < limit):
+        placed = order[pos]
+        if placed >= 0:
+            used[placed] = False
+            order[pos] = -1
+        mate = partner[pos]
+        chosen = -1
+        for i in range(cursor[pos], n):
+            if used[i]:
                 continue
-            seen.add(key)
-        out.append(PairingPermutation(tuple(perm), kind))
+            if mate < pos:
+                if not compatible[order[mate]][i]:
+                    continue
+            elif mate == pos:
+                if not compatible[i][i]:
+                    continue
+            elif not any(
+                ok and not used[j] and j != i for j, ok in enumerate(compatible[i])
+            ):
+                # the partner position, placed later, could take nothing
+                continue
+            if dedup and values[i] in tried[pos]:
+                continue
+            chosen = i
+            break
+        if chosen < 0:
+            pos -= 1
+            continue
+        cursor[pos] = chosen + 1
+        if dedup:
+            tried[pos].append(values[chosen])
+        order[pos] = chosen
+        used[chosen] = True
+        if pos == n - 1:
+            out.append(PairingPermutation(tuple(order), kind))
+        else:
+            pos += 1
+            cursor[pos] = 0
+            tried[pos].clear()
     return out
 
 

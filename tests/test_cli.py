@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,3 +225,50 @@ class TestVerify:
             {"matrix": [[1.0, 0.0], [0.0, 1.0]], "spectrum": pairs([1.0, 2.0])},
         )
         assert main(["verify", inp]) == 2
+
+
+class TestBooleanInput:
+    """JSON true/false are rejected wherever a number is expected."""
+
+    def test_complex_list(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "in.json", [[8, 0], [-6, 0], [True, 5], [-1, -5]])
+        assert main(["realize4", inp]) == 3
+        assert "input error" in capsys.readouterr().err
+
+    def test_real_vector(self, tmp_path):
+        inp = write_json(
+            tmp_path / "in.json", {"circulant_row": [1.0, True], "skew_row": [0.5, 0.0]}
+        )
+        assert main(["build", inp]) == 3
+
+    def test_matrix(self, tmp_path):
+        inp = write_json(
+            tmp_path / "in.json",
+            {"matrix": [[1.0, False], [0.0, 1.0]], "spectrum": pairs([1.0, 1.0])},
+        )
+        assert main(["verify", inp]) == 3
+
+    def test_numbers_still_accepted(self, tmp_path):
+        # the same inputs with 1 and 0 in place of true and false
+        inp = write_json(
+            tmp_path / "in.json",
+            {"matrix": [[1.0, 0], [0.0, 1]], "spectrum": pairs([1.0, 1.0])},
+        )
+        assert main(["verify", inp]) == 0
+
+
+def test_unknown_log_level_warns_and_falls_back(tmp_path):
+    # a fresh interpreter: in-process, pytest's own log handlers would keep
+    # logging.basicConfig from ever reading the level
+    inp = write_json(tmp_path / "in.json", [[8, 0], [-6, 0], [-1, 5], [-1, -5]])
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "NIEPKIT_LOG": "bogus", "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "niepkit", "realize4", inp],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "warning: NIEPKIT_LOG='bogus' is not a logging level; using WARNING"
+    ]
+    assert json.loads(proc.stdout)["verified"] is True

@@ -3,10 +3,18 @@ import pytest
 
 import fixtures as fx
 from niepkit.blocks import BlockBuildSpec
-from niepkit.dft import circulant_eigenvalues, skew_eigenvalues
+from niepkit.dft import (
+    circulant_eigenvalues,
+    circulant_row_from_spectrum,
+    skew_eigenvalues,
+    skew_row_from_spectrum,
+)
 from niepkit.errors import PairingError, RealizabilityError
 from niepkit.oracle import match_spectra, spectrum
 from niepkit.realize import (
+    _dominated,
+    ConditionReport,
+    ConditionWitness,
     RegionPoint,
     SpectrumPair,
     brauer_augment,
@@ -21,7 +29,14 @@ from niepkit.realize import (
     region_check,
     skew_row_bound,
 )
-from niepkit.structured import AbsCirculant, abs_circulant, circulant, is_permutative
+from niepkit.spectra import enumerate_circulant_permutations, enumerate_skew_permutations
+from niepkit.structured import (
+    AbsCirculant,
+    abs_circulant,
+    circulant,
+    is_permutative,
+    skew_circulant,
+)
 
 
 def upsilon_eight():
@@ -252,6 +267,132 @@ class TestCheckConditions:
         pair = SpectrumPair((1.0,), (0.0,))
         with pytest.raises(ValueError):
             check_conditions(pair, mode="magic")
+
+
+def _reference_head_bound(v):
+    """The original per-ordering head-bound loop (circulant_head_bound)."""
+    n = v.size
+    if n == 1:
+        return 0.0
+    k = np.arange(n)
+    best = np.inf
+    for perm in enumerate_circulant_permutations(v):
+        nu = v[list(perm.mapping)]
+        if n % 2 == 1:
+            j = np.arange(1, (n - 1) // 2 + 1)
+            extra = np.zeros(n)
+        else:
+            j = np.arange(1, n // 2)
+            extra = -((-1.0) ** k) * nu[n // 2].real
+        ang = 2.0 * np.pi * np.outer(k, j) / n
+        load = -2.0 * (np.cos(ang) @ nu[j].real + np.sin(ang) @ nu[j].imag) + extra
+        best = min(best, float(load.max()))
+    return best
+
+
+def _reference_check_conditions(pair):
+    """The original constructive search: one (alpha, beta) pair per
+    iteration, with dense blocks compared in the bordered case."""
+    lam, ups = pair.arrays()
+    bound = _reference_head_bound(lam)
+    slack = 1e-12 * max(np.max(np.abs(lam)), np.max(np.abs(ups)), 1.0)
+    odd = lam.size == ups.size + 1
+    s_candidates = [
+        (p, circulant_row_from_spectrum(lam[list(p.mapping)]))
+        for p in enumerate_circulant_permutations(lam)
+    ]
+    c_candidates = [
+        (p, skew_row_from_spectrum(ups[list(p.mapping)]))
+        for p in enumerate_skew_permutations(ups)
+    ]
+    for alpha, s_row in s_candidates:
+        if np.any(s_row < -slack):
+            continue
+        S = circulant(np.clip(s_row, 0.0, None)) if odd else None
+        for beta, c_row in c_candidates:
+            if odd:
+                n = c_row.size
+                ok = np.all(np.abs(skew_circulant(c_row)) <= S[:n, :n] + slack)
+                padded = np.concatenate([np.abs(c_row), [0.0]])
+                margins = s_row - padded
+            else:
+                margins = s_row - np.abs(c_row)
+                ok = np.all(margins >= -slack)
+            if ok:
+                witness = ConditionWitness(
+                    alpha=alpha,
+                    beta=beta,
+                    circulant_row=tuple(s_row.tolist()),
+                    skew_row=tuple(c_row.tolist()),
+                    margins=tuple(np.asarray(margins, dtype=float).tolist()),
+                )
+                return ConditionReport(True, "constructive", bound, witness)
+    return ConditionReport(False, "constructive", bound, None)
+
+
+def _scrambled(values, orderings, rng):
+    """``values`` under a random one of its pairing-preserving orderings, so
+    that the witness is not simply the identity."""
+    return tuple(values[list(orderings[int(rng.integers(len(orderings)))].mapping)])
+
+
+def _search_pairs(seed, bordered):
+    """Hits (s = |c| + u, as in acceptance criterion 7) and likely misses
+    (a dominant head over a near-flat body) with skew order n <= 7, each
+    part in a random pairing layout."""
+    rng = np.random.default_rng(seed)
+    for trial in range(20):
+        n = int(rng.integers(1, 8))
+        m = n + 1 if bordered else n
+        if trial % 2 == 0:
+            c = rng.uniform(-1.0, 1.0, size=n)
+            if bordered:
+                s = np.max(np.abs(c)) + rng.uniform(0.0, 1.0, size=m)
+            else:
+                s = np.abs(c) + rng.uniform(0.0, 1.0, size=m)
+        else:
+            s = 1.0 + rng.uniform(-0.2, 0.2, size=m)
+            s[0] = rng.uniform(1.0, 2.0)
+            c = rng.uniform(0.6, 1.2, size=n) * rng.choice([-1.0, 1.0], size=n)
+            c[0] = rng.uniform(-0.5, 0.5)
+        lam, ups = circulant_eigenvalues(s), skew_eigenvalues(c)
+        yield SpectrumPair(
+            _scrambled(lam, enumerate_circulant_permutations(lam), rng),
+            _scrambled(ups, enumerate_skew_permutations(ups), rng),
+        )
+
+
+def test_bordered_row_test_matches_dense_blocks():
+    # ties (|c_d| equal to s_d or s_{d+1}) and entries of s within the slack
+    # below zero sit exactly on the comparisons that decide the verdict
+    rng = np.random.default_rng(36)
+    slack = 1e-12
+    for _ in range(200):
+        n = int(rng.integers(1, 8))
+        s = rng.uniform(0.0, 1.0, size=n + 1)
+        s[rng.uniform(size=n + 1) < 0.2] = -0.5 * slack
+        C = rng.uniform(-1.0, 1.0, size=(6, n))
+        ties = rng.integers(0, n + 1, size=(6, n))
+        tied = rng.uniform(size=(6, n)) < 0.4
+        C[tied] = np.clip(s, 0.0, None)[ties[tied]] * rng.choice([-1.0, 1.0])
+        C[rng.uniform(size=(6, n)) < 0.2] *= 0.1
+        # passes against a clipped entry, fails against an unclipped one
+        C[rng.uniform(size=(6, n)) < 0.1] = 0.75 * slack
+        body = circulant(np.clip(s, 0.0, None))[:n, :n] + slack
+        dense = [bool(np.all(np.abs(skew_circulant(c)) <= body)) for c in C]
+        assert _dominated(s, np.abs(C), True, slack).tolist() == dense
+
+
+@pytest.mark.parametrize("bordered", [False, True])
+def test_pair_search_matches_reference_loop(bordered):
+    outcomes = set()
+    for pair in _search_pairs(35 + bordered, bordered):
+        report = check_conditions(pair)
+        assert report == _reference_check_conditions(pair)
+        assert circulant_head_bound(pair.circulant_part) == report.bound_value
+        assert check_conditions(pair, mode="formula").bound_value == report.bound_value
+        outcomes.add(report.satisfied)
+    assert outcomes == {True, False}
 
 
 class TestBrauer:

@@ -8,6 +8,7 @@ from niepkit.spectra import (
     classify_pairing,
     enumerate_circulant_permutations,
     enumerate_skew_permutations,
+    pairing_tolerance,
     satisfies_circulant_pairing,
     satisfies_skew_pairing,
 )
@@ -111,19 +112,37 @@ class TestEnumerateSkew:
         assert enumerate_skew_permutations(UPSILON, limit=0) == []
 
 
-def _brute_force(entries, kind):
-    n = len(entries)
-    check = satisfies_circulant_pairing if kind == "circulant" else satisfies_skew_pairing
+def _pairing_filter(entries, kind):
+    """Every permutation (fixing 0 for the circulant kind) that passes the
+    pairing predicate, in lexicographic order: the n! filter the generator
+    replaced, kept as the reference."""
+    entries = np.asarray(entries, dtype=complex)
+    n = entries.size
+    tol = pairing_tolerance(entries)
+    if kind == "circulant":
+        candidates = ((0,) + tail for tail in itertools.permutations(range(1, n)))
+        check = satisfies_circulant_pairing
+    else:
+        candidates = itertools.permutations(range(n))
+        check = satisfies_skew_pairing
+    return tuple(perm for perm in candidates if check(entries, perm, tol))
+
+
+def _brute_force(entries, kind, limit=None, dedup=True, filtered=None):
+    """Reference enumeration: the pairing filter (or its precomputed result
+    ``filtered``), then exact-value dedup and truncation at ``limit`` in the
+    same order as the original loop."""
+    if filtered is None:
+        filtered = _pairing_filter(entries, kind)
     out, seen = [], set()
-    for perm in itertools.permutations(range(n)):
-        if kind == "circulant" and perm[0] != 0:
-            continue
-        if not check(entries, perm):
-            continue
-        key = tuple(complex(entries[i]) for i in perm)
-        if key in seen:
-            continue
-        seen.add(key)
+    for perm in filtered:
+        if limit is not None and len(out) >= limit:
+            break
+        if dedup:
+            key = tuple(complex(entries[i]) for i in perm)
+            if key in seen:
+                continue
+            seen.add(key)
         out.append(perm)
     return out
 
@@ -163,3 +182,76 @@ def test_apply_reorders_entries():
     entries = [15, 2 + 5j, 1, 2 - 5j]
     perm = enumerate_circulant_permutations(entries)[1]
     assert list(perm.apply(entries)) == [entries[i] for i in perm.mapping]
+
+
+ENUMERATORS = {
+    "circulant": enumerate_circulant_permutations,
+    "skew": enumerate_skew_permutations,
+}
+
+
+def _structured_lists(n, rng):
+    """Conjugate-closed lists of length n with repeated reals, repeated
+    conjugate pairs, all-equal entries and random entries, scrambled."""
+    z = complex(rng.normal(), abs(rng.normal()) + 0.1)
+    r = float(rng.normal())
+    repeated_reals = [r] * (n - n // 2) + [float(rng.normal())] * (n // 2)
+    repeated_pairs = [z, z.conjugate()] * (n // 2) + [r] * (n % 2)
+    mixed = ([z, z.conjugate()] * (n // 4) + [r, r] * ((n % 4) // 2)
+             + [2.0 * r] * (n % 2))
+    random = []
+    while len(random) + 2 <= n:
+        w = complex(rng.normal(), rng.normal())
+        random += [w, w.conjugate()]
+    random += [float(rng.normal())] * (n - len(random))
+    lists = [repeated_reals, repeated_pairs, mixed, random, [1.5] * n]
+    for entries in lists:
+        rng.shuffle(entries)
+    return lists
+
+
+def _assert_matches_brute_force(entries):
+    for kind, enum in ENUMERATORS.items():
+        filtered = _pairing_filter(entries, kind)
+        for dedup in (True, False):
+            for limit in (None, 0, 1, 3):
+                got = [p.mapping for p in enum(entries, limit=limit, dedup=dedup)]
+                want = _brute_force(entries, kind, limit, dedup, filtered)
+                assert got == want, (kind, dedup, limit, entries)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_generator_matches_brute_force(n):
+    rng = np.random.default_rng(100 + n)
+    lists = _structured_lists(n, rng)
+    if n == 8:
+        # the skew filter costs 8! predicate calls per list
+        lists = lists[1:3] + lists[4:]
+    for entries in lists:
+        _assert_matches_brute_force(entries)
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_near_duplicates_at_the_pairing_tolerance(inside):
+    # tol = 1e-12 * max|z| = 4e-12; perturb partners just inside or outside
+    step = (0.9 if inside else 1.1) * 1e-12 * 4.0
+    z = complex(1.0, 2.0)
+    lists = [
+        [4.0, z, complex(z.real + step, -z.imag), 2.0, 2.0 + step],
+        [4.0 + 1j * step, z, z.conjugate(), 2.0, 2.0],
+        [2.0, 4.0, 2.0 + step, 1.0j * step / 2.0],
+        [z, complex(z.real, -z.imag + step), 4.0, z, z.conjugate(), 3.0],
+    ]
+    for entries in lists:
+        assert max(abs(complex(e)) for e in entries) == pytest.approx(4.0)
+        _assert_matches_brute_force(entries)
+    # the perturbed pairs pair, and the perturbed head is real, exactly when
+    # inside the tolerance
+    assert bool(enumerate_skew_permutations(lists[0])) == inside
+    assert bool(enumerate_circulant_permutations(lists[1])) == inside
+
+
+def test_all_equal_ten_costs_one_branch():
+    assert [p.mapping for p in enumerate_skew_permutations([1.0] * 10, cap=10)] == [
+        tuple(range(10))
+    ]
