@@ -31,8 +31,8 @@ from .errors import (
 from .realize import (
     RegionPoint,
     SpectrumPair,
+    _augment_from_plan,
     brauer_plan,
-    brauer_augment,
     check_conditions,
     realize_four,
     realize_region,
@@ -279,11 +279,11 @@ def _cmd_augment(args):
     ups = _parse_complex_list(data["skew"], "skew")
     tail = _parse_complex_list(data["tail"], "tail")
     rho = data["rho"]
-    if not isinstance(rho, (int, float)):
+    if not _is_number(rho):
         raise ValueError("rho must be a number")
     sign = 1 if args.sign == "plus" else -1
     plan = brauer_plan(ups, tail, float(rho))
-    M = brauer_augment(ups, tail, float(rho), gamma=args.gamma, sign=sign)
+    M = _augment_from_plan(plan, args.gamma, sign)
     expected = np.concatenate([[complex(rho)], tail, sign * args.gamma * ups])
     report = _verify_matrix(M, expected)
     payload = _matrix_payload(M, expected, report)

@@ -23,17 +23,24 @@ The inverse maps recover first rows from index-ordered spectra:
 
 Note the half shift sits on the running index ``j`` in the skew inverse;
 that is the unique placement that inverts the forward map above (checked by
-the round-trip tests).
+the round-trip tests).  Since ``w**(-k*(j + 1/2)) = iota**(-k) * w**(-k*j)``,
+both inverse maps are one forward FFT, ``np.fft.fft(V, axis=-1) / n``, with
+the skew rows also multiplied by the twiddle ``iota**(-k)``.  They run in
+batches: :func:`_recover_rows` takes one spectrum per row of a ``(K, n)``
+array, and the public single-row functions are a batch of one.  ``np.fft``
+transforms every row on its own, so a row comes out bit-identical alone
+or in any batch.
 
-Evaluation is the naive O(n^2) sum with exponents reduced modulo a full
-turn before calling ``exp``, which keeps angles exact at desk scale.
+The forward maps and the matrices ``F`` / ``G`` are the naive O(n^2) sums.
+Every exponent (twiddles included) is reduced modulo a full turn before
+calling ``exp``, which keeps angles exact at desk scale.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_complex_vector, as_float_vector, max_abs
+from ._util import as_complex_vector, as_float_vector
 from .errors import PairingError
 
 _REALNESS_RTOL = 1e-10
@@ -108,16 +115,34 @@ def skew_eigenvalues(row):
     return _unit_powers((2 * k + 1) * j, n) @ row.astype(complex)
 
 
-def _real_part_checked(values, what):
-    scale = max_abs(values)
-    worst = max_abs(values.imag)
-    if worst > _REALNESS_RTOL * scale:
+def _recover_rows(spectra, kind):
+    """First rows of the real circulants (``kind="circulant"``) or skew
+    circulants (``kind="skew"``) whose index-ordered spectra are the rows of
+    the complex ``(K, n)`` array ``spectra``.
+
+    Each row must be real within ``_REALNESS_RTOL`` of its own largest
+    magnitude; otherwise its spectrum breaks the pairing layout and
+    :class:`PairingError` is raised.  An imaginary residue below the
+    smallest normal float is roundoff at any scale: a row of subnormal
+    entries has no relative precision left to judge.
+    """
+    n = spectra.shape[-1]
+    rows = np.fft.fft(spectra, axis=-1)
+    if kind == "skew":
+        rows = rows * _unit_powers(-np.arange(n), n)
+    rows = rows / n
+    scale = np.max(np.abs(rows), axis=-1)
+    worst = np.max(np.abs(rows.imag), axis=-1)
+    limit = np.maximum(_REALNESS_RTOL * scale, np.finfo(float).tiny)
+    bad = np.flatnonzero(worst > limit)
+    if bad.size:
+        i = bad[0]
         raise PairingError(
-            f"{what}: recovered row is not real (residual imaginary part "
-            f"{worst:.3e} exceeds {_REALNESS_RTOL:.0e} * {scale:.3e}); "
+            f"{kind} row recovery: recovered row is not real (residual imaginary "
+            f"part {worst[i]:.3e} exceeds {_REALNESS_RTOL:.0e} * {scale[i]:.3e}); "
             "the input spectrum violates its conjugate-pairing layout"
         )
-    return values.real.copy()
+    return rows.real.copy()
 
 
 def circulant_row_from_spectrum(values):
@@ -127,10 +152,7 @@ def circulant_row_from_spectrum(values):
     real); raises :class:`PairingError` otherwise.
     """
     values = as_complex_vector(values, "spectrum")
-    n = values.size
-    k = np.arange(n)
-    row = _unit_powers(-2 * np.outer(k, k), n) @ values / n
-    return _real_part_checked(row, "circulant row recovery")
+    return _recover_rows(values[None, :], "circulant")[0]
 
 
 def skew_row_from_spectrum(values):
@@ -140,8 +162,4 @@ def skew_row_from_spectrum(values):
     :class:`PairingError` otherwise.
     """
     values = as_complex_vector(values, "spectrum")
-    n = values.size
-    k = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    row = _unit_powers(-k * (2 * j + 1), n) @ values / n
-    return _real_part_checked(row, "skew row recovery")
+    return _recover_rows(values[None, :], "skew")[0]

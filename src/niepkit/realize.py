@@ -21,7 +21,7 @@ import numpy as np
 
 from ._util import as_complex_vector, as_float_vector, max_abs
 from .blocks import BlockBuildSpec, build_circ_skew, build_even, build_odd
-from .dft import circulant_row_from_spectrum, skew_row_from_spectrum
+from .dft import _recover_rows
 from .errors import PairingError, RealizabilityError
 from .spectra import (
     DEFAULT_ENUMERATION_CAP,
@@ -287,14 +287,18 @@ def _head_bound(v, perms):
     return best
 
 
-def _row_candidates(values, kind, cap):
-    if kind == "circulant":
-        perms = enumerate_circulant_permutations(values, cap=cap)
-        recover = circulant_row_from_spectrum
-    else:
-        perms = enumerate_skew_permutations(values, cap=cap)
-        recover = skew_row_from_spectrum
-    return [(perm, recover(values[list(perm.mapping)])) for perm in perms]
+def _recovered(values, perms, kind):
+    """First rows recovered from ``values`` reordered by each of ``perms``,
+    one row per ordering, in one batch."""
+    if not perms:
+        return np.zeros((0, values.size))
+    return _recover_rows(values[np.array([p.mapping for p in perms])], kind)
+
+
+def _skew_candidates(values, cap):
+    """The skew-layout orderings of ``values`` and their recovered rows."""
+    perms = enumerate_skew_permutations(values, cap=cap)
+    return perms, _recovered(values, perms, "skew")
 
 
 def _dominated(s_row, c_abs, odd, slack):
@@ -325,10 +329,11 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
     one).  Formula mode only compares the head of the circulant part
     against :func:`circulant_head_bound` and reports no witness.
 
-    Each side is enumerated once; the head bound and the circulant rows
-    share one ordering list.  For each circulant row with no entry below
-    the slack, all skew rows are tested at once (:func:`_dominated`) and
-    the first passing one is the witness.
+    Each side is enumerated once and its rows are recovered in one batch;
+    the head bound and the circulant rows share one ordering list.  For
+    each circulant row with no entry below the slack, all skew rows are
+    tested at once (:func:`_dominated`) and the first passing one is the
+    witness.
     """
     if mode not in ("constructive", "formula"):
         raise ValueError(f"mode must be 'constructive' or 'formula', got {mode!r}")
@@ -343,19 +348,16 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
         return ConditionReport(satisfied, "formula", bound, None)
 
     odd = lam.size == ups.size + 1
-    s_candidates = [
-        (alpha, circulant_row_from_spectrum(lam[list(alpha.mapping)])) for alpha in alphas
-    ]
-    c_candidates = _row_candidates(ups, "skew", cap)
-    c_abs = np.abs(np.array([row for _, row in c_candidates]))
-    for alpha, s_row in s_candidates:
-        if np.any(s_row < -slack):
-            continue
+    s_rows = _recovered(lam, alphas, "circulant")
+    betas, c_rows = _skew_candidates(ups, cap)
+    c_abs = np.abs(c_rows)
+    for a in np.flatnonzero(np.all(s_rows >= -slack, axis=1)):
+        s_row = s_rows[a]
         ok = _dominated(s_row, c_abs, odd, slack)
         hit = int(np.argmax(ok))
         if not ok[hit]:
             continue
-        beta, c_row = c_candidates[hit]
+        alpha, beta, c_row = alphas[a], betas[hit], c_rows[hit]
         if odd:
             margins = s_row - np.concatenate([np.abs(c_row), [0.0]])
         else:
@@ -390,10 +392,10 @@ def skew_row_bound(upsilon, cap=DEFAULT_ENUMERATION_CAP):
     admissible skew row is dominated entrywise by it.
     """
     ups = as_complex_vector(upsilon, "skew spectrum")
-    rows = _row_candidates(ups, "skew", cap)
-    if not rows:
+    perms, rows = _skew_candidates(ups, cap)
+    if not perms:
         raise PairingError("list does not admit any skew-layout ordering")
-    return max(max_abs(row) for _, row in rows)
+    return max_abs(rows)
 
 
 @dataclass(frozen=True)
@@ -430,25 +432,28 @@ def brauer_plan(upsilon, tail, rho, cap=DEFAULT_ENUMERATION_CAP):
         raise ValueError(f"tail must have length {n}, got {tail.size}")
     rho = float(rho)
 
-    candidates = _row_candidates(ups, "skew", cap)
-    if not candidates:
+    betas, c_rows = _skew_candidates(ups, cap)
+    if not betas:
         raise PairingError("upsilon does not admit any skew-layout ordering")
-    chi = max(max_abs(row) for _, row in candidates)
-    beta, c_row = min(candidates, key=lambda item: max_abs(item[1]))
+    magnitudes = np.max(np.abs(c_rows), axis=1)
+    chi = float(magnitudes.max())
+    # argmin keeps the first of tied minima: the lexicographically first beta
+    best = int(np.argmin(magnitudes))
+    beta, c_row = betas[best], c_rows[best]
 
     head = rho - (n + 1) * chi
     shifted = np.concatenate([[complex(head)], tail])
     slack = _COND_RTOL * max(max_abs(shifted), 1.0)
-    for alpha in enumerate_circulant_permutations(shifted, cap=cap):
-        b_row = circulant_row_from_spectrum(shifted[list(alpha.mapping)])
-        if np.all(b_row >= -slack):
-            b_row = np.clip(b_row, 0.0, None)
-            break
-    else:
+    alphas = enumerate_circulant_permutations(shifted, cap=cap)
+    b_rows = _recovered(shifted, alphas, "circulant")
+    nonnegative = np.all(b_rows >= -slack, axis=1)
+    if not nonnegative.any():
         raise RealizabilityError(
             f"no nonnegative circulant realizes the shifted list with head "
             f"rho - (n+1)*chi = {head:.6g}; increase rho (chi = {chi:.6g})"
         )
+    first = int(np.argmax(nonnegative))
+    alpha, b_row = alphas[first], np.clip(b_rows[first], 0.0, None)
     r_row = b_row + chi
     # guaranteed by construction: every entry of R dominates every |c_k|
     assert np.min(r_row) >= chi - slack >= max_abs(c_row) - slack
@@ -456,7 +461,7 @@ def brauer_plan(upsilon, tail, rho, cap=DEFAULT_ENUMERATION_CAP):
         chi=chi,
         base_row=tuple(b_row.tolist()),
         circulant_row=tuple(r_row.tolist()),
-        skew_row=tuple(np.asarray(c_row).tolist()),
+        skew_row=tuple(c_row.tolist()),
         alpha=alpha,
         beta=beta,
     )
@@ -470,7 +475,11 @@ def brauer_augment(upsilon, tail, rho, gamma=1.0, sign=1, cap=DEFAULT_ENUMERATIO
     which keeps the output permutative whenever R is flat (the all-zero
     tail case, where R = circ(rho/(n+1), ...)).
     """
-    plan = brauer_plan(upsilon, tail, rho, cap=cap)
+    return _augment_from_plan(brauer_plan(upsilon, tail, rho, cap=cap), gamma, sign)
+
+
+def _augment_from_plan(plan, gamma, sign):
+    """The :func:`brauer_augment` build of an already computed plan."""
     R = circulant(np.asarray(plan.circulant_row))
     c_row = np.asarray(plan.skew_row)
     g = sign * gamma

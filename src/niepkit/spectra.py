@@ -300,6 +300,8 @@ def _enumerate(entries, kind, limit, cap, dedup):
     compatible = [
         [abs(v - u.conjugate()) <= tol for v in values] for u in values
     ]
+    # the other indices each index may sit opposite
+    mates = [[j for j in range(n) if j != i and compatible[i][j]] for i in range(n)]
     partner = _layout_partners(n, kind)
     order = [-1] * n
     used = [False] * n
@@ -334,9 +336,7 @@ def _enumerate(entries, kind, limit, cap, dedup):
             elif mate == pos:
                 if not compatible[i][i]:
                     continue
-            elif not any(
-                ok and not used[j] and j != i for j, ok in enumerate(compatible[i])
-            ):
+            elif all(used[j] for j in mates[i]):
                 # the partner position, placed later, could take nothing
                 continue
             if dedup and values[i] in tried[pos]:

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import fixtures as fx
+from niepkit import cli, realize
 from niepkit.cli import main
 from niepkit.dft import skew_eigenvalues
+from niepkit.realize import brauer_augment, brauer_plan
 
 
 def write_json(path, payload):
@@ -206,6 +208,40 @@ class TestAugment:
             {"skew": pairs(ups), "tail": pairs([0, 0, 0]), "rho": 7.0},
         )
         assert main(["augment", inp]) == 2
+
+    def test_boolean_rho_exits_3(self, tmp_path, capsys):
+        inp = write_json(
+            tmp_path / "in.json",
+            {"skew": [[-1, 0]] * 3, "tail": [[0, 0]] * 3, "rho": True},
+        )
+        assert main(["augment", inp]) == 3
+        assert "rho must be a number" in capsys.readouterr().err
+
+    def test_plans_once_with_unchanged_output(self, tmp_path, monkeypatch):
+        ups = skew_eigenvalues([0.5, -1.0, 0.25])
+        tail = [0.5, 0.1 + 0.2j, 0.1 - 0.2j]
+        inp = write_json(
+            tmp_path / "in.json", {"skew": pairs(ups), "tail": pairs(tail), "rho": 9.0}
+        )
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return brauer_plan(*args, **kwargs)
+
+        # brauer_augment would plan again through the realize module
+        monkeypatch.setattr(cli, "brauer_plan", counted)
+        monkeypatch.setattr(realize, "brauer_plan", counted)
+        out = tmp_path / "out.json"
+        assert main(["augment", inp, "--gamma", "0.75", "--sign", "minus", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        payload = json.loads(out.read_text())
+        M = brauer_augment(ups, tail, 9.0, gamma=0.75, sign=-1)
+        plan = brauer_plan(ups, tail, 9.0)
+        assert payload["matrix"] == M.tolist()
+        assert payload["chi"] == plan.chi
+        assert payload["circulant_row"] == list(plan.circulant_row)
+        assert payload["skew_row"] == list(plan.skew_row)
 
 
 class TestVerify:

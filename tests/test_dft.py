@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from niepkit.dft import (
+    _recover_rows,
+    _unit_powers,
     circulant_eigenvalues,
     circulant_row_from_spectrum,
     dft_matrix,
@@ -189,3 +191,88 @@ def test_diagonalization_identities():
         np.testing.assert_allclose(
             skew_eigenvalues(c), np.sqrt(n) * (G.T @ c), atol=tol
         )
+
+
+def reference_circulant_row(values):
+    """Real part of the O(n^2) circulant inverse sum that the FFT replaced."""
+    values = np.asarray(values, dtype=complex)
+    n = values.size
+    k = np.arange(n)
+    return (_unit_powers(-2 * np.outer(k, k), n) @ values / n).real
+
+
+def reference_skew_row(values):
+    """Real part of the O(n^2) skew inverse sum that the FFT replaced."""
+    values = np.asarray(values, dtype=complex)
+    n = values.size
+    k = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    return (_unit_powers(-k * (2 * j + 1), n) @ values / n).real
+
+
+def reference_recover_rows(spectra, kind):
+    """Drop-in for ``_recover_rows`` that recovers row by row through the
+    reference sums."""
+    recover = reference_circulant_row if kind == "circulant" else reference_skew_row
+    return np.array([recover(v) for v in spectra])
+
+
+_FORWARD = {"circulant": circulant_eigenvalues, "skew": skew_eigenvalues}
+_PUBLIC = {"circulant": circulant_row_from_spectrum, "skew": skew_row_from_spectrum}
+_REFERENCE = {"circulant": reference_circulant_row, "skew": reference_skew_row}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.tuples(st.integers(1, 40), st.integers(1, 16)).flatmap(
+        lambda shape: hnp.arrays(
+            np.float64,
+            shape,
+            elements=st.floats(-100, 100, allow_nan=False, allow_infinity=False),
+        )
+    ),
+    kind=st.sampled_from(["circulant", "skew"]),
+)
+def test_batched_recovery_matches_single_rows_and_reference(rows, kind):
+    spectra = np.array([_FORWARD[kind](row) for row in rows])
+    batch = _recover_rows(spectra, kind)
+    assert batch.shape == rows.shape
+    for row, spec, got in zip(rows, spectra, batch):
+        # bit-identical to the public single-row map, whatever the batch size
+        assert np.array_equal(got, _PUBLIC[kind](spec))
+        # below the smallest normal float roundoff is absolute, not relative
+        tol = max(1e-10 * np.sum(np.abs(row)), np.finfo(float).tiny)
+        assert np.max(np.abs(got - _REFERENCE[kind](spec))) <= tol
+        assert np.max(np.abs(got - row)) <= tol
+
+
+@pytest.mark.parametrize("kind", ["circulant", "skew"])
+def test_batch_with_one_nonreal_row_raises(kind):
+    rng = np.random.default_rng(12)
+    spectra = np.array([_FORWARD[kind](rng.normal(size=4)) for _ in range(5)])
+    spectra[3] = [1, 1j, 2, 3]
+    with pytest.raises(PairingError, match=f"{kind} row recovery"):
+        _recover_rows(spectra, kind)
+    # the other rows alone are fine
+    _recover_rows(np.delete(spectra, 3, axis=0), kind)
+
+
+@pytest.mark.parametrize("kind", ["circulant", "skew"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_subnormal_rows_count_as_real(kind, n):
+    row = np.full(n, 5e-324)
+    got = _PUBLIC[kind](_FORWARD[kind](row))
+    assert np.max(np.abs(got - row)) <= np.finfo(float).tiny
+
+
+@pytest.mark.parametrize("kind", ["circulant", "skew"])
+def test_realness_is_judged_per_row(kind):
+    tiny, large = np.array([3e-12, -1e-12, 2e-12]), np.array([4e6, -2e6, 1e6])
+    spectra = np.array([_FORWARD[kind](tiny), _FORWARD[kind](large)])
+    rows = _recover_rows(spectra, kind)
+    np.testing.assert_allclose(rows[0], tiny, rtol=0, atol=1e-10 * np.sum(tiny))
+    np.testing.assert_allclose(rows[1], large, rtol=0, atol=1e-10 * np.sum(large))
+    # a tiny row that is not real still fails next to a large real one
+    spectra[0] = 1e-12 * np.array([1, 1j, 2])
+    with pytest.raises(PairingError):
+        _recover_rows(spectra, kind)

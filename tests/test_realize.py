@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fixtures as fx
+from niepkit import realize
 from niepkit.blocks import BlockBuildSpec
 from niepkit.dft import (
     circulant_eigenvalues,
@@ -37,6 +38,7 @@ from niepkit.structured import (
     is_permutative,
     skew_circulant,
 )
+from test_dft import reference_recover_rows
 
 
 def upsilon_eight():
@@ -392,6 +394,105 @@ def test_pair_search_matches_reference_loop(bordered):
         assert circulant_head_bound(pair.circulant_part) == report.bound_value
         assert check_conditions(pair, mode="formula").bound_value == report.bound_value
         outcomes.add(report.satisfied)
+    assert outcomes == {True, False}
+
+
+def _integer_pairs(seed, bordered):
+    """Pairs from integer first rows with skew order n <= 7, in random
+    pairing layouts.  Many ``s_k = |c_k|`` hold exactly, so witnesses sit on
+    ties; a lowered entry of ``s`` may make the pair a miss."""
+    rng = np.random.default_rng(seed)
+    for trial in range(30):
+        n = int(rng.integers(1, 8))
+        c = rng.integers(-3, 4, size=n).astype(float)
+        if bordered:
+            s = np.max(np.abs(c)) + rng.integers(0, 2, size=n + 1).astype(float)
+        else:
+            s = np.abs(c) + rng.integers(0, 2, size=n).astype(float)
+        if trial % 3 == 2:
+            s[int(rng.integers(s.size))] -= 1.0
+        lam, ups = circulant_eigenvalues(s), skew_eigenvalues(c)
+        yield SpectrumPair(
+            _scrambled(lam, enumerate_circulant_permutations(lam), rng),
+            _scrambled(ups, enumerate_skew_permutations(ups), rng),
+        )
+
+
+def _all_rows(pair):
+    lam, ups = pair.arrays()
+    return (
+        realize._recovered(lam, enumerate_circulant_permutations(lam), "circulant"),
+        realize._recovered(ups, enumerate_skew_permutations(ups), "skew"),
+    )
+
+
+@pytest.mark.parametrize("bordered", [False, True])
+def test_witnesses_stable_under_reference_recovery(bordered, monkeypatch):
+    pairs = list(_search_pairs(37 + bordered, bordered))
+    pairs += list(_integer_pairs(39 + bordered, bordered))
+    fast = [(check_conditions(pair), _all_rows(pair)) for pair in pairs]
+    monkeypatch.setattr(realize, "_recover_rows", reference_recover_rows)
+    outcomes, ties = set(), 0
+    for pair, (report, rows) in zip(pairs, fast):
+        reference = check_conditions(pair)
+        assert report.satisfied == reference.satisfied
+        assert report.bound_value == reference.bound_value
+        if report.satisfied:
+            assert report.witness.alpha == reference.witness.alpha
+            assert report.witness.beta == reference.witness.beta
+            ties += min(np.abs(report.witness.margins)) <= 1e-12
+        lam, ups = pair.arrays()
+        scale = max(np.max(np.abs(lam)), np.max(np.abs(ups)), 1.0)
+        for got, want in zip(rows, _all_rows(pair)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        outcomes.add(report.satisfied)
+    assert outcomes == {True, False}
+    assert ties > 0
+
+
+def _reference_brauer_choice(ups, tail, rho):
+    """The original selection of ``brauer_plan``: chi and the smallest skew
+    row over per-ordering recoveries, then the first nonnegative shifted
+    circulant row, tried one ordering at a time."""
+    candidates = [
+        (p, skew_row_from_spectrum(ups[list(p.mapping)]))
+        for p in enumerate_skew_permutations(ups)
+    ]
+    chi = max(np.max(np.abs(row)) for _, row in candidates)
+    beta, c_row = min(candidates, key=lambda item: np.max(np.abs(item[1])))
+    shifted = np.concatenate([[complex(rho - (ups.size + 1) * chi)], tail])
+    slack = 1e-12 * max(np.max(np.abs(shifted)), 1.0)
+    for alpha in enumerate_circulant_permutations(shifted):
+        b_row = circulant_row_from_spectrum(shifted[list(alpha.mapping)])
+        if np.all(b_row >= -slack):
+            return chi, beta, c_row, alpha, np.clip(b_row, 0.0, None)
+    return chi, beta, c_row, None, None
+
+
+def test_brauer_plan_matches_reference_selection():
+    rng = np.random.default_rng(38)
+    outcomes = set()
+    for trial in range(40):
+        n = int(rng.integers(1, 7))
+        # integer rows give exact ties between the skew rows' magnitudes
+        c = rng.integers(-2, 3, size=n).astype(float)
+        ups = skew_eigenvalues(c)
+        ups = np.asarray(_scrambled(ups, enumerate_skew_permutations(ups), rng))
+        tail = circulant_eigenvalues(rng.uniform(0.0, 1.0, size=n + 1))[1:]
+        chi = skew_row_bound(ups)
+        rho = (n + 1) * chi + rng.uniform(-0.5, 2.0)
+        want = _reference_brauer_choice(ups, tail, rho)
+        if want[3] is None:
+            with pytest.raises(RealizabilityError):
+                brauer_plan(ups, tail, rho)
+            outcomes.add(False)
+            continue
+        plan = brauer_plan(ups, tail, rho)
+        assert plan.chi == want[0] == chi
+        assert (plan.beta, plan.alpha) == (want[1], want[3])
+        assert plan.skew_row == tuple(want[2].tolist())
+        assert plan.base_row == tuple(want[4].tolist())
+        outcomes.add(True)
     assert outcomes == {True, False}
 
 
