@@ -26,14 +26,17 @@ from .errors import PairingError, RealizabilityError
 from .spectra import (
     DEFAULT_ENUMERATION_CAP,
     PairingPermutation,
-    enumerate_circulant_permutations,
-    enumerate_skew_permutations,
+    _orderings,
     satisfies_circulant_pairing,
     satisfies_skew_pairing,
 )
 from .structured import abs_circulant, circulant
 
 _COND_RTOL = 1e-12
+
+#: Most (alpha, beta, position) comparisons one step of the dominance join
+#: holds in memory.
+_JOIN_ELEMENTS = 1 << 16
 
 
 def _canonical_four(values):
@@ -260,15 +263,22 @@ def circulant_head_bound(values, cap=DEFAULT_ENUMERATION_CAP):
     inverse-DFT used by the constructive checker.
     """
     v = as_complex_vector(values, "spectrum")
-    return _head_bound(v, enumerate_circulant_permutations(v, cap=cap))
+    return _head_bound(v, _orderings(v, "circulant", None, cap, True))
 
 
-def _head_bound(v, perms):
-    """:func:`circulant_head_bound` of ``v`` over its enumerated orderings."""
+def _head_bound(v, orderings):
+    """:func:`circulant_head_bound` of ``v`` over its orderings (a ``(K, n)``
+    index array).
+
+    The loads of all orderings come from one stacked ``np.matmul``, whose
+    loop runs the same matrix-vector product per ordering, on the same
+    strided vector, as ``cos @ x`` does for one; the bound is therefore
+    bit-identical to a loop over the orderings.
+    """
     n = v.size
     if n == 1:
         return 0.0
-    if not perms:
+    if not len(orderings):
         raise PairingError("list does not admit any circulant-layout ordering")
     k = np.arange(n)
     if n % 2 == 1:
@@ -278,44 +288,53 @@ def _head_bound(v, perms):
         alternating = -((-1.0) ** k)
     ang = 2.0 * np.pi * np.outer(k, j) / n
     cos, sin = np.cos(ang), np.sin(ang)
-    best = np.inf
-    for perm in perms:
-        nu = v[list(perm.mapping)]
-        extra = np.zeros(n) if n % 2 == 1 else alternating * nu[n // 2].real
-        load = -2.0 * (cos @ nu[j].real + sin @ nu[j].imag) + extra
-        best = min(best, float(load.max()))
-    return best
+    nu = v[orderings]
+    extra = np.zeros(n) if n % 2 == 1 else alternating * nu[:, n // 2, None].real
+    x = nu[:, j, None]
+    load = -2.0 * (np.matmul(cos, x.real) + np.matmul(sin, x.imag))[..., 0] + extra
+    peaks = load.max(axis=1)
+    # argmin keeps the first of tied minima, as a running min() does
+    return float(peaks[np.argmin(peaks)])
 
 
-def _recovered(values, perms, kind):
-    """First rows recovered from ``values`` reordered by each of ``perms``,
-    one row per ordering, in one batch."""
-    if not perms:
+def _recovered(values, orderings, kind):
+    """First rows recovered from ``values`` reordered by each row of the
+    index array ``orderings``, one row per ordering, in one batch."""
+    if not len(orderings):
         return np.zeros((0, values.size))
-    return _recover_rows(values[np.array([p.mapping for p in perms])], kind)
+    return _recover_rows(values[orderings], kind)
 
 
 def _skew_candidates(values, cap):
-    """The skew-layout orderings of ``values`` and their recovered rows."""
-    perms = enumerate_skew_permutations(values, cap=cap)
-    return perms, _recovered(values, perms, "skew")
+    """The skew-layout orderings of ``values`` (an index array) and their
+    recovered rows."""
+    orderings = _orderings(values, "skew", None, cap, True)
+    return orderings, _recovered(values, orderings, "skew")
 
 
-def _dominated(s_row, c_abs, odd, slack):
-    """Which rows of ``c_abs`` (skew row magnitudes, one per row) the
-    circulant row ``s_row`` dominates within ``slack``.
+def _permutation(orderings, row, kind):
+    return PairingPermutation(tuple(orderings[row].tolist()), kind)
 
-    Even case: ``s - |c| >= -slack``.  Bordered case (``s_row`` one longer):
+
+def _dominated(s_rows, c_abs, odd, slack):
+    """Which rows of ``c_abs`` (skew row magnitudes, one per row) each
+    circulant row of ``s_rows`` dominates within ``slack``: booleans of
+    shape ``(Kc,)`` for one row ``s_rows``, ``(A, Kc)`` for ``A`` rows.
+
+    Even case: ``s - |c| >= -slack``.  Bordered case (``s`` one longer):
     the dense test ``|skew_circulant(c)| <= circulant(clip(s))[:n, :n] +
     slack`` compares ``|c_d|`` with ``clip(s)_d`` on and above the diagonal
     (d = j - i) and with ``clip(s)_{d+1}`` below it (d = n + j - i), so the
     same comparisons are made on the rows.
     """
+    s = s_rows[..., None, :]
     if not odd:
-        return np.all(s_row - c_abs >= -slack, axis=1)
+        return np.all(s - c_abs >= -slack, axis=-1)
     n = c_abs.shape[1]
-    body = np.clip(s_row, 0.0, None) + slack
-    return np.all(c_abs <= body[:n], axis=1) & np.all(c_abs[:, 1:] <= body[2:], axis=1)
+    body = np.clip(s, 0.0, None) + slack
+    return np.all(c_abs <= body[..., :n], axis=-1) & np.all(
+        c_abs[:, 1:] <= body[..., 2:], axis=-1
+    )
 
 
 def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
@@ -330,15 +349,16 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
     against :func:`circulant_head_bound` and reports no witness.
 
     Each side is enumerated once and its rows are recovered in one batch;
-    the head bound and the circulant rows share one ordering list.  For
-    each circulant row with no entry below the slack, all skew rows are
-    tested at once (:func:`_dominated`) and the first passing one is the
-    witness.
+    the head bound and the circulant rows share one ordering array.  The
+    circulant rows with no entry below the slack are joined with all skew
+    rows (:func:`_dominated`) in chunks of at most ``_JOIN_ELEMENTS``
+    comparisons; the first passing pair in row-major order is the
+    lexicographically first witness (alpha, beta).
     """
     if mode not in ("constructive", "formula"):
         raise ValueError(f"mode must be 'constructive' or 'formula', got {mode!r}")
     lam, ups = pair.arrays()
-    alphas = enumerate_circulant_permutations(lam, cap=cap)
+    alphas = _orderings(lam, "circulant", None, cap, True)
     bound = _head_bound(lam, alphas)
     scale = max(max_abs(lam), max_abs(ups), 1.0)
     slack = _COND_RTOL * scale
@@ -351,20 +371,23 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
     s_rows = _recovered(lam, alphas, "circulant")
     betas, c_rows = _skew_candidates(ups, cap)
     c_abs = np.abs(c_rows)
-    for a in np.flatnonzero(np.all(s_rows >= -slack, axis=1)):
-        s_row = s_rows[a]
-        ok = _dominated(s_row, c_abs, odd, slack)
-        hit = int(np.argmax(ok))
-        if not ok[hit]:
+    live = np.flatnonzero(np.all(s_rows >= -slack, axis=1))
+    step = max(1, _JOIN_ELEMENTS // max(1, c_abs.size))
+    for start in range(0, live.size, step):
+        block = live[start:start + step]
+        ok = _dominated(s_rows[block], c_abs, odd, slack)
+        if not ok.any():
             continue
-        alpha, beta, c_row = alphas[a], betas[hit], c_rows[hit]
+        a, b = divmod(int(np.argmax(ok)), ok.shape[1])
+        a = block[a]
+        s_row, c_row = s_rows[a], c_rows[b]
         if odd:
             margins = s_row - np.concatenate([np.abs(c_row), [0.0]])
         else:
             margins = s_row - np.abs(c_row)
         witness = ConditionWitness(
-            alpha=alpha,
-            beta=beta,
+            alpha=_permutation(alphas, a, "circulant"),
+            beta=_permutation(betas, b, "skew"),
             circulant_row=tuple(s_row.tolist()),
             skew_row=tuple(c_row.tolist()),
             margins=tuple(np.asarray(margins, dtype=float).tolist()),
@@ -392,8 +415,8 @@ def skew_row_bound(upsilon, cap=DEFAULT_ENUMERATION_CAP):
     admissible skew row is dominated entrywise by it.
     """
     ups = as_complex_vector(upsilon, "skew spectrum")
-    perms, rows = _skew_candidates(ups, cap)
-    if not perms:
+    orderings, rows = _skew_candidates(ups, cap)
+    if not len(orderings):
         raise PairingError("list does not admit any skew-layout ordering")
     return max_abs(rows)
 
@@ -433,18 +456,18 @@ def brauer_plan(upsilon, tail, rho, cap=DEFAULT_ENUMERATION_CAP):
     rho = float(rho)
 
     betas, c_rows = _skew_candidates(ups, cap)
-    if not betas:
+    if not len(betas):
         raise PairingError("upsilon does not admit any skew-layout ordering")
     magnitudes = np.max(np.abs(c_rows), axis=1)
     chi = float(magnitudes.max())
     # argmin keeps the first of tied minima: the lexicographically first beta
     best = int(np.argmin(magnitudes))
-    beta, c_row = betas[best], c_rows[best]
+    c_row = c_rows[best]
 
     head = rho - (n + 1) * chi
     shifted = np.concatenate([[complex(head)], tail])
     slack = _COND_RTOL * max(max_abs(shifted), 1.0)
-    alphas = enumerate_circulant_permutations(shifted, cap=cap)
+    alphas = _orderings(shifted, "circulant", None, cap, True)
     b_rows = _recovered(shifted, alphas, "circulant")
     nonnegative = np.all(b_rows >= -slack, axis=1)
     if not nonnegative.any():
@@ -453,7 +476,7 @@ def brauer_plan(upsilon, tail, rho, cap=DEFAULT_ENUMERATION_CAP):
             f"rho - (n+1)*chi = {head:.6g}; increase rho (chi = {chi:.6g})"
         )
     first = int(np.argmax(nonnegative))
-    alpha, b_row = alphas[first], np.clip(b_rows[first], 0.0, None)
+    b_row = np.clip(b_rows[first], 0.0, None)
     r_row = b_row + chi
     # guaranteed by construction: every entry of R dominates every |c_k|
     assert np.min(r_row) >= chi - slack >= max_abs(c_row) - slack
@@ -462,8 +485,8 @@ def brauer_plan(upsilon, tail, rho, cap=DEFAULT_ENUMERATION_CAP):
         base_row=tuple(b_row.tolist()),
         circulant_row=tuple(r_row.tolist()),
         skew_row=tuple(c_row.tolist()),
-        alpha=alpha,
-        beta=beta,
+        alpha=_permutation(alphas, first, "circulant"),
+        beta=_permutation(betas, best, "skew"),
     )
 
 

@@ -13,6 +13,15 @@ condition checker in :mod:`niepkit.realize`).  The orderings are generated
 position by position rather than filtered out of all n! permutations, so
 the cost scales with the number of orderings kept, not with n!.
 
+The orderings depend on a list only through its pairing structure: which
+entries may sit opposite which (``|e_j - conj(e_i)| <= tol``), whether the
+head is real, and which entries are exactly equal.  Every generic list of
+a given order and layout shares one structure, so the orderings are
+generated once per structure (and per ``limit`` and ``dedup``) and kept,
+as read-only index arrays, in a least-recently-used cache of a fixed 64
+entries.  The cache has no setting; the public functions return a fresh
+list on every call.
+
 Two conventions hold throughout:
 
 * Circulant enumeration fixes index 0 as the head (position 0); only the
@@ -28,6 +37,7 @@ All functions are pure and deterministic; enumeration order is the
 lexicographic order of the permutation image tuples.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -83,34 +93,42 @@ def pairing_tolerance(entries):
     return _PAIR_RTOL * max_abs(np.asarray(entries, dtype=complex))
 
 
-def satisfies_circulant_pairing(entries, order=None, tol=None):
-    """True when ``entries`` (optionally reordered) has the circulant layout."""
+def _conjugate_distance(a, b):
+    """``|a - conj(b)|`` elementwise.
+
+    ``np.hypot`` is libm's ``hypot``, which is also what ``abs`` of a Python
+    or numpy complex scalar computes; ``np.abs`` of a complex array may use a
+    SIMD kernel that differs from it in the last bit, and a verdict at the
+    tolerance would then depend on how it was evaluated.
+    """
+    d = a - np.conj(b)
+    return np.hypot(d.real, d.imag)
+
+
+def _arranged(entries, order, tol):
     entries = as_complex_vector(entries)
     if order is not None:
         entries = entries[list(order)]
     if tol is None:
         tol = pairing_tolerance(entries)
-    n = entries.size
-    if abs(entries[0].imag) > tol:
-        return False
-    for k in range(1, n):
-        if abs(entries[n - k] - entries[k].conjugate()) > tol:
-            return False
-    return True
+    return entries, tol
+
+
+def satisfies_circulant_pairing(entries, order=None, tol=None):
+    """True when ``entries`` (optionally reordered) has the circulant layout."""
+    entries, tol = _arranged(entries, order, tol)
+    mates = _layout_partners(entries.size, "circulant")[1:]
+    return bool(
+        abs(entries[0].imag) <= tol
+        and np.all(_conjugate_distance(entries[mates], entries[1:]) <= tol)
+    )
 
 
 def satisfies_skew_pairing(entries, order=None, tol=None):
     """True when ``entries`` (optionally reordered) has the skew layout."""
-    entries = as_complex_vector(entries)
-    if order is not None:
-        entries = entries[list(order)]
-    if tol is None:
-        tol = pairing_tolerance(entries)
-    n = entries.size
-    for k in range(n):
-        if abs(entries[n - 1 - k] - entries[k].conjugate()) > tol:
-            return False
-    return True
+    entries, tol = _arranged(entries, order, tol)
+    mates = _layout_partners(entries.size, "skew")
+    return bool(np.all(_conjugate_distance(entries[mates], entries) <= tol))
 
 
 def _match_conjugates(entries, tol):
@@ -259,32 +277,24 @@ def _layout_partners(n, kind):
     Position 0 of the circulant layout is the head; it is its own partner
     but must hold a real entry rather than a self-conjugate one.
     """
+    k = np.arange(n)
     if kind == "circulant":
-        return [0] + [n - k for k in range(1, n)]
-    return [n - 1 - k for k in range(n)]
+        return -k % n
+    return n - 1 - k
 
 
-def _enumerate(entries, kind, limit, cap, dedup):
-    """Generate the pairing-preserving orderings in lexicographic order.
+def _orderings(entries, kind, limit, cap, dedup):
+    """The pairing-preserving orderings of ``entries`` as a read-only
+    ``(K, n)`` index array, one image tuple per row, in lexicographic order.
 
-    Orderings are built position by position, 0 to n-1, trying original
-    indices in increasing order, so they come out in lexicographic order of
-    the image tuple without generating and filtering all n! permutations;
-    the cost scales with the number of orderings kept (plus the dead ends
-    of partial placements), not with n!.  Index j may go to a position whose
-    layout partner already holds index i when |e_j - conj(e_i)| <= tol, with
-    the tolerance of :func:`pairing_tolerance`; a self-partnered position
-    (the skew middle, the circulant position n/2) takes only indices
-    compatible with themselves.  This is the test the ``satisfies_*``
-    predicates apply, so every generated ordering passes them and no
-    ordering passing them is missed.  The circulant head is not searched:
-    index 0 stays at position 0 and must be real within tol.
-
-    With ``dedup``, an index is skipped at a position when an index with
-    exactly the same value (``==``, not the pairing tolerance) was already
-    tried there.  Exactly equal entries are interchangeable, so the
-    ordering kept for each distinct reordered list is the lexicographically
-    first one, and k repeated values cost one branch rather than k!.
+    The orderings depend on the values only through their pairing
+    structure, so they are generated once per structure and kept in a
+    fixed-size cache (:func:`_generate`).  The key is the order, the kind,
+    the compatibility matrix ``|e_j - conj(e_i)| <= tol``, whether the head
+    is real within tol, the exact-equality labels (the first index holding
+    an ``==`` value), ``limit`` and ``dedup``: exactly what the generator
+    reads.  Validation and the size cap come first, so a warm cache still
+    raises.
     """
     entries = as_complex_vector(entries)
     n = entries.size
@@ -296,27 +306,58 @@ def _enumerate(entries, kind, limit, cap, dedup):
             "pass a larger cap explicitly to override"
         )
     tol = pairing_tolerance(entries)
-    values = entries.tolist()
-    compatible = [
-        [abs(v - u.conjugate()) <= tol for v in values] for u in values
-    ]
+    compatible = _conjugate_distance(entries[None, :], entries[:, None]) <= tol
+    labels = np.argmax(entries[:, None] == entries[None, :], axis=1)
+    head_real = bool(abs(entries[0].imag) <= tol)
+    return _generate(
+        n, kind, compatible.tobytes(), head_real, labels.tobytes(), limit, dedup
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _generate(n, kind, compatible, head_real, labels, limit, dedup):
+    """Generate the orderings of one pairing structure (see :func:`_orderings`).
+
+    Orderings are built position by position, 0 to n-1, trying original
+    indices in increasing order, so they come out in lexicographic order of
+    the image tuple without generating and filtering all n! permutations;
+    the cost scales with the number of orderings kept (plus the dead ends
+    of partial placements), not with n!.  Index j may go to a position whose
+    layout partner already holds index i when ``compatible[i][j]``, that is
+    |e_j - conj(e_i)| <= tol with the tolerance of
+    :func:`pairing_tolerance`; a self-partnered position (the skew middle,
+    the circulant position n/2) takes only indices compatible with
+    themselves.  This is the test the ``satisfies_*`` predicates apply, so
+    every generated ordering passes them and no ordering passing them is
+    missed.  The circulant head is not searched: index 0 stays at position
+    0 and must be real within tol (``head_real``).
+
+    With ``dedup``, an index is skipped at a position when an index with
+    the same label (an exactly equal value, ``==``, not the pairing
+    tolerance) was already tried there.  Exactly equal entries are
+    interchangeable, so the ordering kept for each distinct reordered list
+    is the lexicographically first one, and k repeated values cost one
+    branch rather than k!.
+    """
+    compatible = np.frombuffer(compatible, dtype=bool).reshape(n, n).tolist()
+    labels = np.frombuffer(labels, dtype=np.intp).tolist()
     # the other indices each index may sit opposite
     mates = [[j for j in range(n) if j != i and compatible[i][j]] for i in range(n)]
-    partner = _layout_partners(n, kind)
+    partner = _layout_partners(n, kind).tolist()
     order = [-1] * n
     used = [False] * n
+    out = []
     first = 0
     if kind == "circulant":
-        if abs(values[0].imag) > tol:
-            return []
+        if not head_real:
+            return _frozen(out, n)
         order[0] = 0
         used[0] = True
         first = 1
     if first == n:
-        return [] if limit == 0 else [PairingPermutation(tuple(order), kind)]
+        return _frozen([] if limit == 0 else [order], n)
 
-    out = []
-    # next index to try at each position, and the values already tried there
+    # next index to try at each position, and the labels already tried there
     cursor = [0] * n
     tried = [[] for _ in range(n)]
     pos = first
@@ -339,7 +380,7 @@ def _enumerate(entries, kind, limit, cap, dedup):
             elif all(used[j] for j in mates[i]):
                 # the partner position, placed later, could take nothing
                 continue
-            if dedup and values[i] in tried[pos]:
+            if dedup and labels[i] in tried[pos]:
                 continue
             chosen = i
             break
@@ -348,15 +389,21 @@ def _enumerate(entries, kind, limit, cap, dedup):
             continue
         cursor[pos] = chosen + 1
         if dedup:
-            tried[pos].append(values[chosen])
+            tried[pos].append(labels[chosen])
         order[pos] = chosen
         used[chosen] = True
         if pos == n - 1:
-            out.append(PairingPermutation(tuple(order), kind))
+            out.append(tuple(order))
         else:
             pos += 1
             cursor[pos] = 0
             tried[pos].clear()
+    return _frozen(out, n)
+
+
+def _frozen(rows, n):
+    out = np.array(rows, dtype=np.intp).reshape(len(rows), n)
+    out.flags.writeable = False
     return out
 
 
@@ -371,11 +418,13 @@ def enumerate_circulant_permutations(
     Raises :class:`EnumerationCapError` for unlimited enumeration above
     ``cap``.
     """
-    return _enumerate(entries, "circulant", limit, cap, dedup)
+    rows = _orderings(entries, "circulant", limit, cap, dedup).tolist()
+    return [PairingPermutation(tuple(row), "circulant") for row in rows]
 
 
 def enumerate_skew_permutations(
     entries, limit=None, cap=DEFAULT_ENUMERATION_CAP, dedup=True
 ):
     """All permutations whose reordering keeps the skew pairing layout."""
-    return _enumerate(entries, "skew", limit, cap, dedup)
+    rows = _orderings(entries, "skew", limit, cap, dedup).tolist()
+    return [PairingPermutation(tuple(row), "skew") for row in rows]

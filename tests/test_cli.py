@@ -32,6 +32,13 @@ class TestRealize4:
         assert payload["matrix"] == fx.FOUR_A_MATRIX.tolist()
         assert payload["verified"] is True
 
+    def test_checked_in_input(self, tmp_path):
+        # the packaging smoke test in CI runs the installed script on this file
+        inp = Path(__file__).resolve().parent / "data" / "four.json"
+        out = tmp_path / "out.json"
+        assert main(["realize4", str(inp), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["matrix"] == fx.FOUR_A_MATRIX.tolist()
+
     def test_csv_output(self, tmp_path):
         inp = write_json(tmp_path / "in.json", [[8, 0], [-6, 0], [-1, 5], [-1, -5]])
         out = tmp_path / "out.csv"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fixtures as fx
-from niepkit import realize
+from niepkit import realize, spectra
 from niepkit.blocks import BlockBuildSpec
 from niepkit.dft import (
     circulant_eigenvalues,
@@ -421,9 +421,13 @@ def _integer_pairs(seed, bordered):
 def _all_rows(pair):
     lam, ups = pair.arrays()
     return (
-        realize._recovered(lam, enumerate_circulant_permutations(lam), "circulant"),
-        realize._recovered(ups, enumerate_skew_permutations(ups), "skew"),
+        realize._recovered(lam, _index_array(enumerate_circulant_permutations(lam)), "circulant"),
+        realize._recovered(ups, _index_array(enumerate_skew_permutations(ups)), "skew"),
     )
+
+
+def _index_array(perms):
+    return np.array([p.mapping for p in perms])
 
 
 @pytest.mark.parametrize("bordered", [False, True])
@@ -448,6 +452,22 @@ def test_witnesses_stable_under_reference_recovery(bordered, monkeypatch):
         outcomes.add(report.satisfied)
     assert outcomes == {True, False}
     assert ties > 0
+
+
+def test_reports_equal_on_cold_and_warm_caches():
+    pairs = list(_search_pairs(41, False)) + list(_search_pairs(42, True))
+    spectra._generate.cache_clear()
+    cold = []
+    for pair in pairs:
+        cold.append(check_conditions(pair))
+        spectra._generate.cache_clear()
+    for pair in pairs:
+        check_conditions(pair)
+    misses = spectra._generate.cache_info().misses
+    warm = [check_conditions(pair) for pair in pairs]
+    assert spectra._generate.cache_info().misses == misses
+    assert warm == cold
+    assert {report.satisfied for report in cold} == {True, False}
 
 
 def _reference_brauer_choice(ups, tail, rho):

@@ -2,9 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from niepkit import spectra
 from niepkit.errors import EnumerationCapError
 from niepkit.spectra import (
+    _layout_partners,
     classify_pairing,
     enumerate_circulant_permutations,
     enumerate_skew_permutations,
@@ -255,3 +259,157 @@ def test_all_equal_ten_costs_one_branch():
     assert [p.mapping for p in enumerate_skew_permutations([1.0] * 10, cap=10)] == [
         tuple(range(10))
     ]
+
+
+def _reference_satisfies_circulant(entries, order=None, tol=None):
+    """The original position-by-position circulant layout test."""
+    entries = np.asarray(entries, dtype=complex)
+    if order is not None:
+        entries = entries[list(order)]
+    if tol is None:
+        tol = pairing_tolerance(entries)
+    n = entries.size
+    if abs(entries[0].imag) > tol:
+        return False
+    for k in range(1, n):
+        if abs(entries[n - k] - entries[k].conjugate()) > tol:
+            return False
+    return True
+
+
+def _reference_satisfies_skew(entries, order=None, tol=None):
+    """The original position-by-position skew layout test."""
+    entries = np.asarray(entries, dtype=complex)
+    if order is not None:
+        entries = entries[list(order)]
+    if tol is None:
+        tol = pairing_tolerance(entries)
+    n = entries.size
+    for k in range(n):
+        if abs(entries[n - 1 - k] - entries[k].conjugate()) > tol:
+            return False
+    return True
+
+
+_PART = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _near_layouts(draw):
+    """A list in (or near) a pairing layout, an optional reordering and a
+    tolerance that is often exactly one of the list's partner distances, or
+    the float just below it."""
+    kind = draw(st.sampled_from(["circulant", "skew"]))
+    n = draw(st.integers(1, 8))
+    entries = np.array(
+        [complex(draw(_PART), draw(_PART)) for _ in range(n)], dtype=complex
+    )
+    partner = _layout_partners(n, kind)
+    for k in range(n):
+        if partner[k] > k and draw(st.booleans()):
+            # a partner at the conjugate, nudged by a few ulps or a tiny step
+            nudge = draw(st.sampled_from([0.0, 1e-15, 3e-13, 1e-12, 1e-9]))
+            entries[partner[k]] = entries[k].conjugate() + complex(
+                draw(st.sampled_from([-1, 0, 1])) * nudge,
+                draw(st.sampled_from([-1, 0, 1])) * nudge,
+            )
+        elif partner[k] == k and draw(st.booleans()):
+            entries[k] = complex(entries[k].real, draw(st.sampled_from([0.0, 1e-13, 1e-11])))
+    order = draw(st.none() | st.permutations(range(n)))
+    laid = entries if order is None else entries[list(order)]
+    distances = [abs(laid[partner[k]] - laid[k].conjugate()) for k in range(n)]
+    distances += [abs(laid[0].imag)]
+    tol = draw(st.none() | st.sampled_from(distances))
+    if tol is not None and draw(st.booleans()):
+        tol = float(np.nextafter(tol, -1.0)) if tol > 0 else tol
+    return entries, order, tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_near_layouts())
+def test_vectorized_predicates_match_loops(case):
+    entries, order, tol = case
+    assert satisfies_circulant_pairing(entries, order, tol) == _reference_satisfies_circulant(
+        entries, order, tol
+    )
+    assert satisfies_skew_pairing(entries, order, tol) == _reference_satisfies_skew(
+        entries, order, tol
+    )
+
+
+def test_predicates_at_the_tolerance():
+    z = complex(1.0, 2.0)
+    mate = complex(1.0 + 3e-12, -2.0)
+    gap = abs(mate - z.conjugate())
+    for tol, verdict in ((gap, True), (float(np.nextafter(gap, 0.0)), False)):
+        assert satisfies_skew_pairing([z, 5.0, mate], tol=tol) is verdict
+        assert satisfies_circulant_pairing([5.0, z, mate], tol=tol) is verdict
+        assert _reference_satisfies_skew([z, 5.0, mate], tol=tol) is verdict
+    head = complex(5.0, gap)
+    assert satisfies_circulant_pairing([head, z, z.conjugate()], tol=gap)
+    assert not satisfies_circulant_pairing(
+        [head, z, z.conjugate()], tol=float(np.nextafter(gap, 0.0))
+    )
+
+
+class TestOrderingCache:
+    def test_warm_cache_still_enforces_the_cap(self):
+        entries = [1.0] * 11
+        for enum in ENUMERATORS.values():
+            assert enum(entries, cap=11)
+            with pytest.raises(EnumerationCapError):
+                enum(entries)
+            with pytest.raises(ValueError):
+                enum(entries, cap=11, limit=-1)
+
+    def test_cached_arrays_are_read_only_and_lists_fresh(self):
+        entries = [15, 2 + 5j, 1, 2 - 5j]
+        first = spectra._orderings(entries, "circulant", None, 10, True)
+        assert spectra._orderings(entries, "circulant", None, 10, True) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1
+        perms = enumerate_circulant_permutations(entries)
+        again = enumerate_circulant_permutations(entries)
+        assert perms == again and perms is not again
+        perms.clear()
+        assert enumerate_circulant_permutations(entries) == again
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_scrambled_lists_miss_and_match_brute_force(self, n):
+        rng = np.random.default_rng(200 + n)
+        base = _structured_lists(n, rng)[3]
+        for _ in range(4):
+            entries = list(rng.permutation(np.asarray(base, dtype=complex)))
+            spectra._generate.cache_clear()
+            _assert_matches_brute_force(entries)
+            # two kinds x two dedup settings x four limits, each generated
+            info = spectra._generate.cache_info()
+            assert (info.hits, info.misses) == (0, 16)
+
+    def test_head_realness_is_part_of_the_key(self):
+        # the head is real within tol on one list and not on the other;
+        # everything else the generator reads is the same
+        tol = 1e-12 * 4.0
+        z = complex(1.0, 2.0)
+        real_head = [complex(3.0, 0.75 * tol), z, 4.0, z.conjugate()]
+        complex_head = [complex(3.0, 1.25 * tol), z, 4.0, z.conjugate()]
+        for lists in ((real_head, complex_head), (complex_head, real_head)):
+            spectra._generate.cache_clear()
+            for entries in lists:
+                _assert_matches_brute_force(entries)
+        assert enumerate_circulant_permutations(real_head)
+        assert enumerate_circulant_permutations(complex_head) == []
+
+    def test_exact_equality_is_part_of_the_key(self):
+        # the two 2.0 entries pair within tol on both lists, but only one
+        # list has them exactly equal, which dedup merges
+        tol = 1e-12 * 4.0
+        equal = [4.0, 2.0, 2.0]
+        near = [4.0, 2.0, 2.0 + 0.5 * tol]
+        for lists in ((equal, near), (near, equal)):
+            spectra._generate.cache_clear()
+            for entries in lists:
+                _assert_matches_brute_force(entries)
+        assert len(enumerate_circulant_permutations(equal)) == 1
+        assert len(enumerate_circulant_permutations(near)) == 2
