@@ -11,6 +11,7 @@ matrices as row-major arrays of arrays.  Exit codes:
 """
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -110,24 +111,29 @@ def _write_output(args, payload, matrix=None):
         sys.stdout.write(text)
 
 
-def _verify_matrix(matrix, expected, tol=None):
-    """Oracle check every success path must pass before exiting 0."""
-    if tol is None:
-        tol = _VERIFY_RTOL * max(1.0, max_abs(expected))
-    report = match_spectra(spectrum(matrix), expected, tol)
+def _verify_matrix(matrix, expected):
+    """Oracle check every success path must pass before exiting 0.
+
+    Returns the computed spectrum and the match report.
+    """
+    tol = _VERIFY_RTOL * max(1.0, max_abs(expected))
+    computed = spectrum(matrix)
+    report = match_spectra(computed, expected, tol)
     if not report.matched:
         raise VerificationError(
             f"constructed matrix failed spectrum verification "
             f"(max pair distance {report.max_pair_distance:.3e} > {tol:.3e})"
         )
-    return report
+    return computed, report
 
 
-def _matrix_payload(matrix, expected, report):
+def _matrix_payload(matrix, expected):
+    """The verified JSON payload of a constructed matrix; the oracle runs once."""
+    computed, report = _verify_matrix(matrix, expected)
     return {
         "matrix": [[float(v) for v in row] for row in matrix],
         "expected_spectrum": _complex_out(expected),
-        "computed_spectrum": _complex_out(spectrum(matrix)),
+        "computed_spectrum": _complex_out(computed),
         "max_pair_distance": report.max_pair_distance,
         "verified": True,
     }
@@ -136,17 +142,14 @@ def _matrix_payload(matrix, expected, report):
 def _cmd_realize4(args):
     values = _parse_complex_list(_load_json(args.input), "spectrum")
     M = realize_four(values)
-    report = _verify_matrix(M, values)
-    _write_output(args, _matrix_payload(M, values, report), matrix=M)
+    _write_output(args, _matrix_payload(M, values), matrix=M)
     return 0
 
 
 def _cmd_realize_region(args):
     point = RegionPoint(r=args.r, a=args.a, b=args.b)
     M = realize_region(point)
-    expected = point.spectrum
-    report = _verify_matrix(M, expected)
-    _write_output(args, _matrix_payload(M, expected, report), matrix=M)
+    _write_output(args, _matrix_payload(M, point.spectrum), matrix=M)
     return 0
 
 
@@ -233,8 +236,7 @@ def _cmd_build(args):
         raise ValueError(
             "build input must provide circulant_row+skew_row, S+skew_row or S+C"
         )
-    report = _verify_matrix(M, expected)
-    _write_output(args, _matrix_payload(M, expected, report), matrix=M)
+    _write_output(args, _matrix_payload(M, expected), matrix=M)
     return 0
 
 
@@ -285,8 +287,7 @@ def _cmd_augment(args):
     plan = brauer_plan(ups, tail, float(rho))
     M = _augment_from_plan(plan, args.gamma, sign)
     expected = np.concatenate([[complex(rho)], tail, sign * args.gamma * ups])
-    report = _verify_matrix(M, expected)
-    payload = _matrix_payload(M, expected, report)
+    payload = _matrix_payload(M, expected)
     payload["chi"] = plan.chi
     payload["circulant_row"] = list(plan.circulant_row)
     payload["skew_row"] = list(plan.skew_row)
@@ -322,6 +323,7 @@ def _add_common(p, fmt=True):
 
 
 def build_parser():
+    """A new argument parser for the ``niepkit`` command line."""
     parser = argparse.ArgumentParser(
         prog="niepkit",
         description="Construct and verify nonnegative matrices with prescribed spectra.",
@@ -380,6 +382,13 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # built on the first call and reused: parse_args keeps no state between
+    # calls, and building all seven subparsers costs about a millisecond
+    return build_parser()
+
+
 def _log_level():
     """The level named by NIEPKIT_LOG; an unknown name warns and gives WARNING."""
     name = os.environ.get("NIEPKIT_LOG") or "WARNING"
@@ -394,8 +403,7 @@ def _log_level():
 
 def main(argv=None):
     logging.basicConfig(level=_log_level())
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except RealizabilityError as exc:

@@ -31,9 +31,12 @@ array, and the public single-row functions are a batch of one.  ``np.fft``
 transforms every row on its own, so a row comes out bit-identical alone
 or in any batch.
 
-The forward maps and the matrices ``F`` / ``G`` are the naive O(n^2) sums.
-Every exponent (twiddles included) is reduced modulo a full turn before
-calling ``exp``, which keeps angles exact at desk scale.
+The forward maps and the matrices ``F`` / ``G`` are the naive O(n^2) sums,
+taken over a table of the ``2n`` roots ``iota**t`` (``t = 0..2n-1``): every
+exponent (twiddles included) is an integer reduced modulo a full turn,
+which keeps angles exact at desk scale, and indexes that table, so a call
+runs ``2n`` complex ``exp`` calls rather than one per matrix entry, with
+outputs bit-identical to exponentiating every entry.
 """
 
 from dataclasses import dataclass
@@ -66,9 +69,18 @@ def root_of_unity(n):
 
 
 def _unit_powers(numerator, half_turns):
-    """exp(i*pi*numerator/half_turns) with the numerator reduced mod 2*half_turns."""
-    reduced = np.mod(numerator, 2 * half_turns)
-    return np.exp(1j * np.pi * reduced / half_turns)
+    """exp(i*pi*numerator/half_turns) with the numerator reduced mod 2*half_turns.
+
+    The ``2*half_turns`` distinct roots are computed once per call and
+    gathered with the reduced integer exponents, so a call costs
+    ``2*half_turns`` complex ``exp`` calls however large ``numerator`` is.
+    Each root is the ``exp`` of the very angle an entry with that reduced
+    exponent would take, so the result is bit-identical to exponentiating
+    every entry.
+    """
+    turn = 2 * half_turns
+    roots = np.exp(1j * np.pi * np.arange(turn) / half_turns)
+    return roots[np.mod(numerator, turn)]
 
 
 def dft_matrix(n):

@@ -294,7 +294,9 @@ def _orderings(entries, kind, limit, cap, dedup):
     is real within tol, the exact-equality labels (the first index holding
     an ``==`` value), ``limit`` and ``dedup``: exactly what the generator
     reads.  Validation and the size cap come first, so a warm cache still
-    raises.
+    raises.  Without ``dedup`` the generator runs uncached: every raw
+    ordering of k exactly equal entries is kept (k! of them), and the cache
+    would hold them for the life of the process.
     """
     entries = as_complex_vector(entries)
     n = entries.size
@@ -309,7 +311,8 @@ def _orderings(entries, kind, limit, cap, dedup):
     compatible = _conjugate_distance(entries[None, :], entries[:, None]) <= tol
     labels = np.argmax(entries[:, None] == entries[None, :], axis=1)
     head_real = bool(abs(entries[0].imag) <= tol)
-    return _generate(
+    generate = _generate if dedup else _generate.__wrapped__
+    return generate(
         n, kind, compatible.tobytes(), head_real, labels.tobytes(), limit, dedup
     )
 

@@ -91,19 +91,25 @@ class PermutativityReport:
 
 
 def is_permutative(matrix, tol=None):
-    """Check whether every row of a square matrix rearranges its first row."""
+    """Check whether every row of a square matrix rearranges its first row.
+
+    Every row is sorted stably by one ``argsort`` over all rows, and the
+    sorted rows are compared entrywise with the sorted first row; the
+    matrix is permutative when no difference exceeds ``tol`` (default
+    ``1e-9`` times the largest magnitude).  The witness for row ``i``,
+    scattered for all rows at once, sends the position of the k-th
+    smallest entry of row ``i`` to that of the k-th smallest entry of row
+    0, ties taken in index order: the witness a row-by-row stable sort
+    gives.
+    """
     matrix = as_float_matrix(matrix, "matrix")
-    n = matrix.shape[0]
     if tol is None:
         tol = _PERMUTATIVE_RTOL * max_abs(matrix)
-    base = matrix[0]
-    base_order = np.argsort(base, kind="stable")
-    witnesses = []
-    for i in range(n):
-        row_order = np.argsort(matrix[i], kind="stable")
-        if np.max(np.abs(matrix[i][row_order] - base[base_order])) > tol:
-            return PermutativityReport(False, None)
-        perm = np.empty(n, dtype=int)
-        perm[row_order] = base_order
-        witnesses.append(tuple(perm.tolist()))
-    return PermutativityReport(True, tuple(witnesses))
+    rows = np.arange(matrix.shape[0])[:, None]
+    order = np.argsort(matrix, axis=1, kind="stable")
+    ranked = matrix[rows, order]
+    if np.max(np.abs(ranked - ranked[0])) > tol:
+        return PermutativityReport(False, None)
+    perm = np.empty_like(order)
+    perm[rows, order] = order[0]
+    return PermutativityReport(True, tuple(map(tuple, perm.tolist())))

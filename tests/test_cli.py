@@ -9,9 +9,14 @@ import pytest
 
 import fixtures as fx
 from niepkit import cli, realize
+from niepkit._util import max_abs
+from niepkit.blocks import BlockBuildSpec, build_circ_skew
 from niepkit.cli import main
-from niepkit.dft import skew_eigenvalues
-from niepkit.realize import brauer_augment, brauer_plan
+from niepkit.dft import circulant_eigenvalues, skew_eigenvalues
+from niepkit.oracle import match_spectra, spectrum
+from niepkit.realize import brauer_augment, brauer_plan, realize_four
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def write_json(path, payload):
@@ -112,6 +117,14 @@ class TestRegionSweep:
 
 
 class TestBuild:
+    def test_checked_in_rows(self, tmp_path):
+        # the packaging smoke test in CI runs the installed script on this file
+        out = tmp_path / "out.json"
+        assert main(["build", str(DATA / "rows.json"), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["verified"] is True
+        assert payload["matrix"] == fx.EIGHT_MATRIX.tolist()
+
     def test_rows_build_matches_fixture(self, tmp_path):
         inp = write_json(
             tmp_path / "in.json",
@@ -298,6 +311,71 @@ class TestBooleanInput:
             {"matrix": [[1.0, 0], [0.0, 1]], "spectrum": pairs([1.0, 1.0])},
         )
         assert main(["verify", inp]) == 0
+
+
+def reference_payload_text(matrix, expected):
+    """The JSON the matrix commands wrote when ``computed_spectrum`` came
+    from a second eigensolve after the oracle check."""
+    tol = cli._VERIFY_RTOL * max(1.0, max_abs(expected))
+    report = match_spectra(spectrum(matrix), expected, tol)
+    assert report.matched
+    payload = {
+        "matrix": [[float(v) for v in row] for row in matrix],
+        "expected_spectrum": cli._complex_out(expected),
+        "computed_spectrum": cli._complex_out(spectrum(matrix)),
+        "max_pair_distance": report.max_pair_distance,
+        "verified": True,
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def rows_reference_text(gamma=1.0, sign=1):
+    rows = json.loads((DATA / "rows.json").read_text())
+    s, c = np.asarray(rows["circulant_row"]), np.asarray(rows["skew_row"])
+    spec = BlockBuildSpec(gamma=gamma, sign=sign)
+    expected = np.concatenate(
+        [circulant_eigenvalues(s), spec.signed_gamma * skew_eigenvalues(c)]
+    )
+    return reference_payload_text(build_circ_skew(s, c, spec), expected)
+
+
+class TestReusedParser:
+    ROWS = str(DATA / "rows.json")
+
+    def test_parser_is_built_once_and_factory_stays_fresh(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_bad_arguments_then_good_call(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["build", self.ROWS, "--sign", "sideways"])
+        with pytest.raises(SystemExit):
+            main(["no-such-command"])
+        with pytest.raises(SystemExit):
+            main(["build", self.ROWS, "--gamma"])
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        assert main(["build", self.ROWS, "--out", str(out)]) == 0
+        assert out.read_text() == rows_reference_text()
+
+    def test_no_options_leak_between_calls(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        argv = ["build", self.ROWS, "--gamma=0.5", "--sign=minus", f"--out={out}"]
+        assert main(argv) == 0
+        assert out.read_text() == rows_reference_text(gamma=0.5, sign=-1)
+        # neither gamma, sign nor --out carries over to a plain call
+        assert main(["build", self.ROWS]) == 0
+        assert capsys.readouterr().out == rows_reference_text()
+        assert rows_reference_text() != rows_reference_text(gamma=0.5, sign=-1)
+
+    def test_output_bytes_unchanged(self, tmp_path):
+        out = tmp_path / "out.json"
+        assert main(["build", self.ROWS, f"--out={out}"]) == 0
+        assert out.read_text() == rows_reference_text()
+        four = DATA / "four.json"
+        values = np.asarray([complex(*z) for z in json.loads(four.read_text())])
+        assert main(["realize4", str(four), f"--out={out}"]) == 0
+        assert out.read_text() == reference_payload_text(realize_four(values), values)
 
 
 def test_unknown_log_level_warns_and_falls_back(tmp_path):

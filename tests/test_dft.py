@@ -196,12 +196,66 @@ def test_diagonalization_identities():
         )
 
 
+def reference_unit_powers(numerator, half_turns):
+    """One ``exp`` per entry: the root table of ``_unit_powers`` replaced it."""
+    reduced = np.mod(numerator, 2 * half_turns)
+    return np.exp(1j * np.pi * reduced / half_turns)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+def _numerators(n):
+    """The exponent arrays the module passes to ``_unit_powers``."""
+    k = np.arange(n)
+    p, q = k[:, None], k[None, :]
+    return {
+        "F and the circulant forward map": 2 * np.outer(k, k),
+        "G": p * (2 * q + 1),
+        "skew forward map": (2 * p + 1) * q,
+        "skew twiddle": -k,
+    }
+
+
+def test_root_table_is_bit_identical_to_one_exp_per_entry():
+    for n in range(1, 129):
+        for name, numerator in _numerators(n).items():
+            got, want = _unit_powers(numerator, n), reference_unit_powers(numerator, n)
+            assert got.shape == want.shape
+            assert np.array_equal(_bits(got), _bits(want)), (n, name)
+        F = reference_unit_powers(_numerators(n)["F and the circulant forward map"], n)
+        G = reference_unit_powers(_numerators(n)["G"], n)
+        assert np.array_equal(_bits(dft_matrix(n)), _bits(F / np.sqrt(n))), n
+        assert np.array_equal(_bits(skew_dft_matrix(n)), _bits(G / np.sqrt(n))), n
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    row=st.integers(min_value=1, max_value=128).flatmap(
+        lambda n: hnp.arrays(
+            np.float64,
+            n,
+            elements=st.floats(-100, 100, allow_nan=False, allow_infinity=False),
+        )
+    )
+)
+def test_forward_maps_match_reference_sums(row):
+    n = row.size
+    numerators = _numerators(n)
+    lam = reference_unit_powers(numerators["F and the circulant forward map"], n)
+    mu = reference_unit_powers(numerators["skew forward map"], n)
+    x = row.astype(complex)
+    assert np.array_equal(_bits(circulant_eigenvalues(row)), _bits(lam @ x))
+    assert np.array_equal(_bits(skew_eigenvalues(row)), _bits(mu @ x))
+
+
 def reference_circulant_row(values):
     """Real part of the O(n^2) circulant inverse sum that the FFT replaced."""
     values = np.asarray(values, dtype=complex)
     n = values.size
     k = np.arange(n)
-    return (_unit_powers(-2 * np.outer(k, k), n) @ values / n).real
+    return (reference_unit_powers(-2 * np.outer(k, k), n) @ values / n).real
 
 
 def reference_skew_row(values):
@@ -210,7 +264,7 @@ def reference_skew_row(values):
     n = values.size
     k = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
-    return (_unit_powers(-k * (2 * j + 1), n) @ values / n).real
+    return (reference_unit_powers(-k * (2 * j + 1), n) @ values / n).real
 
 
 def reference_recover_rows(spectra, kind):

@@ -383,9 +383,23 @@ class TestOrderingCache:
             entries = list(rng.permutation(np.asarray(base, dtype=complex)))
             spectra._generate.cache_clear()
             _assert_matches_brute_force(entries)
-            # two kinds x two dedup settings x four limits, each generated
+            # two kinds x four limits with dedup, each generated and cached;
+            # the eight calls without dedup bypass the cache
             info = spectra._generate.cache_info()
-            assert (info.hits, info.misses) == (0, 16)
+            assert (info.hits, info.misses, info.currsize) == (0, 8, 8)
+
+    @pytest.mark.parametrize("kind", ["circulant", "skew"])
+    def test_raw_orderings_are_not_cached(self, kind):
+        # 8! raw skew orderings of equal entries: kept in the cache, they
+        # would stay resident after the caller dropped the list
+        entries = [1.0] * 8
+        spectra._generate.cache_clear()
+        got = [p.mapping for p in ENUMERATORS[kind](entries, dedup=False)]
+        assert spectra._generate.cache_info().currsize == 0
+        assert got == _brute_force(entries, kind, dedup=False)
+        assert ENUMERATORS[kind](entries) == ENUMERATORS[kind](entries)
+        info = spectra._generate.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
     def test_head_realness_is_part_of_the_key(self):
         # the head is real within tol on one list and not on the other;

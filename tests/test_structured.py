@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixtures as fx
+from niepkit._util import as_float_matrix, max_abs
 from niepkit.structured import (
+    _PERMUTATIVE_RTOL,
     AbsCirculant,
+    PermutativityReport,
     abs_circulant,
     circulant,
     is_permutative,
@@ -120,3 +125,79 @@ class TestIsPermutative:
         M = fx.EIGHT_MATRIX.copy()
         M[3, 0] += 1e-13
         assert is_permutative(M).permutative
+
+
+def reference_is_permutative(matrix, tol=None):
+    """The row-by-row loop that one batched argsort replaced, kept as the
+    reference."""
+    matrix = as_float_matrix(matrix, "matrix")
+    n = matrix.shape[0]
+    if tol is None:
+        tol = _PERMUTATIVE_RTOL * max_abs(matrix)
+    base = matrix[0]
+    base_order = np.argsort(base, kind="stable")
+    witnesses = []
+    for i in range(n):
+        row_order = np.argsort(matrix[i], kind="stable")
+        if np.max(np.abs(matrix[i][row_order] - base[base_order])) > tol:
+            return PermutativityReport(False, None)
+        perm = np.empty(n, dtype=int)
+        perm[row_order] = base_order
+        witnesses.append(tuple(perm.tolist()))
+    return PermutativityReport(True, tuple(witnesses))
+
+
+@st.composite
+def _near_permutative(draw):
+    """Rows that permute one base row, with exact ties when the entries are
+    small integers, and optionally one entry moved by a multiple of the
+    default tolerance: just under it, just over it, or far past it."""
+    n = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        base = rng.integers(-3, 4, size=n).astype(float)
+    else:
+        base = rng.normal(scale=10.0, size=n)
+    M = np.array([rng.permutation(base) for _ in range(n)])
+    factor = draw(st.sampled_from([None, 0.5, 0.999, 1.001, 2.0, 1e6]))
+    if factor is not None:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        M[i, j] += sign * factor * _PERMUTATIVE_RTOL * max(max_abs(M), 1.0)
+    return M
+
+
+def _assert_same_report(M, tol=None):
+    got, want = is_permutative(M, tol), reference_is_permutative(M, tol)
+    assert got == want
+    if got.permutative:
+        assert all(type(v) is int for perm in got.row_permutations for v in perm)
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=_near_permutative())
+def test_batched_check_matches_row_loop(M):
+    _assert_same_report(M)
+    # the largest row difference as the tolerance, and the float below it
+    ranked = np.sort(M, axis=1, kind="stable")
+    worst = float(np.max(np.abs(ranked - ranked[0])))
+    assert _assert_same_report(M, worst).permutative
+    if worst > 0.0:
+        assert not _assert_same_report(M, float(np.nextafter(worst, 0.0)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_ties_and_moved_entries_at_the_tolerance(n):
+    rng = np.random.default_rng(30 + n)
+    base = rng.integers(0, 3, size=n).astype(float)
+    M = np.array([rng.permutation(base) for _ in range(n)])
+    report = _assert_same_report(M)
+    assert report.permutative
+    for i, perm in enumerate(report.row_permutations):
+        assert np.array_equal(M[i], M[0][list(perm)])
+    tol = _PERMUTATIVE_RTOL * max(max_abs(M), 1.0)
+    for factor, inside in ((0.999, True), (1.001, False)):
+        moved = M.copy()
+        moved[n // 2, n - 1] += factor * tol
+        assert _assert_same_report(moved, tol).permutative == (inside or n == 1)
