@@ -14,12 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import as_float_matrix, as_float_vector, max_abs
+from ._util import ROUNDOFF_RTOL, as_float_matrix, as_float_vector, max_abs, slack
 from .errors import MajorizationError, RealizabilityError, StructureError
 from .structured import circulant, skew_circulant
-
-_STRUCTURE_RTOL = 1e-12
-_CLAMP_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -44,10 +41,16 @@ class BlockBuildSpec:
         return self.sign * self.gamma
 
 
+def _violations(S, C):
+    """Positions where ``|C| <= S`` fails by more than the roundoff slack of
+    both operands: the one majorization rule of every build, on rows or
+    matrices alike."""
+    return np.argwhere(np.abs(C) > S + slack(ROUNDOFF_RTOL, S, C))
+
+
 def _check_majorization(S, C):
-    """Raise unless |C| <= S entrywise (with tiny relative slack)."""
-    slack = _STRUCTURE_RTOL * max(max_abs(S), max_abs(C))
-    bad = np.argwhere(np.abs(C) > S + slack)
+    """Raise unless |C| <= S entrywise (see :func:`_violations`)."""
+    bad = _violations(S, C)
     if bad.size:
         listed = ", ".join(f"({i}, {j})" for i, j in bad[:8])
         raise MajorizationError(
@@ -59,7 +62,7 @@ def _check_majorization(S, C):
 
 def _finalize_nonnegative(M):
     """Clamp roundoff negatives to zero; reject anything genuinely negative."""
-    tol = _CLAMP_RTOL * max_abs(M)
+    tol = slack(ROUNDOFF_RTOL, M)
     worst = float(M.min()) if M.size else 0.0
     if worst < -tol:
         raise RealizabilityError(
@@ -91,7 +94,7 @@ def split_spectrum_even(A):
     A = as_float_matrix(A, "matrix")
     if A.shape[0] % 2 != 0:
         raise StructureError("matrix order must be even")
-    tol = _STRUCTURE_RTOL * max_abs(A)
+    tol = slack(ROUNDOFF_RTOL, A)
     a = A[0::2, 0::2]
     b = A[0::2, 1::2]
     if max_abs(A[1::2, 1::2] - a) > tol or max_abs(A[1::2, 0::2] - b) > tol:
@@ -111,7 +114,7 @@ def split_spectrum_odd(A):
     if N % 2 != 1 or N < 3:
         raise StructureError("matrix order must be odd and >= 3")
     n = (N - 1) // 2
-    tol = _STRUCTURE_RTOL * max_abs(A)
+    tol = slack(ROUNDOFF_RTOL, A)
     body = A[: 2 * n, : 2 * n]
     a = body[0::2, 0::2]
     b = body[0::2, 1::2]
@@ -152,8 +155,7 @@ def build_circ_skew(s_row, c_row, spec=BlockBuildSpec()):
     c_row = as_float_vector(c_row, "c_row")
     if s_row.size != c_row.size:
         raise ValueError("rows must have equal length")
-    slack = _STRUCTURE_RTOL * max(max_abs(s_row), max_abs(c_row))
-    bad = np.nonzero(np.abs(c_row) > s_row + slack)[0]
+    bad = _violations(s_row, c_row)[:, 0]
     if bad.size:
         raise MajorizationError(
             f"|c_k| <= s_k fails at k = {', '.join(map(str, bad.tolist()))}",
@@ -171,7 +173,7 @@ def _resolve_split(spec, last_row):
     split = np.asarray(spec.last_row_split, dtype=float)
     if split.shape != (n, 2):
         raise ValueError(f"last_row_split must be {n} pairs, got shape {split.shape}")
-    tol = _STRUCTURE_RTOL * max(max_abs(last_row), 1.0)
+    tol = slack(ROUNDOFF_RTOL, last_row, floor=1.0)
     if np.any(split < -tol):
         raise ValueError("last_row_split parts must be nonnegative")
     if max_abs(split.sum(axis=1) - last_row) > tol:

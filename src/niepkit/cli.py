@@ -12,14 +12,16 @@ matrices as row-major arrays of arrays.  Exit codes:
 
 import argparse
 import functools
+import itertools
 import json
 import logging
+import math
 import os
 import sys
 
 import numpy as np
 
-from ._util import max_abs
+from ._util import SWEEP_RTOL, VERIFY_RTOL, slack
 from .blocks import BlockBuildSpec, build_circ_skew, build_even, build_odd
 from .dft import circulant_eigenvalues, skew_eigenvalues
 from .errors import (
@@ -34,6 +36,7 @@ from .realize import (
     SpectrumPair,
     _augment_from_plan,
     brauer_plan,
+    build_from_witness,
     check_conditions,
     realize_four,
     realize_region,
@@ -42,9 +45,6 @@ from .realize import (
 from .oracle import match_spectra, spectrum
 
 log = logging.getLogger("niepkit")
-
-_VERIFY_RTOL = 1e-7
-_SWEEP_TOL = 1e-8
 
 
 def _fmt(x):
@@ -104,6 +104,11 @@ def _write_output(args, payload, matrix=None):
         text = "\n".join(",".join(_fmt(v) for v in row) for row in matrix) + "\n"
     else:
         text = json.dumps(payload, indent=2) + "\n"
+    _emit(args, text)
+
+
+def _emit(args, text):
+    """Write ``text`` to ``--out`` when given, else to stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -116,7 +121,7 @@ def _verify_matrix(matrix, expected):
 
     Returns the computed spectrum and the match report.
     """
-    tol = _VERIFY_RTOL * max(1.0, max_abs(expected))
+    tol = slack(VERIFY_RTOL, expected, floor=1.0)
     computed = spectrum(matrix)
     report = match_spectra(computed, expected, tol)
     if not report.matched:
@@ -170,36 +175,27 @@ def _parse_grid(text):
 
 
 def _cmd_region_sweep(args):
-    rs, as_, bs = _parse_grid(args.grid)
     lines = ["r,a,b,in_region,verified"]
     failures = 0
-    for r in rs:
-        for a in as_:
-            for b in bs:
-                point = RegionPoint(r=float(r), a=float(a), b=float(b))
-                inside = region_check(point)
-                verified = 0
-                if inside:
-                    M = realize_region(point)
-                    report = match_spectra(spectrum(M), point.spectrum, _SWEEP_TOL)
-                    verified = int(report.matched)
-                    failures += 1 - verified
-                lines.append(
-                    f"{_fmt(point.r)},{_fmt(point.a)},{_fmt(point.b)},"
-                    f"{int(inside)},{verified}"
-                )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    for r, a, b in itertools.product(*_parse_grid(args.grid)):
+        point = RegionPoint(r=float(r), a=float(a), b=float(b))
+        inside = region_check(point)
+        verified = 0
+        if inside:
+            expected = point.spectrum
+            tol = slack(SWEEP_RTOL, expected, floor=1.0)
+            report = match_spectra(spectrum(realize_region(point)), expected, tol)
+            verified = int(report.matched)
+            failures += 1 - verified
+        row = f"{_fmt(point.r)},{_fmt(point.a)},{_fmt(point.b)}"
+        lines.append(f"{row},{int(inside)},{verified}")
+    _emit(args, "\n".join(lines) + "\n")
     if failures:
         raise VerificationError(f"{failures} in-region points failed verification")
     return 0
 
 
-def _build_spec(args, n=None):
+def _build_spec(args):
     split = None
     if args.split is not None:
         data = json.loads(args.split)
@@ -265,8 +261,6 @@ def _cmd_check(args):
             "margins": list(report.witness.margins),
         }
         # the success path must hand back a verified construction
-        from .realize import build_from_witness
-
         M = build_from_witness(pair, report.witness)
         expected = np.concatenate([lam, pair.gamma * ups])
         _verify_matrix(M, expected)
@@ -296,12 +290,14 @@ def _cmd_augment(args):
 
 
 def _cmd_verify(args):
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     data = _load_json(args.input)
     if not isinstance(data, dict):
         raise ValueError("verify input must be a JSON object")
     M = _parse_matrix(data["matrix"], "matrix")
     expected = _parse_complex_list(data["spectrum"], "spectrum")
-    tol = args.tol if args.tol is not None else _SWEEP_TOL * max(1.0, max_abs(expected))
+    tol = args.tol if args.tol is not None else slack(SWEEP_RTOL, expected, floor=1.0)
     report = match_spectra(spectrum(M), expected, tol)
     _write_output(
         args,

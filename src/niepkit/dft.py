@@ -43,10 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_complex_vector, as_float_vector
+from ._util import REALNESS_RTOL, as_complex_vector, as_float_vector
 from .errors import PairingError
-
-_REALNESS_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -63,8 +61,6 @@ def root_of_unity(n):
         raise ValueError("order must be >= 1")
     omega = complex(np.exp(2j * np.pi / n))
     iota = complex(np.exp(1j * np.pi / n))
-    assert abs(omega**n - 1.0) <= 1e-14
-    assert abs(iota**2 - omega) <= 1e-14
     return RootOfUnity(n=n, omega=omega, iota=iota)
 
 
@@ -132,7 +128,7 @@ def _recover_rows(spectra, kind):
     circulants (``kind="skew"``) whose index-ordered spectra are the rows of
     the complex ``(K, n)`` array ``spectra``.
 
-    Each row must be real within ``_REALNESS_RTOL`` of its own largest
+    Each row must be real within ``REALNESS_RTOL`` of its own largest
     magnitude; otherwise its spectrum breaks the pairing layout and
     :class:`PairingError` is raised.  An imaginary residue below the
     smallest normal float is roundoff at any scale: a row of subnormal
@@ -145,13 +141,13 @@ def _recover_rows(spectra, kind):
     rows = rows / n
     scale = np.max(np.abs(rows), axis=-1)
     worst = np.max(np.abs(rows.imag), axis=-1)
-    limit = np.maximum(_REALNESS_RTOL * scale, np.finfo(float).tiny)
+    limit = np.maximum(REALNESS_RTOL * scale, np.finfo(float).tiny)
     bad = np.flatnonzero(worst > limit)
     if bad.size:
         i = bad[0]
         raise PairingError(
             f"{kind} row recovery: recovered row is not real (residual imaginary "
-            f"part {worst[i]:.3e} exceeds {_REALNESS_RTOL:.0e} * {scale[i]:.3e}); "
+            f"part {worst[i]:.3e} exceeds {REALNESS_RTOL:.0e} * {scale[i]:.3e}); "
             "the input spectrum violates its conjugate-pairing layout"
         )
     return rows.real.copy()

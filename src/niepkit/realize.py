@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import as_complex_vector, as_float_vector, max_abs
+from ._util import ROUNDOFF_RTOL, as_complex_vector, as_float_vector, max_abs, slack
 from .blocks import BlockBuildSpec, build_circ_skew, build_even, build_odd
 from .dft import _recover_rows
 from .errors import PairingError, RealizabilityError
@@ -32,24 +32,18 @@ from .spectra import (
 )
 from .structured import abs_circulant, circulant
 
-_COND_RTOL = 1e-12
-
 #: Most (alpha, beta, position) comparisons one step of the dominance join
 #: holds in memory.
 _JOIN_ELEMENTS = 1 << 16
 
 
-def _canonical_four(values):
+def _canonical_four(v, tol):
     """Order a 4-list as (real max, real min, upper conjugate, lower conjugate).
 
     For all-real input a repeated value must serve as the conjugate pair;
     candidates are tried from the largest repeated value down and the first
     assignment meeting the entry conditions wins.
     """
-    v = as_complex_vector(values, "spectrum")
-    if v.size != 4:
-        raise ValueError("realize_four needs exactly 4 values")
-    tol = _COND_RTOL * max(max_abs(v), 1.0)
     nonreal = [z for z in v if abs(z.imag) > tol]
     reals = sorted((z.real for z in v if abs(z.imag) <= tol), reverse=True)
 
@@ -71,26 +65,21 @@ def _canonical_four(values):
                 "an all-real 4-list needs a repeated value to act as the "
                 "conjugate pair"
             )
-        # deterministic preference: larger pair value first
-        seen, ordered = set(), []
-        for cand in sorted(candidates, key=lambda c: -c[2].real):
-            if cand not in seen:
-                seen.add(cand)
-                ordered.append(cand)
-        return ordered
+        # deterministic preference: larger pair value first, each once
+        return list(dict.fromkeys(sorted(candidates, key=lambda c: -c[2].real)))
     raise PairingError("spectrum is not closed under conjugation")
 
 
 def _four_conditions(lam1, lam2, lam3, tol):
+    """The first inequality {lam1, lam2, lam3, conj(lam3)} violates by more
+    than ``tol``, or ``None``: the one 4x4 boundary rule, under which
+    :func:`_four_matrix` is nonnegative up to roundoff."""
     checks = [
         ("sum(spectrum) >= 0", lam1 + lam2 + 2 * lam3.real),
         ("lam1 + lam2 >= 2*Re(lam3)", lam1 + lam2 - 2 * lam3.real),
         ("lam1 - lam2 >= 2*|Im(lam3)|", lam1 - lam2 - 2 * abs(lam3.imag)),
     ]
-    for name, margin in checks:
-        if margin < -tol:
-            return name
-    return None
+    return next((name for name, margin in checks if margin < -tol), None)
 
 
 def realize_four(values):
@@ -101,9 +90,11 @@ def realize_four(values):
     :class:`RealizabilityError` naming the first violated inequality.
     """
     v = as_complex_vector(values, "spectrum")
-    tol = _COND_RTOL * max(max_abs(v), 1.0)
+    if v.size != 4:
+        raise ValueError("realize_four needs exactly 4 values")
+    tol = slack(ROUNDOFF_RTOL, v, floor=1.0)
     failed = None
-    for lam1, lam2, lam3 in _canonical_four(values):
+    for lam1, lam2, lam3 in _canonical_four(v, tol):
         name = _four_conditions(lam1, lam2, lam3, tol)
         if name is None:
             break
@@ -111,18 +102,17 @@ def realize_four(values):
             failed = name
     else:
         raise RealizabilityError(f"condition violated: {failed}")
+    return _four_matrix(lam1, lam2, lam3)
+
+
+def _four_matrix(lam1, lam2, lam3):
+    """The closed-form permutative matrix with spectrum
+    {lam1, lam2, lam3, conj(lam3)}, roundoff negatives clipped to zero."""
     a = (lam1 + lam2 + 2 * lam3.real) / 4.0
     b = (lam1 + lam2 - 2 * lam3.real) / 4.0
     c = (lam1 - lam2 + 2 * lam3.imag) / 4.0
     d = (lam1 - lam2 - 2 * lam3.imag) / 4.0
-    M = np.array(
-        [
-            [a, b, c, d],
-            [b, a, d, c],
-            [d, c, a, b],
-            [c, d, b, a],
-        ]
-    )
+    M = np.array([[a, b, c, d], [b, a, d, c], [d, c, a, b], [c, d, b, a]])
     return np.clip(M, 0.0, None)
 
 
@@ -137,21 +127,24 @@ class RegionPoint:
     def __post_init__(self):
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"r must lie in [0, 1], got {self.r}")
+        if not np.isfinite([self.a, self.b]).all():
+            raise ValueError(f"a and b must be finite, got a={self.a}, b={self.b}")
 
     @property
     def spectrum(self):
-        return np.array(
-            [1.0, self.r, complex(self.a, self.b), complex(self.a, -self.b)]
-        )
+        z = complex(self.a, self.b)
+        return np.array([1.0, self.r, z, z.conjugate()])
 
 
 def region_check(point):
     """True when |a| <= (1+r)/2 and |b| <= (1-r)/2, i.e. the closed-form
-    realizing matrix for {1, r, a+ib, a-ib} is entrywise nonnegative."""
-    return (
-        abs(point.a) <= (1.0 + point.r) / 2.0
-        and abs(point.b) <= (1.0 - point.r) / 2.0
-    )
+    realizing matrix for {1, r, a+ib, a-ib} is entrywise nonnegative.
+
+    The inequalities are those of :func:`realize_four`, with its slack, so
+    a point passes exactly when ``realize_four(point.spectrum)`` succeeds.
+    """
+    tol = slack(ROUNDOFF_RTOL, point.spectrum, floor=1.0)
+    return _four_conditions(1.0, point.r, complex(point.a, point.b), tol) is None
 
 
 def realize_region(point):
@@ -161,20 +154,7 @@ def realize_region(point):
             f"point (r={point.r}, a={point.a}, b={point.b}) violates "
             "|a| <= (1+r)/2 and |b| <= (1-r)/2"
         )
-    r, a, b = point.r, point.a, point.b
-    pa = (1.0 + r + 2.0 * a) / 4.0
-    pb = (1.0 + r - 2.0 * a) / 4.0
-    pc = (1.0 - r + 2.0 * b) / 4.0
-    pd = (1.0 - r - 2.0 * b) / 4.0
-    M = np.array(
-        [
-            [pa, pb, pc, pd],
-            [pb, pa, pd, pc],
-            [pd, pc, pa, pb],
-            [pc, pd, pb, pa],
-        ]
-    )
-    return np.clip(M, 0.0, None)
+    return _four_matrix(1.0, point.r, complex(point.a, point.b))
 
 
 def in_gamma_region(z):
@@ -316,25 +296,34 @@ def _permutation(orderings, row, kind):
     return PairingPermutation(tuple(orderings[row].tolist()), kind)
 
 
-def _dominated(s_rows, c_abs, odd, slack):
+def _dominated(s_rows, c_abs, odd, tol):
     """Which rows of ``c_abs`` (skew row magnitudes, one per row) each
-    circulant row of ``s_rows`` dominates within ``slack``: booleans of
+    circulant row of ``s_rows`` dominates within ``tol``: booleans of
     shape ``(Kc,)`` for one row ``s_rows``, ``(A, Kc)`` for ``A`` rows.
 
-    Even case: ``s - |c| >= -slack``.  Bordered case (``s`` one longer):
+    Even case: ``|c| <= clip(s) + tol``.  Bordered case (``s`` one longer):
     the dense test ``|skew_circulant(c)| <= circulant(clip(s))[:n, :n] +
-    slack`` compares ``|c_d|`` with ``clip(s)_d`` on and above the diagonal
+    tol`` compares ``|c_d|`` with ``clip(s)_d`` on and above the diagonal
     (d = j - i) and with ``clip(s)_{d+1}`` below it (d = n + j - i), so the
     same comparisons are made on the rows.
     """
-    s = s_rows[..., None, :]
-    if not odd:
-        return np.all(s - c_abs >= -slack, axis=-1)
     n = c_abs.shape[1]
-    body = np.clip(s, 0.0, None) + slack
-    return np.all(c_abs <= body[..., :n], axis=-1) & np.all(
-        c_abs[:, 1:] <= body[..., 2:], axis=-1
-    )
+    body = np.clip(s_rows, 0.0, None)[..., None, :] + tol
+    ok = np.all(c_abs <= body[..., :n], axis=-1)
+    if odd:
+        ok &= np.all(c_abs[:, 1:] <= body[..., 2:], axis=-1)
+    return ok
+
+
+def _builds(s_row, c_row, odd):
+    """Whether :func:`build_from_witness` accepts the rows: ``|c| <= clip(s)``
+    compared as in :func:`_dominated`, within the builders' slack, which
+    scales with ``|c|`` and the entries of ``clip(s)`` their dense test
+    reads (all but ``s_1`` in the bordered build with n = 1)."""
+    s = np.clip(s_row, 0.0, None)
+    read = s[:1] if odd and c_row.size == 1 else s
+    tol = slack(ROUNDOFF_RTOL, read, c_row)
+    return bool(_dominated(s, np.abs(c_row)[None], odd, tol)[0])
 
 
 def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
@@ -350,49 +339,50 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
 
     Each side is enumerated once and its rows are recovered in one batch;
     the head bound and the circulant rows share one ordering array.  The
-    circulant rows with no entry below the slack are joined with all skew
-    rows (:func:`_dominated`) in chunks of at most ``_JOIN_ELEMENTS``
-    comparisons; the first passing pair in row-major order is the
-    lexicographically first witness (alpha, beta).
+    circulant rows with no entry below the spectrum-scale slack (the live
+    alphas) are joined with all skew rows (:func:`_dominated`) in chunks of
+    at most ``_JOIN_ELEMENTS`` comparisons.  The join's slack bounds the
+    slack of every pair, so it keeps every pair the builders accept; its
+    passing pairs are then judged in row-major order by the builders' own
+    rule (:func:`_builds`).  The witness is thus the lexicographically
+    first pair (alpha, beta), over live alphas, that
+    :func:`build_from_witness` accepts.
     """
     if mode not in ("constructive", "formula"):
         raise ValueError(f"mode must be 'constructive' or 'formula', got {mode!r}")
     lam, ups = pair.arrays()
     alphas = _orderings(lam, "circulant", None, cap, True)
     bound = _head_bound(lam, alphas)
-    scale = max(max_abs(lam), max_abs(ups), 1.0)
-    slack = _COND_RTOL * scale
+    tol = slack(ROUNDOFF_RTOL, lam, ups, floor=1.0)
 
     if mode == "formula":
-        satisfied = bool(lam[0].real >= bound - slack)
+        satisfied = bool(lam[0].real >= bound - tol)
         return ConditionReport(satisfied, "formula", bound, None)
 
     odd = lam.size == ups.size + 1
     s_rows = _recovered(lam, alphas, "circulant")
     betas, c_rows = _skew_candidates(ups, cap)
     c_abs = np.abs(c_rows)
-    live = np.flatnonzero(np.all(s_rows >= -slack, axis=1))
+    live = np.flatnonzero(np.all(s_rows >= -tol, axis=1))
+    join_tol = slack(ROUNDOFF_RTOL, lam, ups, s_rows, c_abs, floor=1.0)
     step = max(1, _JOIN_ELEMENTS // max(1, c_abs.size))
     for start in range(0, live.size, step):
         block = live[start:start + step]
-        ok = _dominated(s_rows[block], c_abs, odd, slack)
-        if not ok.any():
-            continue
-        a, b = divmod(int(np.argmax(ok)), ok.shape[1])
-        a = block[a]
-        s_row, c_row = s_rows[a], c_rows[b]
-        if odd:
-            margins = s_row - np.concatenate([np.abs(c_row), [0.0]])
-        else:
-            margins = s_row - np.abs(c_row)
-        witness = ConditionWitness(
-            alpha=_permutation(alphas, a, "circulant"),
-            beta=_permutation(betas, b, "skew"),
-            circulant_row=tuple(s_row.tolist()),
-            skew_row=tuple(c_row.tolist()),
-            margins=tuple(np.asarray(margins, dtype=float).tolist()),
-        )
-        return ConditionReport(True, "constructive", bound, witness)
+        ok = _dominated(s_rows[block], c_abs, odd, join_tol)
+        while ok.any():
+            i, b = divmod(int(np.argmax(ok)), ok.shape[1])
+            s_row, c_row = s_rows[block[i]], c_rows[b]
+            if _builds(s_row, c_row, odd):
+                c_pad = np.concatenate([np.abs(c_row), [0.0]]) if odd else np.abs(c_row)
+                witness = ConditionWitness(
+                    alpha=_permutation(alphas, block[i], "circulant"),
+                    beta=_permutation(betas, b, "skew"),
+                    circulant_row=tuple(s_row.tolist()),
+                    skew_row=tuple(c_row.tolist()),
+                    margins=tuple((s_row - c_pad).tolist()),
+                )
+                return ConditionReport(True, "constructive", bound, witness)
+            ok[i, b] = False
     return ConditionReport(False, "constructive", bound, None)
 
 
@@ -466,10 +456,10 @@ def brauer_plan(upsilon, tail, rho, cap=DEFAULT_ENUMERATION_CAP):
 
     head = rho - (n + 1) * chi
     shifted = np.concatenate([[complex(head)], tail])
-    slack = _COND_RTOL * max(max_abs(shifted), 1.0)
+    tol = slack(ROUNDOFF_RTOL, shifted, floor=1.0)
     alphas = _orderings(shifted, "circulant", None, cap, True)
     b_rows = _recovered(shifted, alphas, "circulant")
-    nonnegative = np.all(b_rows >= -slack, axis=1)
+    nonnegative = np.all(b_rows >= -tol, axis=1)
     if not nonnegative.any():
         raise RealizabilityError(
             f"no nonnegative circulant realizes the shifted list with head "
@@ -479,7 +469,7 @@ def brauer_plan(upsilon, tail, rho, cap=DEFAULT_ENUMERATION_CAP):
     b_row = np.clip(b_rows[first], 0.0, None)
     r_row = b_row + chi
     # guaranteed by construction: every entry of R dominates every |c_k|
-    assert np.min(r_row) >= chi - slack >= max_abs(c_row) - slack
+    assert np.min(r_row) >= chi - tol >= max_abs(c_row) - tol
     return BrauerPlan(
         chi=chi,
         base_row=tuple(b_row.tolist()),

@@ -43,14 +43,12 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import as_complex_vector, max_abs
+from ._util import ROUNDOFF_RTOL, as_complex_vector, slack
 from .errors import EnumerationCapError
 
 #: Default size cap for exhaustive enumeration; the candidate sets grow
 #: factorially with n.
 DEFAULT_ENUMERATION_CAP = 10
-
-_PAIR_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,7 @@ class PairingReport:
 
 def pairing_tolerance(entries):
     """Matching tolerance: zero for all-zero input, else 1e-12 * max modulus."""
-    return _PAIR_RTOL * max_abs(np.asarray(entries, dtype=complex))
+    return slack(ROUNDOFF_RTOL, np.asarray(entries, dtype=complex))
 
 
 def _conjugate_distance(a, b):

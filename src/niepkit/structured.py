@@ -5,9 +5,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import as_float_matrix, as_float_vector, max_abs
-
-_PERMUTATIVE_RTOL = 1e-9
+from ._util import PERMUTATIVE_RTOL, as_float_matrix, as_float_vector, slack
 
 
 def _shift_table(n):
@@ -104,7 +102,7 @@ def is_permutative(matrix, tol=None):
     """
     matrix = as_float_matrix(matrix, "matrix")
     if tol is None:
-        tol = _PERMUTATIVE_RTOL * max_abs(matrix)
+        tol = slack(PERMUTATIVE_RTOL, matrix)
     rows = np.arange(matrix.shape[0])[:, None]
     order = np.argsort(matrix, axis=1, kind="stable")
     ranked = matrix[rows, order]

@@ -9,7 +9,7 @@ import pytest
 
 import fixtures as fx
 from niepkit import cli, realize
-from niepkit._util import max_abs
+from niepkit._util import VERIFY_RTOL, max_abs
 from niepkit.blocks import BlockBuildSpec, build_circ_skew
 from niepkit.cli import main
 from niepkit.dft import circulant_eigenvalues, skew_eigenvalues
@@ -82,6 +82,11 @@ class TestRealizeRegion:
     def test_bad_r_exits_3(self):
         assert main(["realize-region", "--r", "2", "--a", "0", "--b", "0"]) == 3
 
+    @pytest.mark.parametrize("a, b", [("nan", "0"), ("0", "nan"), ("-inf", "0")])
+    def test_non_finite_exits_3(self, a, b, capsys):
+        assert main(["realize-region", "--r=0.5", f"--a={a}", f"--b={b}"]) == 3
+        assert "finite" in capsys.readouterr().err
+
 
 class TestRegionSweep:
     def test_small_grid_rows(self, tmp_path):
@@ -114,6 +119,12 @@ class TestRegionSweep:
 
     def test_bad_grid_exits_3(self):
         assert main(["region-sweep", "--grid", "r=0:1:5,a=0:1:5"]) == 3
+
+    def test_nan_axis_exits_3(self, capsys):
+        assert main(["region-sweep", "--grid", "r=0:1:3,a=nan:0:3,b=0:0:1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
 
 
 class TestBuild:
@@ -195,6 +206,15 @@ class TestCheck:
             {"circulant": pairs([1.0, 5.0]), "skew": pairs([0.0, 0.0])},
         )
         assert main(["check", inp]) == 2
+
+    def test_edge_pair_witness_builds(self, tmp_path):
+        # a witness within a spectrum-scale slack but not the builders' one
+        # was once reported satisfied and then failed to build (exit 2)
+        out = tmp_path / "report.json"
+        assert main(["check", str(DATA / "edge_pair.json"), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["satisfied"] is True
+        assert min(report["witness"]["margins"]) >= 0.0
 
     def test_formula_mode(self, tmp_path):
         inp = write_json(
@@ -282,6 +302,24 @@ class TestVerify:
         )
         assert main(["verify", inp]) == 2
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tolerance_exits_3(self, tmp_path, tol, capsys):
+        inp = write_json(
+            tmp_path / "in.json",
+            {"matrix": [[1.0, 0.0], [0.0, 1.0]], "spectrum": pairs([1.0, 2.0])},
+        )
+        out = tmp_path / "out.json"
+        assert main(["verify", inp, f"--tol={tol}", "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "--tol must be finite and >= 0" in capsys.readouterr().err
+
+    def test_zero_tolerance_accepted(self, tmp_path):
+        inp = write_json(
+            tmp_path / "in.json",
+            {"matrix": [[2.0, 0.0], [0.0, 1.0]], "spectrum": pairs([1.0, 2.0])},
+        )
+        assert main(["verify", inp, "--tol=0"]) == 0
+
 
 class TestBooleanInput:
     """JSON true/false are rejected wherever a number is expected."""
@@ -316,7 +354,7 @@ class TestBooleanInput:
 def reference_payload_text(matrix, expected):
     """The JSON the matrix commands wrote when ``computed_spectrum`` came
     from a second eigensolve after the oracle check."""
-    tol = cli._VERIFY_RTOL * max(1.0, max_abs(expected))
+    tol = VERIFY_RTOL * max(1.0, max_abs(expected))
     report = match_spectra(spectrum(matrix), expected, tol)
     assert report.matched
     payload = {

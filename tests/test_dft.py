@@ -64,9 +64,10 @@ class TestMatrices:
         assert np.max(np.abs(G @ G.T - flip_with_leading_one(n, signed=True))) <= 1e-12
 
     def test_root_of_unity(self):
-        root = root_of_unity(6)
-        assert abs(root.omega**6 - 1) <= 1e-14
-        assert abs(root.iota**2 - root.omega) <= 1e-14
+        for n in range(1, 129):
+            root = root_of_unity(n)
+            assert abs(root.omega**n - 1) <= 1e-14
+            assert abs(root.iota**2 - root.omega) <= 1e-14
         with pytest.raises(ValueError):
             root_of_unity(0)
 

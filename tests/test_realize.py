@@ -1,16 +1,23 @@
+import itertools
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import fixtures as fx
 from niepkit import realize, spectra
-from niepkit.blocks import BlockBuildSpec
+from niepkit._util import VERIFY_RTOL, max_abs
+from niepkit.blocks import BlockBuildSpec, build_circ_skew
 from niepkit.dft import (
     circulant_eigenvalues,
     circulant_row_from_spectrum,
     skew_eigenvalues,
     skew_row_from_spectrum,
 )
-from niepkit.errors import PairingError, RealizabilityError
+from niepkit.errors import MajorizationError, PairingError, RealizabilityError
 from niepkit.oracle import match_spectra, spectrum
 from niepkit.realize import (
     _dominated,
@@ -39,6 +46,8 @@ from niepkit.structured import (
     skew_circulant,
 )
 from test_dft import reference_recover_rows
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def upsilon_eight():
@@ -144,6 +153,67 @@ class TestRegion:
             M = realize_region(point)
             assert is_permutative(M).permutative
             assert match_spectra(spectrum(M), point.spectrum, 1e-8).matched
+
+    def test_region_check_is_realize_four_on_default_grid(self):
+        # 80 points fail the exact inequalities by roundoff and pass both
+        edge = 0
+        for r, a, b in itertools.product(*DEFAULT_GRID):
+            point = RegionPoint(r=float(r), a=float(a), b=float(b))
+            try:
+                realize_four(point.spectrum)
+                four = True
+            except RealizabilityError:
+                four = False
+            assert region_check(point) == four
+            exact = abs(a) <= (1.0 + r) / 2.0 and abs(b) <= (1.0 - r) / 2.0
+            assert four or not exact
+            if four:
+                M = realize_region(point)
+                lam3 = complex(point.a, point.b)
+                assert np.array_equal(M, realize._four_matrix(1.0, point.r, lam3))
+                if exact:
+                    assert np.array_equal(M, _reference_region_matrix(point))
+                edge += not exact
+        assert edge == 80
+
+    def test_edge_point_within_roundoff_accepted(self):
+        point = RegionPoint(r=0.2, a=-0.5, b=0.40000000000000013)
+        assert abs(point.b) > (1.0 - point.r) / 2.0
+        assert region_check(point)
+        M = realize_region(point)
+        assert np.array_equal(M, realize_four(point.spectrum))
+        assert M.min() >= 0.0
+        assert match_spectra(spectrum(M), point.spectrum, 1e-8).matched
+
+    @pytest.mark.parametrize(
+        "a, b", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (0.0, -np.inf)]
+    )
+    def test_non_finite_parameters_rejected(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            RegionPoint(r=0.5, a=a, b=b)
+
+
+#: The axes of the default ``region-sweep`` grid.
+DEFAULT_GRID = (np.linspace(0, 1, 21), np.linspace(-1, 1, 21), np.linspace(-1, 1, 21))
+
+
+def _reference_region_matrix(point):
+    """The second closed form ``realize_region`` used to compute on its own,
+    kept as the reference for the matrices of exactly-inside points."""
+    r, a, b = point.r, point.a, point.b
+    pa = (1.0 + r + 2.0 * a) / 4.0
+    pb = (1.0 + r - 2.0 * a) / 4.0
+    pc = (1.0 - r + 2.0 * b) / 4.0
+    pd = (1.0 - r - 2.0 * b) / 4.0
+    M = np.array(
+        [
+            [pa, pb, pc, pd],
+            [pb, pa, pd, pc],
+            [pd, pc, pa, pb],
+            [pc, pd, pb, pa],
+        ]
+    )
+    return np.clip(M, 0.0, None)
 
 
 class TestGammaRegion:
@@ -293,8 +363,10 @@ def _reference_head_bound(v):
 
 
 def _reference_check_conditions(pair):
-    """The original constructive search: one (alpha, beta) pair per
-    iteration, with dense blocks compared in the bordered case."""
+    """The constructive search with the builder as its judge: one (alpha,
+    beta) pair per iteration, over the alphas whose rows have no entry below
+    the spectrum-scale slack; the witness is the first pair that
+    :func:`build_from_witness` accepts."""
     lam, ups = pair.arrays()
     bound = _reference_head_bound(lam)
     slack = 1e-12 * max(np.max(np.abs(lam)), np.max(np.abs(ups)), 1.0)
@@ -310,26 +382,81 @@ def _reference_check_conditions(pair):
     for alpha, s_row in s_candidates:
         if np.any(s_row < -slack):
             continue
-        S = circulant(np.clip(s_row, 0.0, None)) if odd else None
         for beta, c_row in c_candidates:
-            if odd:
-                n = c_row.size
-                ok = np.all(np.abs(skew_circulant(c_row)) <= S[:n, :n] + slack)
-                padded = np.concatenate([np.abs(c_row), [0.0]])
-                margins = s_row - padded
-            else:
-                margins = s_row - np.abs(c_row)
-                ok = np.all(margins >= -slack)
-            if ok:
-                witness = ConditionWitness(
-                    alpha=alpha,
-                    beta=beta,
-                    circulant_row=tuple(s_row.tolist()),
-                    skew_row=tuple(c_row.tolist()),
-                    margins=tuple(np.asarray(margins, dtype=float).tolist()),
-                )
-                return ConditionReport(True, "constructive", bound, witness)
+            padded = np.concatenate([np.abs(c_row), [0.0]]) if odd else np.abs(c_row)
+            witness = ConditionWitness(
+                alpha=alpha,
+                beta=beta,
+                circulant_row=tuple(s_row.tolist()),
+                skew_row=tuple(c_row.tolist()),
+                margins=tuple((s_row - padded).tolist()),
+            )
+            try:
+                build_from_witness(pair, witness)
+            except MajorizationError:
+                continue
+            return ConditionReport(True, "constructive", bound, witness)
     return ConditionReport(False, "constructive", bound, None)
+
+
+def _edge_pair():
+    """Rows s = [3e-3, 1e-3, 2e-3, 1e-3] and c = [1e-3, 1e-3 + 5e-13, 0, 0] as
+    spectra: the identity orderings miss by 5e-13, inside a spectrum-scale
+    slack (1e-12) but outside the builders' slack (3e-15)."""
+    data = json.loads((DATA / "edge_pair.json").read_text())
+    return SpectrumPair(
+        tuple(complex(*z) for z in data["circulant"]),
+        tuple(complex(*z) for z in data["skew"]),
+    )
+
+
+def test_edge_pair_witness_builds():
+    pair = _edge_pair()
+    lam, ups = pair.arrays()
+    with pytest.raises(MajorizationError):
+        build_circ_skew(circulant_row_from_spectrum(lam), skew_row_from_spectrum(ups))
+    report = check_conditions(pair)
+    assert report == _reference_check_conditions(pair)
+    assert report.satisfied
+    M = build_from_witness(pair, report.witness)
+    assert match_spectra(spectrum(M), np.concatenate([lam, ups]), 1e-7).matched
+
+
+@st.composite
+def _majorization_edges(draw):
+    """Paired rows at a row scale from 1e-3 to 1e3, even or bordered, with one
+    skew entry set to the circulant entry it is compared with, moved by
+    0.5, 1 or 2 times the builders' slack either way."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bordered = draw(st.booleans())
+    n = draw(st.integers(1, 5))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    c = scale * rng.uniform(-1.0, 1.0, size=n)
+    if bordered:
+        s = np.max(np.abs(c)) + scale * rng.uniform(0.0, 1.0, size=n + 1)
+    else:
+        s = np.abs(c) + scale * rng.uniform(0.0, 1.0, size=n)
+    k = draw(st.integers(0, n - 1))
+    # bordered: |c_k| meets s_k above the diagonal and s_{k+1} below it
+    target = min(s[k], s[k + 1]) if bordered and k > 0 else s[k]
+    tol = 1e-12 * max(np.max(s), np.max(np.abs(c)))
+    factor = draw(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]))
+    c[k] = draw(st.sampled_from([-1.0, 1.0])) * (target + factor * tol)
+    return SpectrumPair(tuple(circulant_eigenvalues(s)), tuple(skew_eigenvalues(c)))
+
+
+@seed(6)
+@settings(max_examples=200, deadline=None)
+@given(pair=_majorization_edges())
+def test_certified_witness_builds_at_the_slack_edge(pair):
+    report = check_conditions(pair)
+    assert report == _reference_check_conditions(pair)
+    if report.satisfied:
+        M = build_from_witness(pair, report.witness)
+        lam, ups = pair.arrays()
+        expected = np.concatenate([lam, ups])
+        tol = VERIFY_RTOL * max(1.0, max_abs(expected))
+        assert match_spectra(spectrum(M), expected, tol).matched
 
 
 def _scrambled(values, orderings, rng):
@@ -383,6 +510,10 @@ def test_bordered_row_test_matches_dense_blocks():
         body = circulant(np.clip(s, 0.0, None))[:n, :n] + slack
         dense = [bool(np.all(np.abs(skew_circulant(c)) <= body)) for c in C]
         assert _dominated(s, np.abs(C), True, slack).tolist() == dense
+        # the even case reads the first n entries against the full blocks
+        body = circulant(np.clip(s[:n], 0.0, None)) + slack
+        dense = [bool(np.all(np.abs(skew_circulant(c)) <= body)) for c in C]
+        assert _dominated(s[:n], np.abs(C), False, slack).tolist() == dense
 
 
 @pytest.mark.parametrize("bordered", [False, True])

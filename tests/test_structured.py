@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixtures as fx
-from niepkit._util import as_float_matrix, max_abs
+from niepkit._util import PERMUTATIVE_RTOL, as_float_matrix, max_abs
 from niepkit.structured import (
-    _PERMUTATIVE_RTOL,
     AbsCirculant,
     PermutativityReport,
     abs_circulant,
@@ -133,7 +132,7 @@ def reference_is_permutative(matrix, tol=None):
     matrix = as_float_matrix(matrix, "matrix")
     n = matrix.shape[0]
     if tol is None:
-        tol = _PERMUTATIVE_RTOL * max_abs(matrix)
+        tol = PERMUTATIVE_RTOL * max_abs(matrix)
     base = matrix[0]
     base_order = np.argsort(base, kind="stable")
     witnesses = []
@@ -163,7 +162,7 @@ def _near_permutative(draw):
     if factor is not None:
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         sign = draw(st.sampled_from([-1.0, 1.0]))
-        M[i, j] += sign * factor * _PERMUTATIVE_RTOL * max(max_abs(M), 1.0)
+        M[i, j] += sign * factor * PERMUTATIVE_RTOL * max(max_abs(M), 1.0)
     return M
 
 
@@ -196,7 +195,7 @@ def test_ties_and_moved_entries_at_the_tolerance(n):
     assert report.permutative
     for i, perm in enumerate(report.row_permutations):
         assert np.array_equal(M[i], M[0][list(perm)])
-    tol = _PERMUTATIVE_RTOL * max(max_abs(M), 1.0)
+    tol = PERMUTATIVE_RTOL * max(max_abs(M), 1.0)
     for factor, inside in ((0.999, True), (1.001, False)):
         moved = M.copy()
         moved[n // 2, n - 1] += factor * tol

@@ -1,0 +1,49 @@
+"""The tolerance policy lives in one table: ``niepkit._util`` names every
+tolerance, and no other source module carries a small float literal."""
+
+import ast
+from pathlib import Path
+
+from niepkit import _util
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "niepkit"
+
+
+def _small_literals(path):
+    """(line, value) of every float or complex literal of magnitude below
+    1e-6, other than zero, in the module at ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, (float, complex))
+        and 0.0 < abs(node.value) < 1e-6
+    ]
+
+
+def test_no_tolerance_literal_outside_util():
+    found = {
+        path.name: _small_literals(path)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "_util.py"
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_util_names_the_five_tolerances():
+    table = {name: getattr(_util, name) for name in dir(_util) if name.endswith("_RTOL")}
+    assert table == {
+        "ROUNDOFF_RTOL": 1e-12,
+        "REALNESS_RTOL": 1e-10,
+        "PERMUTATIVE_RTOL": 1e-9,
+        "VERIFY_RTOL": 1e-7,
+        "SWEEP_RTOL": 1e-8,
+    }
+
+
+def test_slack_scales_by_the_largest_magnitude_or_the_floor():
+    assert _util.slack(1e-12, [3.0, -4.0], [2.0]) == 1e-12 * 4.0
+    assert _util.slack(1e-12, [0.5], floor=1.0) == 1e-12
+    assert _util.slack(1e-12, [], [[0.0]]) == 0.0
+    assert _util.slack(1e-12, [3 + 4j]) == 1e-12 * 5.0
