@@ -87,8 +87,8 @@ def _parse_matrix(data, name):
     if not isinstance(data, list) or not data:
         raise ValueError(f"{name} must be a nonempty row-major JSON array of arrays")
     rows = [row if isinstance(row, list) else [row] for row in data]
-    if any(isinstance(v, bool) for row in rows for v in row):
-        raise ValueError(f"{name} entries must be numbers, not booleans")
+    if not all(_is_number(v) for row in rows for v in row):
+        raise ValueError(f"{name} entries must be numbers")
     return np.asarray(data, float)
 
 
@@ -199,6 +199,11 @@ def _build_spec(args):
     split = None
     if args.split is not None:
         data = json.loads(args.split)
+        if not isinstance(data, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))
+            for pair in data
+        ):
+            raise ValueError("--split must be a JSON array of [left, right] numbers")
         split = tuple(tuple(float(v) for v in pair) for pair in data)
     return BlockBuildSpec(
         gamma=args.gamma, sign=1 if args.sign == "plus" else -1, last_row_split=split

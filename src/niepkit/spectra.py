@@ -7,11 +7,14 @@ spectra.  It is *skew compatible* when a reordering satisfies the mirrored
 layout in which position n-1-k holds the conjugate of position k for every
 k; real skew circulant matrices have exactly such spectra.
 
-This module classifies lists against both layouts and enumerates every
-pairing-preserving permutation (the search space used by the sufficient
-condition checker in :mod:`niepkit.realize`).  The orderings are generated
-position by position rather than filtered out of all n! permutations, so
-the cost scales with the number of orderings kept, not with n!.
+This module enumerates every pairing-preserving permutation (the search
+space used by the sufficient condition checker in :mod:`niepkit.realize`)
+and classifies lists against both layouts.  One backtracking generator
+codes the layouts: the enumerators return its orderings, and
+:func:`classify_pairing` reads its first ones.  The orderings are generated
+position by position rather than filtered out of all n! permutations, and
+per-component counts cut every placement that no completion can follow,
+so the cost scales with the number of orderings kept, not with n!.
 
 The orderings depend on a list only through its pairing structure: which
 entries may sit opposite which (``|e_j - conj(e_i)| <= tol``), whether the
@@ -25,8 +28,8 @@ list on every call.
 Two conventions hold throughout:
 
 * Circulant enumeration fixes index 0 as the head (position 0); only the
-  tail is reordered.  :func:`classify_pairing`, by contrast, may pick any
-  real entry as the head of its witness.
+  tail is reordered.  :func:`classify_pairing`, by contrast, heads its
+  witness with the lowest-index real entry that can head one.
 * Pairing compares values within the relative tolerance of
   :func:`pairing_tolerance` (1e-12 * max modulus), while ``dedup`` merges
   orderings only when their reordered lists are exactly equal.  Two entries
@@ -73,10 +76,17 @@ class PairingReport:
     """Result of :func:`classify_pairing`.
 
     Witness tuples give one ordering (as original indices) realizing each
-    layout, or ``None`` when the layout is unattainable.
-    ``conjugate_pairs`` maps each index to a partner carrying its conjugate
-    (reals may map to themselves); ``None`` when the list is not closed
-    under conjugation.
+    layout, or ``None`` when the layout is unattainable; each is a first
+    ordering of the generator behind the enumerators:
+
+    * ``skew_witness`` is the first skew ordering
+      (:func:`enumerate_skew_permutations` with ``limit=1``);
+    * ``circulant_witness`` is the first circulant ordering headed by the
+      lowest-index real entry (``|Im| <= tol``) that can head one;
+    * ``conjugate_pairs`` maps each real entry to itself and pairs the
+      nonreal entries as the first skew ordering of those entries does,
+      under the whole list's tolerance; ``None`` when there is no such
+      ordering (the list is not closed under conjugation).
     """
 
     is_circulant_compatible: bool
@@ -129,144 +139,54 @@ def satisfies_skew_pairing(entries, order=None, tol=None):
     return bool(np.all(_conjugate_distance(entries[mates], entries) <= tol))
 
 
-def _match_conjugates(entries, tol):
-    """Pair every nonreal entry with an unmatched conjugate partner.
-
-    Returns (pairs, partner_map) where pairs lists (i, j) with
-    entries[j] == conj(entries[i]) and Im entries[i] > 0, or None when the
-    list is not conjugate closed.  Real entries map to themselves.
-    """
-    n = entries.size
-    partner = {}
-    pairs = []
-    used = set()
-    for i in range(n):
-        if abs(entries[i].imag) <= tol:
-            partner[i] = i
-    for i in range(n):
-        if i in partner or i in used:
-            continue
-        if entries[i].imag < 0:
-            continue
-        target = entries[i].conjugate()
-        mate = None
-        for j in range(n):
-            if j == i or j in partner or j in used:
-                continue
-            if abs(entries[j] - target) <= tol:
-                mate = j
-                break
-        if mate is None:
-            return None, None
-        used.add(i)
-        used.add(mate)
-        partner[i] = mate
-        partner[mate] = i
-        pairs.append((i, mate))
-    if len(partner) != n:
-        return None, None
-    return pairs, partner
-
-
-def _group_reals(entries, real_indices, tol):
-    """Group real entry indices into runs of equal value (within tol)."""
-    order = sorted(real_indices, key=lambda i: entries[i].real)
-    groups = []
-    for i in order:
-        if groups and abs(entries[groups[-1][-1]].real - entries[i].real) <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    groups.sort(key=lambda g: -entries[g[0]].real)
-    return groups
-
-
 def classify_pairing(entries):
-    """Classify a list against the circulant and skew pairing layouts."""
+    """Classify a list against the circulant and skew pairing layouts.
+
+    A view of the ordering generator (see :class:`PairingReport`); the
+    limit-1 calls run uncached, so they leave the cached structures of the
+    search in place.
+    """
     entries = as_complex_vector(entries)
     n = entries.size
     tol = pairing_tolerance(entries)
-
-    nonreal_pairs, partner = _match_conjugates(entries, tol)
-    if nonreal_pairs is None:
-        return PairingReport(False, False, None, None, None)
-
-    real_indices = [i for i in range(n) if abs(entries[i].imag) <= tol]
-    groups = _group_reals(entries, real_indices, tol)
-    odd_groups = [g for g in groups if len(g) % 2 == 1]
-
-    # Deterministic pair ordering: nonreal pairs by descending (Re, Im) of
-    # the upper-half representative, then equal-real pairs by descending value.
-    def pair_stream(exclude):
-        ordered = sorted(
-            nonreal_pairs,
-            key=lambda p: (-entries[p[0]].real, -abs(entries[p[0]].imag)),
-        )
-        for i, j in ordered:
-            yield i, j
-        for g in groups:
-            left = [i for i in g if i not in exclude]
-            for t in range(0, len(left) - 1, 2):
-                yield left[t], left[t + 1]
-
+    real = np.abs(entries.imag) <= tol
+    reals = np.flatnonzero(real).tolist()
+    skew_witness = _first(entries, "skew", tol)
     circulant_witness = None
-    if n % 2 == 1:
-        if len(odd_groups) == 1:
-            head = odd_groups[0][0]
-            witness = [None] * n
-            witness[0] = head
-            for t, (i, j) in enumerate(pair_stream({head})):
-                witness[1 + t] = i
-                witness[n - 1 - t] = j
-            circulant_witness = tuple(witness)
-    else:
-        head = mid = None
-        if len(odd_groups) == 2:
-            head, mid = odd_groups[0][0], odd_groups[1][0]
-        elif len(odd_groups) == 0 and groups:
-            big = max(groups, key=lambda g: (len(g) >= 2, entries[g[0]].real))
-            if len(big) >= 2:
-                head, mid = big[0], big[1]
-        if head is not None:
-            witness = [None] * n
-            witness[0] = head
-            witness[n // 2] = mid
-            for t, (i, j) in enumerate(pair_stream({head, mid})):
-                witness[1 + t] = i
-                witness[n - 1 - t] = j
-            circulant_witness = tuple(witness)
-
-    skew_witness = None
-    want_odd = 1 if n % 2 == 1 else 0
-    if len(odd_groups) == want_odd:
-        witness = [None] * n
-        exclude = set()
-        if n % 2 == 1:
-            witness[(n - 1) // 2] = odd_groups[0][0]
-            exclude = {odd_groups[0][0]}
-        for t, (i, j) in enumerate(pair_stream(exclude)):
-            witness[t] = i
-            witness[n - 1 - t] = j
-        skew_witness = tuple(witness)
-
-    # The deterministic fill can only fail if parity bookkeeping was wrong,
-    # so re-check rather than trust it.
-    if circulant_witness is not None and not satisfies_circulant_pairing(
-        entries, circulant_witness, tol
-    ):
-        circulant_witness = None
-    if skew_witness is not None and not satisfies_skew_pairing(
-        entries, skew_witness, tol
-    ):
-        skew_witness = None
-
+    for head in reals:
+        # the generator keeps index 0 as the head: move ``head`` there and
+        # keep the tail in increasing order, so the first ordering maps
+        # back to the first one headed by ``head``
+        arranged = [head] + [i for i in range(n) if i != head]
+        found = _first(entries[arranged], "circulant", tol)
+        if found is not None:
+            circulant_witness = tuple(arranged[i] for i in found)
+            break
+    nonreal = np.flatnonzero(~real).tolist()
+    paired = _first(entries[nonreal], "skew", tol) if nonreal else ()
+    conjugate_pairs = None
+    if paired is not None:
+        conjugate_pairs = {i: i for i in reals}
+        for k, i in enumerate(paired):
+            conjugate_pairs[nonreal[i]] = nonreal[paired[-1 - k]]
     return PairingReport(
         is_circulant_compatible=circulant_witness is not None,
         is_skew_compatible=skew_witness is not None,
         circulant_witness=circulant_witness,
         skew_witness=skew_witness,
-        conjugate_pairs=partner,
+        conjugate_pairs=conjugate_pairs,
     )
+
+
+def _first(entries, kind, tol):
+    """The lexicographically first ordering of ``entries`` for ``kind``
+    under ``tol``, or ``None``; generated uncached."""
+    compatible, labels = _structure(entries, tol)
+    head_real = bool(abs(entries[0].imag) <= tol)
+    rows = _generate.__wrapped__(
+        entries.size, kind, compatible, head_real, labels, 1, True
+    )
+    return tuple(rows[0].tolist()) if len(rows) else None
 
 
 def _layout_partners(n, kind):
@@ -281,6 +201,15 @@ def _layout_partners(n, kind):
     return n - 1 - k
 
 
+def _structure(entries, tol):
+    """What the generator reads of a list besides its head: the
+    compatibility matrix ``|e_j - conj(e_i)| <= tol`` and the exact-equality
+    labels (the first index holding an ``==`` value), as key bytes."""
+    compatible = _conjugate_distance(entries[None, :], entries[:, None]) <= tol
+    labels = np.argmax(entries[:, None] == entries[None, :], axis=1)
+    return compatible.tobytes(), labels.tobytes()
+
+
 def _orderings(entries, kind, limit, cap, dedup):
     """The pairing-preserving orderings of ``entries`` as a read-only
     ``(K, n)`` index array, one image tuple per row, in lexicographic order.
@@ -288,13 +217,12 @@ def _orderings(entries, kind, limit, cap, dedup):
     The orderings depend on the values only through their pairing
     structure, so they are generated once per structure and kept in a
     fixed-size cache (:func:`_generate`).  The key is the order, the kind,
-    the compatibility matrix ``|e_j - conj(e_i)| <= tol``, whether the head
-    is real within tol, the exact-equality labels (the first index holding
-    an ``==`` value), ``limit`` and ``dedup``: exactly what the generator
-    reads.  Validation and the size cap come first, so a warm cache still
-    raises.  Without ``dedup`` the generator runs uncached: every raw
-    ordering of k exactly equal entries is kept (k! of them), and the cache
-    would hold them for the life of the process.
+    the compatibility matrix and labels of :func:`_structure`, whether the
+    head is real within tol, ``limit`` and ``dedup``: exactly what the
+    generator reads.  Validation and the size cap come first, so a warm
+    cache still raises.  Without ``dedup`` the generator runs uncached:
+    every raw ordering of k exactly equal entries is kept (k! of them), and
+    the cache would hold them for the life of the process.
     """
     entries = as_complex_vector(entries)
     n = entries.size
@@ -306,13 +234,10 @@ def _orderings(entries, kind, limit, cap, dedup):
             "pass a larger cap explicitly to override"
         )
     tol = pairing_tolerance(entries)
-    compatible = _conjugate_distance(entries[None, :], entries[:, None]) <= tol
-    labels = np.argmax(entries[:, None] == entries[None, :], axis=1)
+    compatible, labels = _structure(entries, tol)
     head_real = bool(abs(entries[0].imag) <= tol)
     generate = _generate if dedup else _generate.__wrapped__
-    return generate(
-        n, kind, compatible.tobytes(), head_real, labels.tobytes(), limit, dedup
-    )
+    return generate(n, kind, compatible, head_real, labels, limit, dedup)
 
 
 @functools.lru_cache(maxsize=64)
@@ -321,17 +246,36 @@ def _generate(n, kind, compatible, head_real, labels, limit, dedup):
 
     Orderings are built position by position, 0 to n-1, trying original
     indices in increasing order, so they come out in lexicographic order of
-    the image tuple without generating and filtering all n! permutations;
-    the cost scales with the number of orderings kept (plus the dead ends
-    of partial placements), not with n!.  Index j may go to a position whose
-    layout partner already holds index i when ``compatible[i][j]``, that is
-    |e_j - conj(e_i)| <= tol with the tolerance of
-    :func:`pairing_tolerance`; a self-partnered position (the skew middle,
-    the circulant position n/2) takes only indices compatible with
-    themselves.  This is the test the ``satisfies_*`` predicates apply, so
-    every generated ordering passes them and no ordering passing them is
-    missed.  The circulant head is not searched: index 0 stays at position
-    0 and must be real within tol (``head_real``).
+    the image tuple without generating and filtering all n! permutations.
+    Index j may go to a position whose layout partner already holds index i
+    when ``compatible[i][j]``, that is |e_j - conj(e_i)| <= tol with the
+    tolerance of :func:`pairing_tolerance`; a self-partnered position (the
+    skew middle, the circulant position n/2) takes only indices compatible
+    with themselves.  This is the test the ``satisfies_*`` predicates
+    apply, so every generated ordering passes them and no ordering passing
+    them is missed.  The circulant head is not searched: index 0 stays at
+    position 0 and must be real within tol (``head_real``).
+
+    Partners are compatible, so they lie in one component of the graph
+    ``compatible`` on the indices to place.  In both layouts every opener
+    position (its partner comes later) precedes the self-partnered one, if
+    any, which precedes every forced position.  The *room* of a component
+    is the number of its unused indices that no placed index has claimed
+    as its partner.  An opener takes an index only if that room is at least
+    2 and spends 2 (the index and its partner); the self-partnered position
+    takes one only if the room is odd and spends 1; a forced position
+    spends nothing.  A completed ordering leaves every room at 0, and
+    placing an index never raises one, so a room below 0, or an even room
+    at the self-partnered position (the last to spend), never returns to
+    0: a placement refused by these counts has no completion, and the
+    output is that of the unpruned search.  At the start, a completion
+    needs as many odd-sized components as self-partnered positions (0 or
+    1), and equal sides in every bipartite component (one without a
+    self-compatible index).  When every component is a clique or
+    complete bipartite (every list without chained near-ties, values
+    within tol of a common partner but not of each other), these counts
+    leave no dead ends, so the cost scales with the number of orderings
+    kept, not with n!.
 
     With ``dedup``, an index is skipped at a position when an index with
     the same label (an exactly equal value, ``==``, not the pairing
@@ -342,8 +286,6 @@ def _generate(n, kind, compatible, head_real, labels, limit, dedup):
     """
     compatible = np.frombuffer(compatible, dtype=bool).reshape(n, n).tolist()
     labels = np.frombuffer(labels, dtype=np.intp).tolist()
-    # the other indices each index may sit opposite
-    mates = [[j for j in range(n) if j != i and compatible[i][j]] for i in range(n)]
     partner = _layout_partners(n, kind).tolist()
     order = [-1] * n
     used = [False] * n
@@ -357,6 +299,12 @@ def _generate(n, kind, compatible, head_real, labels, limit, dedup):
         first = 1
     if first == n:
         return _frozen([] if limit == 0 else [order], n)
+    component, room = _rooms(compatible, first)
+    selves = sum(partner[pos] == pos for pos in range(first, n))
+    if room is None or sum(r % 2 for r in room) != selves:
+        return _frozen(out, n)
+    # the room each position spends on its index
+    spend = [2 if partner[pos] > pos else int(partner[pos] == pos) for pos in range(n)]
 
     # next index to try at each position, and the labels already tried there
     cursor = [0] * n
@@ -367,6 +315,7 @@ def _generate(n, kind, compatible, head_real, labels, limit, dedup):
         if placed >= 0:
             used[placed] = False
             order[pos] = -1
+            room[component[placed]] += spend[pos]
         mate = partner[pos]
         chosen = -1
         for i in range(cursor[pos], n):
@@ -376,10 +325,9 @@ def _generate(n, kind, compatible, head_real, labels, limit, dedup):
                 if not compatible[order[mate]][i]:
                     continue
             elif mate == pos:
-                if not compatible[i][i]:
+                if not (compatible[i][i] and room[component[i]] % 2):
                     continue
-            elif all(used[j] for j in mates[i]):
-                # the partner position, placed later, could take nothing
+            elif room[component[i]] < 2:
                 continue
             if dedup and labels[i] in tried[pos]:
                 continue
@@ -393,6 +341,7 @@ def _generate(n, kind, compatible, head_real, labels, limit, dedup):
             tried[pos].append(labels[chosen])
         order[pos] = chosen
         used[chosen] = True
+        room[component[chosen]] -= spend[pos]
         if pos == n - 1:
             out.append(tuple(order))
         else:
@@ -400,6 +349,36 @@ def _generate(n, kind, compatible, head_real, labels, limit, dedup):
             cursor[pos] = 0
             tried[pos].clear()
     return _frozen(out, n)
+
+
+def _rooms(compatible, first):
+    """The component of each index ``first..n-1`` in the graph
+    ``compatible`` and the size of each component, or ``(None, None)`` when
+    a bipartite component without a self-compatible index has unequal
+    sides and so no perfect pairing."""
+    n = len(compatible)
+    component = [-1] * n
+    side = [0] * n
+    room = []
+    for root in range(first, n):
+        if component[root] >= 0:
+            continue
+        component[root] = len(room)
+        members = [root]
+        for i in members:  # breadth first: the loop reads what it appends
+            for j in range(first, n):
+                if compatible[i][j] and component[j] < 0:
+                    component[j] = len(room)
+                    side[j] = 1 - side[i]
+                    members.append(j)
+        room.append(len(members))
+        # a self-compatible index (i == j) also makes the test fail
+        bipartite = all(
+            side[i] != side[j] for i in members for j in members if compatible[i][j]
+        )
+        if bipartite and 2 * sum(side[i] for i in members) != len(members):
+            return None, None
+    return component, room
 
 
 def _frozen(rows, n):

@@ -351,6 +351,35 @@ class TestBooleanInput:
         assert main(["verify", inp]) == 0
 
 
+class TestNonNumericInput:
+    """Strings and malformed pairs are input errors wherever a number is
+    expected, matrix entries and ``--split`` pairs included."""
+
+    @pytest.mark.parametrize(
+        "payload", [{"S": [["2"]], "C": [[1.0]]}, {"S": [[2.0]], "C": [["1"]]}]
+    )
+    def test_build_matrix(self, tmp_path, capsys, payload):
+        inp = write_json(tmp_path / "in.json", payload)
+        assert main(["build", inp]) == 3
+        assert "entries must be numbers" in capsys.readouterr().err
+
+    def test_verify_matrix(self, tmp_path, capsys):
+        inp = write_json(
+            tmp_path / "in.json",
+            {"matrix": [["1", 0.0], [0.0, 1.0]], "spectrum": pairs([1.0, 1.0])},
+        )
+        assert main(["verify", inp]) == 3
+        assert "entries must be numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "split", ["[1]", "[[3, 3], [3, 0], 1]", "[[3, 3, 0]]", '[["3", 3]]', "{}"]
+    )
+    def test_split_pairs(self, tmp_path, capsys, split):
+        inp = write_json(tmp_path / "in.json", {"S": [[2.0]], "skew_row": [1.0]})
+        assert main(["build", inp, "--split", split]) == 3
+        assert "--split must be" in capsys.readouterr().err
+
+
 def reference_payload_text(matrix, expected):
     """The JSON the matrix commands wrote when ``computed_spectrum`` came
     from a second eigensolve after the oracle check."""

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -427,3 +428,273 @@ class TestOrderingCache:
                 _assert_matches_brute_force(entries)
         assert len(enumerate_circulant_permutations(equal)) == 1
         assert len(enumerate_circulant_permutations(near)) == 2
+
+
+def _reference_generate(n, kind, compatible, head_real, labels, limit, dedup):
+    """The generator before the component counts, kept as the reference: it
+    prunes an opener only when no unused index may sit opposite it."""
+    compatible = np.frombuffer(compatible, dtype=bool).reshape(n, n).tolist()
+    labels = np.frombuffer(labels, dtype=np.intp).tolist()
+    # the other indices each index may sit opposite
+    mates = [[j for j in range(n) if j != i and compatible[i][j]] for i in range(n)]
+    partner = _layout_partners(n, kind).tolist()
+    order = [-1] * n
+    used = [False] * n
+    out = []
+    first = 0
+    if kind == "circulant":
+        if not head_real:
+            return spectra._frozen(out, n)
+        order[0] = 0
+        used[0] = True
+        first = 1
+    if first == n:
+        return spectra._frozen([] if limit == 0 else [order], n)
+
+    # next index to try at each position, and the labels already tried there
+    cursor = [0] * n
+    tried = [[] for _ in range(n)]
+    pos = first
+    while pos >= first and (limit is None or len(out) < limit):
+        placed = order[pos]
+        if placed >= 0:
+            used[placed] = False
+            order[pos] = -1
+        mate = partner[pos]
+        chosen = -1
+        for i in range(cursor[pos], n):
+            if used[i]:
+                continue
+            if mate < pos:
+                if not compatible[order[mate]][i]:
+                    continue
+            elif mate == pos:
+                if not compatible[i][i]:
+                    continue
+            elif all(used[j] for j in mates[i]):
+                # the partner position, placed later, could take nothing
+                continue
+            if dedup and labels[i] in tried[pos]:
+                continue
+            chosen = i
+            break
+        if chosen < 0:
+            pos -= 1
+            continue
+        cursor[pos] = chosen + 1
+        if dedup:
+            tried[pos].append(labels[chosen])
+        order[pos] = chosen
+        used[chosen] = True
+        if pos == n - 1:
+            out.append(tuple(order))
+        else:
+            pos += 1
+            cursor[pos] = 0
+            tried[pos].clear()
+    return spectra._frozen(out, n)
+
+
+def _list_structure(entries):
+    """The generator arguments of a list, less kind, limit and dedup."""
+    entries = np.asarray(entries, dtype=complex)
+    tol = pairing_tolerance(entries)
+    compatible, labels = spectra._structure(entries, tol)
+    return entries.size, compatible, bool(abs(entries[0].imag) <= tol), labels
+
+
+def _assert_generator_matches_reference(n, compatible, head_real, labels, raw=True):
+    """Both kinds, with and without dedup (``raw``), at four limits."""
+    for kind in ("circulant", "skew"):
+        for dedup in (True, False) if raw else (True,):
+            for limit in (None, 0, 1, 3):
+                args = (n, kind, compatible, head_real, labels, limit, dedup)
+                got = spectra._generate.__wrapped__(*args)
+                want = _reference_generate(*args)
+                assert got.shape == want.shape and np.array_equal(got, want), args
+
+
+# tol = 1e-12 * max|z| = 4e-12 on every list below
+_T = 4e-12
+_Z = complex(1.0, 2.0)
+
+#: Near-tie chains: values within tol of a common partner but not of each
+#: other, so a component of the compatibility graph is not a clique.
+CHAIN_LISTS = [
+    # real chains
+    [4.0, 2.0, 2.0 + 0.6 * _T, 2.0 + 1.2 * _T, 1.0],
+    [2.0 + 1.8 * _T, 4.0, 2.0, 3.0, 2.0 + 0.6 * _T, 2.0 + 1.2 * _T],
+    # conjugate chains
+    [4.0, _Z, _Z + 1.2 * _T, _Z.conjugate() + 0.5 * _T, _Z.conjugate() - 0.5 * _T],
+    [_Z, _Z.conjugate() + 0.6 * _T, _Z + 1.2 * _T, 4.0, _Z.conjugate() + 1.8 * _T, 3.0],
+    # "reals" with |Im| near tol: real enough to head a circulant, and to
+    # pair with one another, but not all compatible with themselves
+    [4.0, 3.0 + 0.6j * _T, 3.0 + 0.3j * _T, 3.0 - 0.6j * _T, 2.0 + 0.4j * _T,
+     2.0 - 0.4j * _T, 0.55j * _T],
+]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_generator_matches_reference_on_structured_lists(n):
+    rng = np.random.default_rng(400 + n)
+    for entries in _structured_lists(n, rng):
+        # without dedup, equal entries or repeated pairs have 10^5 to 10^6
+        # skew orderings at n = 9 and 10
+        _assert_generator_matches_reference(*_list_structure(entries), raw=n <= 8)
+
+
+@pytest.mark.parametrize("entries", CHAIN_LISTS)
+def test_generator_matches_reference_on_chains(entries):
+    assert max(abs(complex(e)) for e in entries) == 4.0
+    _assert_generator_matches_reference(*_list_structure(entries))
+    _assert_matches_brute_force(entries)
+
+
+def _random_structure(n, rng):
+    """A random symmetric compatibility matrix whose exactly equal entries
+    (equal labels) have equal rows, as on any list."""
+    value = rng.integers(0, n, size=n)
+    upper = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.7))
+    compatible = (upper | upper.T)[np.ix_(value, value)]
+    labels = np.argmax(value[:, None] == value[None, :], axis=1)
+    return n, compatible.tobytes(), bool(rng.integers(2)), labels.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_generator_matches_reference_on_random_structures(seed):
+    rng = np.random.default_rng(500 + seed)
+    for _ in range(60):
+        _assert_generator_matches_reference(*_random_structure(int(rng.integers(1, 9)), rng))
+
+
+def _expected_report(entries):
+    """The classification read off the enumerators: the first skew
+    ordering; the first circulant ordering over real heads in index order;
+    the pairs of the first skew ordering of the nonreal entries under the
+    whole list's compatibility matrix."""
+    entries = np.asarray(entries, dtype=complex)
+    n = entries.size
+    tol = pairing_tolerance(entries)
+    real = [i for i in range(n) if abs(entries[i].imag) <= tol]
+    nonreal = [i for i in range(n) if abs(entries[i].imag) > tol]
+    skew = [p.mapping for p in enumerate_skew_permutations(entries, limit=1)]
+    circulant = []
+    for head in real:
+        arranged = [head] + [i for i in range(n) if i != head]
+        found = enumerate_circulant_permutations(entries[arranged], limit=1)
+        if found:
+            circulant = [tuple(arranged[i] for i in found[0].mapping)]
+            break
+    paired = [()]
+    if nonreal:
+        sub = entries[nonreal]
+        compatible = spectra._conjugate_distance(sub[None, :], sub[:, None]) <= tol
+        labels = np.argmax(sub[:, None] == sub[None, :], axis=1)
+        paired = _reference_generate(
+            len(nonreal), "skew", compatible.tobytes(), False, labels.tobytes(), 1, True
+        ).tolist()
+    pairs = None
+    if paired:
+        pairs = {i: i for i in real}
+        for k, i in enumerate(paired[0]):
+            pairs[nonreal[i]] = nonreal[paired[0][-1 - k]]
+    return spectra.PairingReport(
+        bool(circulant), bool(skew), circulant[0] if circulant else None,
+        skew[0] if skew else None, pairs,
+    )
+
+
+def _assert_classified(entries):
+    report = classify_pairing(entries)
+    assert report == _expected_report(entries), entries
+    if report.circulant_witness is not None:
+        assert satisfies_circulant_pairing(entries, report.circulant_witness)
+    if report.skew_witness is not None:
+        assert satisfies_skew_pairing(entries, report.skew_witness)
+    if report.conjugate_pairs is not None:
+        tol = pairing_tolerance(entries)
+        for i, j in report.conjugate_pairs.items():
+            assert report.conjugate_pairs[j] == i
+            if i != j:
+                assert abs(complex(entries[j]) - complex(entries[i]).conjugate()) <= tol
+    return report
+
+
+def test_classify_agrees_with_the_enumerators_on_a_conjugate_chain():
+    # each nonreal entry is within tol of a conjugate of the other sign,
+    # but the two upper entries are not within tol of each other's partners
+    entries = CHAIN_LISTS[2]
+    report = _assert_classified(entries)
+    assert report.is_circulant_compatible and report.is_skew_compatible
+    assert report.conjugate_pairs is not None
+    assert len(enumerate_circulant_permutations(entries)) == 8
+    assert len(enumerate_skew_permutations(entries)) == 8
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_classify_is_a_view_of_the_enumerators(n):
+    rng = np.random.default_rng(600 + n)
+    lists = _structured_lists(n, rng)
+    for entries in list(lists):
+        # one entry replaced by a real, by a nonreal, or by a copy of another
+        changed = list(entries)
+        at = int(rng.integers(len(changed)))
+        changed[at] = rng.choice(
+            [float(rng.normal()), complex(rng.normal(), rng.normal()),
+             changed[int(rng.integers(len(changed)))]]
+        )
+        lists.append(changed)
+    for entries in lists:
+        _assert_classified(entries)
+
+
+_NEAR_DUPLICATES = [
+    lst
+    for step in (0.9 * _T, 1.1 * _T)
+    for lst in (
+        [4.0, _Z, complex(_Z.real + step, -_Z.imag), 2.0, 2.0 + step],
+        [4.0 + 1j * step, _Z, _Z.conjugate(), 2.0, 2.0],
+        [2.0, 4.0, 2.0 + step, 1.0j * step / 2.0],
+    )
+]
+
+
+@pytest.mark.parametrize("entries", CHAIN_LISTS + _NEAR_DUPLICATES)
+def test_classify_is_a_view_of_the_enumerators_on_near_ties(entries):
+    _assert_classified(entries)
+
+
+def _distinct_pairs(count):
+    return [
+        z
+        for k in range(count)
+        for z in (complex(1.0 + k, 1.0 + 0.5 * k), complex(1.0 + k, -1.0 - 0.5 * k))
+    ]
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # two distinct reals cannot both be self-partnered; the unpruned
+        # search tried every opener choice before giving up (~2 minutes)
+        _distinct_pairs(8) + [1.0, 2.0],
+        # three copies of z with one conjugate: a bipartite component with
+        # unequal sides (~40 s without the side count)
+        [9 + 3j, 9 + 3j, 9 + 3j, 9 - 3j] + _distinct_pairs(6),
+    ],
+)
+def test_skew_miss_has_no_dead_ends(entries):
+    start = time.perf_counter()
+    assert enumerate_skew_permutations(entries, limit=1, cap=99) == []
+    assert time.perf_counter() - start < 2.0
+
+
+def test_circulant_hit_after_dead_end_prefix():
+    # three equal reals behind the head: the unpruned search opened with two
+    # of them and then exhausted every arrangement of the pairs
+    entries = [5.0, 1.0, 1.0, 1.0] + _distinct_pairs(8)
+    start = time.perf_counter()
+    perms = enumerate_circulant_permutations(entries, limit=1, cap=99)
+    assert time.perf_counter() - start < 2.0
+    assert len(perms) == 1
+    assert satisfies_circulant_pairing(entries, perms[0].mapping)
