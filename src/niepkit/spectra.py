@@ -17,19 +17,22 @@ per-component counts cut every placement that no completion can follow,
 so the cost scales with the number of orderings kept, not with n!.
 
 The orderings depend on a list only through its pairing structure: which
-entries may sit opposite which (``|e_j - conj(e_i)| <= tol``), whether the
-head is real, and which entries are exactly equal.  Every generic list of
-a given order and layout shares one structure, so the orderings are
-generated once per structure (and per ``limit`` and ``dedup``) and kept,
-as read-only index arrays, in a least-recently-used cache of a fixed 64
-entries.  The cache has no setting; the public functions return a fresh
-list on every call.
+entries may sit opposite which (``|e_j - conj(e_i)| <= tol``) and which
+entries are exactly equal.  Every generic list of a given order and layout
+shares one structure, so the orderings are generated once per structure
+(and per ``limit`` and ``dedup``) and kept, as read-only index arrays, in a
+least-recently-used cache of a fixed 64 entries.  The cache has no
+setting; the public functions return a fresh list on every call.
 
-Two conventions hold throughout:
+Three conventions hold throughout:
 
 * Circulant enumeration fixes index 0 as the head (position 0); only the
   tail is reordered.  :func:`classify_pairing`, by contrast, heads its
   witness with the lowest-index real entry that can head one.
+* An entry is *real* when it is compatible with itself,
+  ``|e - conj(e)| = 2|Im e| <= tol``: it may then sit at a self-partnered
+  position (the circulant head, the circulant position n/2, the skew
+  middle).
 * Pairing compares values within the relative tolerance of
   :func:`pairing_tolerance` (1e-12 * max modulus), while ``dedup`` merges
   orderings only when their reordered lists are exactly equal.  Two entries
@@ -82,7 +85,7 @@ class PairingReport:
     * ``skew_witness`` is the first skew ordering
       (:func:`enumerate_skew_permutations` with ``limit=1``);
     * ``circulant_witness`` is the first circulant ordering headed by the
-      lowest-index real entry (``|Im| <= tol``) that can head one;
+      lowest-index real entry (compatible with itself) that can head one;
     * ``conjugate_pairs`` maps each real entry to itself and pairs the
       nonreal entries as the first skew ordering of those entries does,
       under the whole list's tolerance; ``None`` when there is no such
@@ -113,30 +116,24 @@ def _conjugate_distance(a, b):
     return np.hypot(d.real, d.imag)
 
 
-def _arranged(entries, order, tol):
+def _satisfies(entries, order, tol, kind):
     entries = as_complex_vector(entries)
     if order is not None:
         entries = entries[list(order)]
     if tol is None:
         tol = pairing_tolerance(entries)
-    return entries, tol
+    mates = _layout_partners(entries.size, kind)
+    return bool(np.all(_conjugate_distance(entries[mates], entries) <= tol))
 
 
 def satisfies_circulant_pairing(entries, order=None, tol=None):
     """True when ``entries`` (optionally reordered) has the circulant layout."""
-    entries, tol = _arranged(entries, order, tol)
-    mates = _layout_partners(entries.size, "circulant")[1:]
-    return bool(
-        abs(entries[0].imag) <= tol
-        and np.all(_conjugate_distance(entries[mates], entries[1:]) <= tol)
-    )
+    return _satisfies(entries, order, tol, "circulant")
 
 
 def satisfies_skew_pairing(entries, order=None, tol=None):
     """True when ``entries`` (optionally reordered) has the skew layout."""
-    entries, tol = _arranged(entries, order, tol)
-    mates = _layout_partners(entries.size, "skew")
-    return bool(np.all(_conjugate_distance(entries[mates], entries) <= tol))
+    return _satisfies(entries, order, tol, "skew")
 
 
 def classify_pairing(entries):
@@ -149,7 +146,7 @@ def classify_pairing(entries):
     entries = as_complex_vector(entries)
     n = entries.size
     tol = pairing_tolerance(entries)
-    real = np.abs(entries.imag) <= tol
+    real = np.diagonal(_compatibility(entries, tol))
     reals = np.flatnonzero(real).tolist()
     skew_witness = _first(entries, "skew", tol)
     circulant_witness = None
@@ -182,18 +179,15 @@ def _first(entries, kind, tol):
     """The lexicographically first ordering of ``entries`` for ``kind``
     under ``tol``, or ``None``; generated uncached."""
     compatible, labels = _structure(entries, tol)
-    head_real = bool(abs(entries[0].imag) <= tol)
-    rows = _generate.__wrapped__(
-        entries.size, kind, compatible, head_real, labels, 1, True
-    )
+    rows = _generate.__wrapped__(entries.size, kind, compatible, labels, 1, True)
     return tuple(rows[0].tolist()) if len(rows) else None
 
 
 def _layout_partners(n, kind):
     """Position holding the conjugate partner of each position of a layout.
 
-    Position 0 of the circulant layout is the head; it is its own partner
-    but must hold a real entry rather than a self-conjugate one.
+    A self-partnered position (the circulant head and position n/2, the
+    skew middle) holds an entry compatible with itself, a real one.
     """
     k = np.arange(n)
     if kind == "circulant":
@@ -201,13 +195,18 @@ def _layout_partners(n, kind):
     return n - 1 - k
 
 
+def _compatibility(entries, tol):
+    """``compatible[i][j]``: ``|e_j - conj(e_i)| <= tol``, so ``e_j`` may sit
+    opposite ``e_i``; its diagonal marks the real entries."""
+    return _conjugate_distance(entries[None, :], entries[:, None]) <= tol
+
+
 def _structure(entries, tol):
-    """What the generator reads of a list besides its head: the
-    compatibility matrix ``|e_j - conj(e_i)| <= tol`` and the exact-equality
-    labels (the first index holding an ``==`` value), as key bytes."""
-    compatible = _conjugate_distance(entries[None, :], entries[:, None]) <= tol
+    """What the generator reads of a list: the compatibility matrix and the
+    exact-equality labels (the first index holding an ``==`` value), as key
+    bytes."""
     labels = np.argmax(entries[:, None] == entries[None, :], axis=1)
-    return compatible.tobytes(), labels.tobytes()
+    return _compatibility(entries, tol).tobytes(), labels.tobytes()
 
 
 def _orderings(entries, kind, limit, cap, dedup):
@@ -217,12 +216,12 @@ def _orderings(entries, kind, limit, cap, dedup):
     The orderings depend on the values only through their pairing
     structure, so they are generated once per structure and kept in a
     fixed-size cache (:func:`_generate`).  The key is the order, the kind,
-    the compatibility matrix and labels of :func:`_structure`, whether the
-    head is real within tol, ``limit`` and ``dedup``: exactly what the
-    generator reads.  Validation and the size cap come first, so a warm
-    cache still raises.  Without ``dedup`` the generator runs uncached:
-    every raw ordering of k exactly equal entries is kept (k! of them), and
-    the cache would hold them for the life of the process.
+    the compatibility matrix and labels of :func:`_structure`, ``limit`` and
+    ``dedup``: exactly what the generator reads.  Validation and the size
+    cap come first, so a warm cache still raises.  Without ``dedup`` the
+    generator runs uncached: every raw ordering of k exactly equal entries
+    is kept (k! of them), and the cache would hold them for the life of the
+    process.
     """
     entries = as_complex_vector(entries)
     n = entries.size
@@ -235,13 +234,12 @@ def _orderings(entries, kind, limit, cap, dedup):
         )
     tol = pairing_tolerance(entries)
     compatible, labels = _structure(entries, tol)
-    head_real = bool(abs(entries[0].imag) <= tol)
     generate = _generate if dedup else _generate.__wrapped__
-    return generate(n, kind, compatible, head_real, labels, limit, dedup)
+    return generate(n, kind, compatible, labels, limit, dedup)
 
 
 @functools.lru_cache(maxsize=64)
-def _generate(n, kind, compatible, head_real, labels, limit, dedup):
+def _generate(n, kind, compatible, labels, limit, dedup):
     """Generate the orderings of one pairing structure (see :func:`_orderings`).
 
     Orderings are built position by position, 0 to n-1, trying original
@@ -254,7 +252,8 @@ def _generate(n, kind, compatible, head_real, labels, limit, dedup):
     with themselves.  This is the test the ``satisfies_*`` predicates
     apply, so every generated ordering passes them and no ordering passing
     them is missed.  The circulant head is not searched: index 0 stays at
-    position 0 and must be real within tol (``head_real``).
+    position 0, which is self-partnered, so it must be compatible with
+    itself.
 
     Partners are compatible, so they lie in one component of the graph
     ``compatible`` on the indices to place.  In both layouts every opener
@@ -292,7 +291,7 @@ def _generate(n, kind, compatible, head_real, labels, limit, dedup):
     out = []
     first = 0
     if kind == "circulant":
-        if not head_real:
+        if not compatible[0][0]:
             return _frozen(out, n)
         order[0] = 0
         used[0] = True

@@ -313,6 +313,16 @@ class TestVerify:
         assert not out.exists()
         assert "--tol must be finite and >= 0" in capsys.readouterr().err
 
+    def test_overflowing_eigenvalues_exit_3(self, tmp_path, capsys):
+        inp = write_json(
+            tmp_path / "in.json",
+            {"matrix": [[1e308, 1e308], [1e308, 1e308]], "spectrum": pairs([0.0, 0.0])},
+        )
+        assert main(["verify", inp]) == 3
+        assert capsys.readouterr().err == (
+            "input error: the eigenvalues of the matrix overflow\n"
+        )
+
     def test_zero_tolerance_accepted(self, tmp_path):
         inp = write_json(
             tmp_path / "in.json",

@@ -243,15 +243,15 @@ def test_near_duplicates_at_the_pairing_tolerance(inside):
     z = complex(1.0, 2.0)
     lists = [
         [4.0, z, complex(z.real + step, -z.imag), 2.0, 2.0 + step],
-        [4.0 + 1j * step, z, z.conjugate(), 2.0, 2.0],
+        [4.0 + 0.5j * step, z, z.conjugate(), 2.0, 2.0],
         [2.0, 4.0, 2.0 + step, 1.0j * step / 2.0],
         [z, complex(z.real, -z.imag + step), 4.0, z, z.conjugate(), 3.0],
     ]
     for entries in lists:
         assert max(abs(complex(e)) for e in entries) == pytest.approx(4.0)
         _assert_matches_brute_force(entries)
-    # the perturbed pairs pair, and the perturbed head is real, exactly when
-    # inside the tolerance
+    # the perturbed pairs pair, and the perturbed head is real (2|Im| = step),
+    # exactly when inside the tolerance
     assert bool(enumerate_skew_permutations(lists[0])) == inside
     assert bool(enumerate_circulant_permutations(lists[1])) == inside
 
@@ -263,17 +263,16 @@ def test_all_equal_ten_costs_one_branch():
 
 
 def _reference_satisfies_circulant(entries, order=None, tol=None):
-    """The original position-by-position circulant layout test."""
+    """The original position-by-position circulant layout test; the head,
+    position 0, is its own partner."""
     entries = np.asarray(entries, dtype=complex)
     if order is not None:
         entries = entries[list(order)]
     if tol is None:
         tol = pairing_tolerance(entries)
     n = entries.size
-    if abs(entries[0].imag) > tol:
-        return False
-    for k in range(1, n):
-        if abs(entries[n - k] - entries[k].conjugate()) > tol:
+    for k in range(n):
+        if abs(entries[-k % n] - entries[k].conjugate()) > tol:
             return False
     return True
 
@@ -346,7 +345,7 @@ def test_predicates_at_the_tolerance():
         assert satisfies_skew_pairing([z, 5.0, mate], tol=tol) is verdict
         assert satisfies_circulant_pairing([5.0, z, mate], tol=tol) is verdict
         assert _reference_satisfies_skew([z, 5.0, mate], tol=tol) is verdict
-    head = complex(5.0, gap)
+    head = complex(5.0, gap / 2)  # |head - conj(head)| == gap
     assert satisfies_circulant_pairing([head, z, z.conjugate()], tol=gap)
     assert not satisfies_circulant_pairing(
         [head, z, z.conjugate()], tol=float(np.nextafter(gap, 0.0))
@@ -403,12 +402,12 @@ class TestOrderingCache:
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
     def test_head_realness_is_part_of_the_key(self):
-        # the head is real within tol on one list and not on the other;
+        # the head is real (2|Im| <= tol) on one list and not on the other;
         # everything else the generator reads is the same
         tol = 1e-12 * 4.0
         z = complex(1.0, 2.0)
-        real_head = [complex(3.0, 0.75 * tol), z, 4.0, z.conjugate()]
-        complex_head = [complex(3.0, 1.25 * tol), z, 4.0, z.conjugate()]
+        real_head = [complex(3.0, 0.375 * tol), z, 4.0, z.conjugate()]
+        complex_head = [complex(3.0, 0.625 * tol), z, 4.0, z.conjugate()]
         for lists in ((real_head, complex_head), (complex_head, real_head)):
             spectra._generate.cache_clear()
             for entries in lists:
@@ -498,19 +497,22 @@ def _reference_generate(n, kind, compatible, head_real, labels, limit, dedup):
 def _list_structure(entries):
     """The generator arguments of a list, less kind, limit and dedup."""
     entries = np.asarray(entries, dtype=complex)
-    tol = pairing_tolerance(entries)
-    compatible, labels = spectra._structure(entries, tol)
-    return entries.size, compatible, bool(abs(entries[0].imag) <= tol), labels
+    compatible, labels = spectra._structure(entries, pairing_tolerance(entries))
+    return entries.size, compatible, labels
 
 
-def _assert_generator_matches_reference(n, compatible, head_real, labels, raw=True):
-    """Both kinds, with and without dedup (``raw``), at four limits."""
+def _assert_generator_matches_reference(n, compatible, labels, raw=True):
+    """Both kinds, with and without dedup (``raw``), at four limits; the
+    reference reads the head's realness apart, as the diagonal entry."""
+    head_real = bool(compatible[0])
     for kind in ("circulant", "skew"):
         for dedup in (True, False) if raw else (True,):
             for limit in (None, 0, 1, 3):
-                args = (n, kind, compatible, head_real, labels, limit, dedup)
+                args = (n, kind, compatible, labels, limit, dedup)
                 got = spectra._generate.__wrapped__(*args)
-                want = _reference_generate(*args)
+                want = _reference_generate(
+                    n, kind, compatible, head_real, labels, limit, dedup
+                )
                 assert got.shape == want.shape and np.array_equal(got, want), args
 
 
@@ -527,8 +529,10 @@ CHAIN_LISTS = [
     # conjugate chains
     [4.0, _Z, _Z + 1.2 * _T, _Z.conjugate() + 0.5 * _T, _Z.conjugate() - 0.5 * _T],
     [_Z, _Z.conjugate() + 0.6 * _T, _Z + 1.2 * _T, 4.0, _Z.conjugate() + 1.8 * _T, 3.0],
-    # "reals" with |Im| near tol: real enough to head a circulant, and to
-    # pair with one another, but not all compatible with themselves
+    # near-reals with |Im| from 0.3 to 0.6 tol: they pair with one another,
+    # but those with 2|Im| > tol are not compatible with themselves, so not
+    # real: they may neither head a circulant nor sit at a self-partnered
+    # position
     [4.0, 3.0 + 0.6j * _T, 3.0 + 0.3j * _T, 3.0 - 0.6j * _T, 2.0 + 0.4j * _T,
      2.0 - 0.4j * _T, 0.55j * _T],
 ]
@@ -557,7 +561,7 @@ def _random_structure(n, rng):
     upper = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.7))
     compatible = (upper | upper.T)[np.ix_(value, value)]
     labels = np.argmax(value[:, None] == value[None, :], axis=1)
-    return n, compatible.tobytes(), bool(rng.integers(2)), labels.tobytes()
+    return n, compatible.tobytes(), labels.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -569,14 +573,15 @@ def test_generator_matches_reference_on_random_structures(seed):
 
 def _expected_report(entries):
     """The classification read off the enumerators: the first skew
-    ordering; the first circulant ordering over real heads in index order;
+    ordering; the first circulant ordering over real heads (2|Im| <= tol)
+    in index order;
     the pairs of the first skew ordering of the nonreal entries under the
     whole list's compatibility matrix."""
     entries = np.asarray(entries, dtype=complex)
     n = entries.size
     tol = pairing_tolerance(entries)
-    real = [i for i in range(n) if abs(entries[i].imag) <= tol]
-    nonreal = [i for i in range(n) if abs(entries[i].imag) > tol]
+    real = [i for i in range(n) if 2 * abs(entries[i].imag) <= tol]
+    nonreal = [i for i in range(n) if 2 * abs(entries[i].imag) > tol]
     skew = [p.mapping for p in enumerate_skew_permutations(entries, limit=1)]
     circulant = []
     for head in real:
@@ -662,6 +667,20 @@ _NEAR_DUPLICATES = [
 @pytest.mark.parametrize("entries", CHAIN_LISTS + _NEAR_DUPLICATES)
 def test_classify_is_a_view_of_the_enumerators_on_near_ties(entries):
     _assert_classified(entries)
+
+
+def test_realness_is_self_compatibility():
+    # tol = 2e-12 >= |Im| but 2|Im| > tol: not real, so the entry may sit at
+    # no self-partnered position, whether it heads the list or not
+    entries = [2 + 1.5e-12j, 1.0, 1.0, 1.0]
+    assert enumerate_circulant_permutations(entries) == []
+    assert enumerate_circulant_permutations([1.0, 1.0, 2 + 1.5e-12j, 1.0]) == []
+    assert not satisfies_circulant_pairing(entries)
+    # neither near-real entry is compatible with itself: they pair with each
+    # other, as in the skew witness
+    report = _assert_classified([4.0, 3.0 + 0.6j * _T, 3.0 - 0.6j * _T])
+    assert report.skew_witness == (1, 0, 2)
+    assert report.conjugate_pairs == {0: 0, 1: 2, 2: 1}
 
 
 def _distinct_pairs(count):
