@@ -18,11 +18,9 @@ from .blocks import (
     split_spectrum_odd,
 )
 from .dft import (
-    RootOfUnity,
     circulant_eigenvalues,
     circulant_row_from_spectrum,
     dft_matrix,
-    root_of_unity,
     skew_dft_matrix,
     skew_eigenvalues,
     skew_row_from_spectrum,
@@ -46,7 +44,6 @@ from .realize import (
     SpectrumPair,
     brauer_augment,
     brauer_plan,
-    build_abscirc_combination,
     build_from_witness,
     check_conditions,
     circulant_head_bound,
@@ -58,8 +55,6 @@ from .realize import (
 )
 from .spectra import (
     PairingPermutation,
-    PairingReport,
-    classify_pairing,
     enumerate_circulant_permutations,
     enumerate_skew_permutations,
     satisfies_circulant_pairing,
@@ -88,11 +83,9 @@ __all__ = [
     "NiepError",
     "PairingError",
     "PairingPermutation",
-    "PairingReport",
     "PermutativityReport",
     "RealizabilityError",
     "RegionPoint",
-    "RootOfUnity",
     "SpectrumMatchReport",
     "SpectrumPair",
     "StructureError",
@@ -100,7 +93,6 @@ __all__ = [
     "abs_circulant",
     "brauer_augment",
     "brauer_plan",
-    "build_abscirc_combination",
     "build_circ_skew",
     "build_even",
     "build_from_witness",
@@ -110,7 +102,6 @@ __all__ = [
     "circulant_eigenvalues",
     "circulant_head_bound",
     "circulant_row_from_spectrum",
-    "classify_pairing",
     "dft_matrix",
     "enumerate_circulant_permutations",
     "enumerate_skew_permutations",
@@ -120,7 +111,6 @@ __all__ = [
     "realize_four",
     "realize_region",
     "region_check",
-    "root_of_unity",
     "satisfies_circulant_pairing",
     "satisfies_skew_pairing",
     "skew_circulant",
@@ -128,7 +118,7 @@ __all__ = [
     "skew_eigenvalues",
     "skew_row_bound",
     "skew_row_from_spectrum",
+    "spectrum",
     "split_spectrum_even",
     "split_spectrum_odd",
-    "spectrum",
 ]

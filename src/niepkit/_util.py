@@ -33,19 +33,19 @@ def as_complex_vector(x, name="list"):
     arr = np.asarray(x, dtype=complex)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D sequence")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must have finite entries")
     return arr
 
 
-def as_float_matrix(x, name="matrix", square=True):
+def as_float_matrix(x, name="matrix"):
     try:
         arr = np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be a real 2-D array") from exc
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 2-D array")
-    if square and arr.shape[0] != arr.shape[1]:
+    if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must have finite entries")

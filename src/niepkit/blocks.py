@@ -173,6 +173,8 @@ def _resolve_split(spec, last_row):
     split = np.asarray(spec.last_row_split, dtype=float)
     if split.shape != (n, 2):
         raise ValueError(f"last_row_split must be {n} pairs, got shape {split.shape}")
+    if not np.isfinite(split).all():
+        raise ValueError("last_row_split parts must be finite")
     tol = slack(ROUNDOFF_RTOL, last_row, floor=1.0)
     if np.any(split < -tol):
         raise ValueError("last_row_split parts must be nonnegative")

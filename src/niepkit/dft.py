@@ -39,29 +39,10 @@ runs ``2n`` complex ``exp`` calls rather than one per matrix entry, with
 outputs bit-identical to exponentiating every entry.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._util import REALNESS_RTOL, as_complex_vector, as_float_vector
 from .errors import PairingError
-
-
-@dataclass(frozen=True)
-class RootOfUnity:
-    """Primitive n-th root of unity ``omega`` and its square root ``iota``."""
-
-    n: int
-    omega: complex
-    iota: complex
-
-
-def root_of_unity(n):
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    omega = complex(np.exp(2j * np.pi / n))
-    iota = complex(np.exp(1j * np.pi / n))
-    return RootOfUnity(n=n, omega=omega, iota=iota)
 
 
 def _unit_powers(numerator, half_turns):

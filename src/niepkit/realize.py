@@ -10,8 +10,6 @@
 * :func:`brauer_augment` realizes {rho, tail} union (+/-gamma) * upsilon by
   shifting the Perron root of a circulant with the rank-one all-ones update
   (Brauer's theorem) and bordering with a skew circulant.
-* :func:`build_abscirc_combination` pairs a circulant with an entrywise
-  signed circulant.
 """
 
 from dataclasses import dataclass
@@ -19,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import ROUNDOFF_RTOL, as_complex_vector, as_float_vector, max_abs, slack
-from .blocks import BlockBuildSpec, build_circ_skew, build_even, build_odd
+from ._util import ROUNDOFF_RTOL, as_complex_vector, max_abs, slack
+from .blocks import BlockBuildSpec, build_circ_skew, build_odd
 from .dft import _recover_rows
 from .errors import PairingError, RealizabilityError
 from .spectra import (
@@ -30,7 +28,7 @@ from .spectra import (
     satisfies_circulant_pairing,
     satisfies_skew_pairing,
 )
-from .structured import abs_circulant, circulant
+from .structured import circulant
 
 #: Most (alpha, beta, position) comparisons one step of the dominance join
 #: holds in memory.
@@ -243,7 +241,7 @@ def circulant_head_bound(values, cap=DEFAULT_ENUMERATION_CAP):
     inverse-DFT used by the constructive checker.
     """
     v = as_complex_vector(values, "spectrum")
-    return _head_bound(v, _orderings(v, "circulant", None, cap, True))
+    return _head_bound(v, _orderings(v, "circulant", None, cap))
 
 
 def _head_bound(v, orderings):
@@ -288,7 +286,7 @@ def _recovered(values, orderings, kind):
 def _skew_candidates(values, cap):
     """The skew-layout orderings of ``values`` (an index array) and their
     recovered rows."""
-    orderings = _orderings(values, "skew", None, cap, True)
+    orderings = _orderings(values, "skew", None, cap)
     return orderings, _recovered(values, orderings, "skew")
 
 
@@ -351,7 +349,7 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
     if mode not in ("constructive", "formula"):
         raise ValueError(f"mode must be 'constructive' or 'formula', got {mode!r}")
     lam, ups = pair.arrays()
-    alphas = _orderings(lam, "circulant", None, cap, True)
+    alphas = _orderings(lam, "circulant", None, cap)
     bound = _head_bound(lam, alphas)
     tol = slack(ROUNDOFF_RTOL, lam, ups, floor=1.0)
 
@@ -386,11 +384,10 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
     return ConditionReport(False, "constructive", bound, None)
 
 
-def build_from_witness(pair, witness, spec=None):
+def build_from_witness(pair, witness):
     """Assemble the block matrix certified by a :class:`ConditionWitness`."""
     lam, ups = pair.arrays()
-    if spec is None:
-        spec = BlockBuildSpec(gamma=pair.gamma)
+    spec = BlockBuildSpec(gamma=pair.gamma)
     s_row = np.clip(np.asarray(witness.circulant_row, dtype=float), 0.0, None)
     c_row = np.asarray(witness.skew_row, dtype=float)
     if lam.size == ups.size:
@@ -457,7 +454,7 @@ def brauer_plan(upsilon, tail, rho, cap=DEFAULT_ENUMERATION_CAP):
     head = rho - (n + 1) * chi
     shifted = np.concatenate([[complex(head)], tail])
     tol = slack(ROUNDOFF_RTOL, shifted, floor=1.0)
-    alphas = _orderings(shifted, "circulant", None, cap, True)
+    alphas = _orderings(shifted, "circulant", None, cap)
     b_rows = _recovered(shifted, alphas, "circulant")
     nonnegative = np.all(b_rows >= -tol, axis=1)
     if not nonnegative.any():
@@ -501,13 +498,3 @@ def _augment_from_plan(plan, gamma, sign):
     split = np.column_stack([(last + g * c_row) / 2.0, (last - g * c_row) / 2.0])
     spec = BlockBuildSpec(gamma=gamma, sign=sign, last_row_split=tuple(map(tuple, split)))
     return build_odd(R, c_row, spec)
-
-
-def build_abscirc_combination(s_row, ac, spec=BlockBuildSpec()):
-    """Nonnegative permutative block build of a circulant with an entrywise
-    signed circulant; requires the magnitudes to be dominated by ``s_row``."""
-    s_row = as_float_vector(s_row, "s_row")
-    C = abs_circulant(ac)
-    if C.shape[0] != s_row.size:
-        raise ValueError("s_row length must match the signed circulant order")
-    return build_even(circulant(s_row), C, spec)

@@ -8,34 +8,34 @@ layout in which position n-1-k holds the conjugate of position k for every
 k; real skew circulant matrices have exactly such spectra.
 
 This module enumerates every pairing-preserving permutation (the search
-space used by the sufficient condition checker in :mod:`niepkit.realize`)
-and classifies lists against both layouts.  One backtracking generator
-codes the layouts: the enumerators return its orderings, and
-:func:`classify_pairing` reads its first ones.  The orderings are generated
-position by position rather than filtered out of all n! permutations, and
-per-component counts cut every placement that no completion can follow,
-so the cost scales with the number of orderings kept, not with n!.
+space used by the sufficient condition checker in :mod:`niepkit.realize`).
+One backtracking generator codes the layouts, and the enumerators return
+its orderings; a list is compatible with a layout when
+``enumerate_*_permutations(entries, limit=1)`` is nonempty, and that one
+ordering is its witness.  The orderings are generated position by position
+rather than filtered out of all n! permutations, and per-component counts
+cut every placement that no completion can follow, so the cost scales with
+the number of orderings kept, not with n!.
 
 The orderings depend on a list only through its pairing structure: which
 entries may sit opposite which (``|e_j - conj(e_i)| <= tol``) and which
 entries are exactly equal.  Every generic list of a given order and layout
 shares one structure, so the orderings are generated once per structure
-(and per ``limit`` and ``dedup``) and kept, as read-only index arrays, in a
+(and per ``limit``) and kept, as read-only index arrays, in a
 least-recently-used cache of a fixed 64 entries.  The cache has no
 setting; the public functions return a fresh list on every call.
 
 Three conventions hold throughout:
 
 * Circulant enumeration fixes index 0 as the head (position 0); only the
-  tail is reordered.  :func:`classify_pairing`, by contrast, heads its
-  witness with the lowest-index real entry that can head one.
+  tail is reordered.
 * An entry is *real* when it is compatible with itself,
   ``|e - conj(e)| = 2|Im e| <= tol``: it may then sit at a self-partnered
   position (the circulant head, the circulant position n/2, the skew
   middle).
 * Pairing compares values within the relative tolerance of
-  :func:`pairing_tolerance` (1e-12 * max modulus), while ``dedup`` merges
-  orderings only when their reordered lists are exactly equal.  Two entries
+  :func:`pairing_tolerance` (1e-12 * max modulus), while orderings are
+  merged only when their reordered lists are exactly equal.  Two entries
   closer than the tolerance but not equal therefore still give two
   orderings.
 
@@ -45,7 +45,6 @@ lexicographic order of the permutation image tuples.
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -68,35 +67,6 @@ class PairingPermutation:
 
     mapping: tuple
     kind: str
-
-    def apply(self, entries):
-        entries = as_complex_vector(entries)
-        return entries[list(self.mapping)]
-
-
-@dataclass(frozen=True)
-class PairingReport:
-    """Result of :func:`classify_pairing`.
-
-    Witness tuples give one ordering (as original indices) realizing each
-    layout, or ``None`` when the layout is unattainable; each is a first
-    ordering of the generator behind the enumerators:
-
-    * ``skew_witness`` is the first skew ordering
-      (:func:`enumerate_skew_permutations` with ``limit=1``);
-    * ``circulant_witness`` is the first circulant ordering headed by the
-      lowest-index real entry (compatible with itself) that can head one;
-    * ``conjugate_pairs`` maps each real entry to itself and pairs the
-      nonreal entries as the first skew ordering of those entries does,
-      under the whole list's tolerance; ``None`` when there is no such
-      ordering (the list is not closed under conjugation).
-    """
-
-    is_circulant_compatible: bool
-    is_skew_compatible: bool
-    circulant_witness: Optional[tuple]
-    skew_witness: Optional[tuple]
-    conjugate_pairs: Optional[dict]
 
 
 def pairing_tolerance(entries):
@@ -136,53 +106,6 @@ def satisfies_skew_pairing(entries, order=None, tol=None):
     return _satisfies(entries, order, tol, "skew")
 
 
-def classify_pairing(entries):
-    """Classify a list against the circulant and skew pairing layouts.
-
-    A view of the ordering generator (see :class:`PairingReport`); the
-    limit-1 calls run uncached, so they leave the cached structures of the
-    search in place.
-    """
-    entries = as_complex_vector(entries)
-    n = entries.size
-    tol = pairing_tolerance(entries)
-    real = np.diagonal(_compatibility(entries, tol))
-    reals = np.flatnonzero(real).tolist()
-    skew_witness = _first(entries, "skew", tol)
-    circulant_witness = None
-    for head in reals:
-        # the generator keeps index 0 as the head: move ``head`` there and
-        # keep the tail in increasing order, so the first ordering maps
-        # back to the first one headed by ``head``
-        arranged = [head] + [i for i in range(n) if i != head]
-        found = _first(entries[arranged], "circulant", tol)
-        if found is not None:
-            circulant_witness = tuple(arranged[i] for i in found)
-            break
-    nonreal = np.flatnonzero(~real).tolist()
-    paired = _first(entries[nonreal], "skew", tol) if nonreal else ()
-    conjugate_pairs = None
-    if paired is not None:
-        conjugate_pairs = {i: i for i in reals}
-        for k, i in enumerate(paired):
-            conjugate_pairs[nonreal[i]] = nonreal[paired[-1 - k]]
-    return PairingReport(
-        is_circulant_compatible=circulant_witness is not None,
-        is_skew_compatible=skew_witness is not None,
-        circulant_witness=circulant_witness,
-        skew_witness=skew_witness,
-        conjugate_pairs=conjugate_pairs,
-    )
-
-
-def _first(entries, kind, tol):
-    """The lexicographically first ordering of ``entries`` for ``kind``
-    under ``tol``, or ``None``; generated uncached."""
-    compatible, labels = _structure(entries, tol)
-    rows = _generate.__wrapped__(entries.size, kind, compatible, labels, 1, True)
-    return tuple(rows[0].tolist()) if len(rows) else None
-
-
 def _layout_partners(n, kind):
     """Position holding the conjugate partner of each position of a layout.
 
@@ -195,33 +118,26 @@ def _layout_partners(n, kind):
     return n - 1 - k
 
 
-def _compatibility(entries, tol):
-    """``compatible[i][j]``: ``|e_j - conj(e_i)| <= tol``, so ``e_j`` may sit
-    opposite ``e_i``; its diagonal marks the real entries."""
-    return _conjugate_distance(entries[None, :], entries[:, None]) <= tol
-
-
 def _structure(entries, tol):
-    """What the generator reads of a list: the compatibility matrix and the
-    exact-equality labels (the first index holding an ``==`` value), as key
-    bytes."""
+    """What the generator reads of a list, as key bytes: the compatibility
+    matrix, ``compatible[i][j]`` when ``|e_j - conj(e_i)| <= tol`` (``e_j``
+    may sit opposite ``e_i``; the diagonal marks the real entries), and the
+    exact-equality labels (the first index holding an ``==`` value)."""
+    compatible = _conjugate_distance(entries[None, :], entries[:, None]) <= tol
     labels = np.argmax(entries[:, None] == entries[None, :], axis=1)
-    return _compatibility(entries, tol).tobytes(), labels.tobytes()
+    return compatible.tobytes(), labels.tobytes()
 
 
-def _orderings(entries, kind, limit, cap, dedup):
+def _orderings(entries, kind, limit, cap):
     """The pairing-preserving orderings of ``entries`` as a read-only
     ``(K, n)`` index array, one image tuple per row, in lexicographic order.
 
     The orderings depend on the values only through their pairing
     structure, so they are generated once per structure and kept in a
     fixed-size cache (:func:`_generate`).  The key is the order, the kind,
-    the compatibility matrix and labels of :func:`_structure`, ``limit`` and
-    ``dedup``: exactly what the generator reads.  Validation and the size
-    cap come first, so a warm cache still raises.  Without ``dedup`` the
-    generator runs uncached: every raw ordering of k exactly equal entries
-    is kept (k! of them), and the cache would hold them for the life of the
-    process.
+    the compatibility matrix and labels of :func:`_structure` and
+    ``limit``: exactly what the generator reads.  Validation and the size
+    cap come first, so a warm cache still raises.
     """
     entries = as_complex_vector(entries)
     n = entries.size
@@ -234,12 +150,11 @@ def _orderings(entries, kind, limit, cap, dedup):
         )
     tol = pairing_tolerance(entries)
     compatible, labels = _structure(entries, tol)
-    generate = _generate if dedup else _generate.__wrapped__
-    return generate(n, kind, compatible, labels, limit, dedup)
+    return _generate(n, kind, compatible, labels, limit)
 
 
 @functools.lru_cache(maxsize=64)
-def _generate(n, kind, compatible, labels, limit, dedup):
+def _generate(n, kind, compatible, labels, limit):
     """Generate the orderings of one pairing structure (see :func:`_orderings`).
 
     Orderings are built position by position, 0 to n-1, trying original
@@ -276,12 +191,11 @@ def _generate(n, kind, compatible, labels, limit, dedup):
     leave no dead ends, so the cost scales with the number of orderings
     kept, not with n!.
 
-    With ``dedup``, an index is skipped at a position when an index with
-    the same label (an exactly equal value, ``==``, not the pairing
-    tolerance) was already tried there.  Exactly equal entries are
-    interchangeable, so the ordering kept for each distinct reordered list
-    is the lexicographically first one, and k repeated values cost one
-    branch rather than k!.
+    An index is skipped at a position when an index with the same label
+    (an exactly equal value, ``==``, not the pairing tolerance) was already
+    tried there.  Exactly equal entries are interchangeable, so the ordering
+    kept for each distinct reordered list is the lexicographically first
+    one, and k repeated values cost one branch rather than k!.
     """
     compatible = np.frombuffer(compatible, dtype=bool).reshape(n, n).tolist()
     labels = np.frombuffer(labels, dtype=np.intp).tolist()
@@ -328,7 +242,7 @@ def _generate(n, kind, compatible, labels, limit, dedup):
                     continue
             elif room[component[i]] < 2:
                 continue
-            if dedup and labels[i] in tried[pos]:
+            if labels[i] in tried[pos]:
                 continue
             chosen = i
             break
@@ -336,8 +250,7 @@ def _generate(n, kind, compatible, labels, limit, dedup):
             pos -= 1
             continue
         cursor[pos] = chosen + 1
-        if dedup:
-            tried[pos].append(labels[chosen])
+        tried[pos].append(labels[chosen])
         order[pos] = chosen
         used[chosen] = True
         room[component[chosen]] -= spend[pos]
@@ -386,24 +299,19 @@ def _frozen(rows, n):
     return out
 
 
-def enumerate_circulant_permutations(
-    entries, limit=None, cap=DEFAULT_ENUMERATION_CAP, dedup=True
-):
+def enumerate_circulant_permutations(entries, limit=None, cap=DEFAULT_ENUMERATION_CAP):
     """All permutations fixing 0 whose reordering keeps the circulant layout.
 
     Results come in lexicographic order of the image tuple, truncated at
-    ``limit`` when given.  With ``dedup`` (the default), permutations whose
-    reordered lists coincide are collapsed to the lexicographically first.
-    Raises :class:`EnumerationCapError` for unlimited enumeration above
-    ``cap``.
+    ``limit`` when given.  Permutations whose reordered lists coincide are
+    collapsed to the lexicographically first.  Raises
+    :class:`EnumerationCapError` for unlimited enumeration above ``cap``.
     """
-    rows = _orderings(entries, "circulant", limit, cap, dedup).tolist()
+    rows = _orderings(entries, "circulant", limit, cap).tolist()
     return [PairingPermutation(tuple(row), "circulant") for row in rows]
 
 
-def enumerate_skew_permutations(
-    entries, limit=None, cap=DEFAULT_ENUMERATION_CAP, dedup=True
-):
+def enumerate_skew_permutations(entries, limit=None, cap=DEFAULT_ENUMERATION_CAP):
     """All permutations whose reordering keeps the skew pairing layout."""
-    rows = _orderings(entries, "skew", limit, cap, dedup).tolist()
+    rows = _orderings(entries, "skew", limit, cap).tolist()
     return [PairingPermutation(tuple(row), "skew") for row in rows]

@@ -94,7 +94,8 @@ def is_permutative(matrix, tol=None):
     Every row is sorted stably by one ``argsort`` over all rows, and the
     sorted rows are compared entrywise with the sorted first row; the
     matrix is permutative when no difference exceeds ``tol`` (default
-    ``1e-9`` times the largest magnitude).  The witness for row ``i``,
+    ``1e-9`` times the largest magnitude; a given ``tol`` must be finite
+    and nonnegative).  The witness for row ``i``,
     scattered for all rows at once, sends the position of the k-th
     smallest entry of row ``i`` to that of the k-th smallest entry of row
     0, ties taken in index order: the witness a row-by-row stable sort
@@ -103,6 +104,8 @@ def is_permutative(matrix, tol=None):
     matrix = as_float_matrix(matrix, "matrix")
     if tol is None:
         tol = slack(PERMUTATIVE_RTOL, matrix)
+    elif not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     rows = np.arange(matrix.shape[0])[:, None]
     order = np.argsort(matrix, axis=1, kind="stable")
     ranked = matrix[rows, order]

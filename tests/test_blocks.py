@@ -243,6 +243,13 @@ class TestBuildOdd:
         with pytest.raises(ValueError):
             build_odd(S, fx.SEVEN_C_ROW, BlockBuildSpec(last_row_split=((1, 1), (3, 0), (1, 0))))
 
+    @pytest.mark.parametrize("part", [np.nan, np.inf])
+    def test_nonfinite_split(self, part):
+        # NaN fails both ``< -tol`` and ``> tol``: only a finiteness test sees it
+        spec = BlockBuildSpec(last_row_split=((part, 6), (3, 0), (1, 0)))
+        with pytest.raises(ValueError, match="last_row_split parts must be finite"):
+            build_odd(circulant([5, 6, 3, 1]), [4, -2, 1], spec)
+
     def test_interior_majorization_error(self):
         S = circulant([1.0, 1.0, 1.0, 1.0])
         with pytest.raises(MajorizationError):

@@ -167,6 +167,19 @@ class TestBuild:
         payload = json.loads(out.read_text())
         assert payload["matrix"] == fx.SEVEN_MATRIX.tolist()
 
+    @pytest.mark.parametrize("part", ["NaN", "Infinity"])
+    def test_bordered_build_rejects_a_nonfinite_split(self, tmp_path, capsys, part):
+        inp = write_json(
+            tmp_path / "in.json",
+            {
+                "S": [[5, 6, 3, 1], [1, 5, 6, 3], [3, 1, 5, 6], [6, 3, 1, 5]],
+                "skew_row": fx.SEVEN_C_ROW.tolist(),
+            },
+        )
+        split = f"[[{part},6],[3,0],[1,0]]"
+        assert main(["build", inp, "--split", split]) == 3
+        assert "last_row_split parts must be finite" in capsys.readouterr().err
+
     def test_general_pair_with_sign(self, tmp_path):
         inp = write_json(
             tmp_path / "in.json",

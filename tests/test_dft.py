@@ -10,7 +10,6 @@ from niepkit.dft import (
     circulant_eigenvalues,
     circulant_row_from_spectrum,
     dft_matrix,
-    root_of_unity,
     skew_dft_matrix,
     skew_eigenvalues,
     skew_row_from_spectrum,
@@ -64,12 +63,14 @@ class TestMatrices:
         assert np.max(np.abs(G @ G.T - flip_with_leading_one(n, signed=True))) <= 1e-12
 
     def test_root_of_unity(self):
+        # omega = w and iota = w**(1/2) as the root table gives them
         for n in range(1, 129):
-            root = root_of_unity(n)
-            assert abs(root.omega**n - 1) <= 1e-14
-            assert abs(root.iota**2 - root.omega) <= 1e-14
-        with pytest.raises(ValueError):
-            root_of_unity(0)
+            omega, iota = _unit_powers(2, n), _unit_powers(1, n)
+            assert abs(omega**n - 1) <= 1e-14
+            assert abs(iota**2 - omega) <= 1e-14
+        for build in (dft_matrix, skew_dft_matrix):
+            with pytest.raises(ValueError):
+                build(0)
 
 
 class TestForwardMaps:

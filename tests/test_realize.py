@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import fixtures as fx
 from niepkit import realize, spectra
 from niepkit._util import VERIFY_RTOL, max_abs
-from niepkit.blocks import BlockBuildSpec, build_circ_skew
+from niepkit.blocks import BlockBuildSpec, build_circ_skew, build_even
 from niepkit.dft import (
     circulant_eigenvalues,
     circulant_row_from_spectrum,
@@ -27,7 +27,6 @@ from niepkit.realize import (
     SpectrumPair,
     brauer_augment,
     brauer_plan,
-    build_abscirc_combination,
     build_from_witness,
     check_conditions,
     circulant_head_bound,
@@ -717,9 +716,12 @@ class TestBrauer:
 
 
 class TestAbsCircCombination:
+    """A circulant paired with an entrywise signed circulant by the even
+    block build."""
+
     def test_fixture_build(self):
         ac = AbsCirculant.from_arrays(fx.ABSCIRC_MAGNITUDES, fx.ABSCIRC_SIGNS)
-        M = build_abscirc_combination([1.0, 2.0, 3.0], ac)
+        M = build_even(circulant([1.0, 2.0, 3.0]), abs_circulant(ac))
         assert M.shape == (6, 6)
         assert M.min() >= 0.0
         assert is_permutative(M).permutative
@@ -729,26 +731,20 @@ class TestAbsCircCombination:
         assert match_spectra(spectrum(M), expected, 1e-7).matched
 
     def test_all_plus_matches_two_circulants(self):
-        from niepkit.blocks import build_even
-
         ac = AbsCirculant.from_arrays([1, 2, 3], np.ones((3, 3)))
-        M = build_abscirc_combination([2, 3, 4], ac, BlockBuildSpec(gamma=0.5))
+        M = build_even(circulant([2, 3, 4]), abs_circulant(ac), BlockBuildSpec(gamma=0.5))
         N = build_even(circulant([2, 3, 4]), circulant([1, 2, 3]), BlockBuildSpec(gamma=0.5))
         assert np.array_equal(M, N)
 
     def test_skew_pattern_matches_circ_skew(self):
-        from niepkit.blocks import build_circ_skew
-
         row = np.array([0.5, 2.0, 1.0])
         signs = np.where(np.tri(3, k=-1, dtype=bool), -1.0, 1.0)
         ac = AbsCirculant.from_arrays(row, signs)
-        M = build_abscirc_combination([1.0, 2.5, 1.5], ac)
+        M = build_even(circulant([1.0, 2.5, 1.5]), abs_circulant(ac))
         N = build_circ_skew([1.0, 2.5, 1.5], row)
         assert np.array_equal(M, N)
 
     def test_magnitude_domination_required(self):
-        from niepkit.errors import MajorizationError
-
         ac = AbsCirculant.from_arrays([1, 2, 3], np.ones((3, 3)))
         with pytest.raises(MajorizationError):
-            build_abscirc_combination([1.0, 1.0, 3.0], ac)
+            build_even(circulant([1.0, 1.0, 3.0]), abs_circulant(ac))

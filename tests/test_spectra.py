@@ -10,7 +10,6 @@ from niepkit import spectra
 from niepkit.errors import EnumerationCapError
 from niepkit.spectra import (
     _layout_partners,
-    classify_pairing,
     enumerate_circulant_permutations,
     enumerate_skew_permutations,
     pairing_tolerance,
@@ -21,47 +20,56 @@ from niepkit.spectra import (
 UPSILON = [(5 - 1j * np.sqrt(3)) / 2, 7, (5 + 1j * np.sqrt(3)) / 2]
 
 
+def _witness(kind, entries):
+    """The first ordering of ``kind`` (``enumerate_*(entries, limit=1)``), or
+    ``None`` when the list is not compatible with that layout."""
+    found = ENUMERATORS[kind](entries, limit=1)
+    return found[0].mapping if found else None
+
+
+def _pairs(kind, order):
+    """Which entry sits opposite which in the layout ``order`` realizes."""
+    partner = _layout_partners(len(order), kind)
+    return {i: order[partner[k]] for k, i in enumerate(order)}
+
+
 class TestClassify:
+    """A list is compatible with a layout when the enumerator of that
+    layout returns an ordering; its first ordering is the witness."""
+
     def test_circulant_witness_matches_known_ordering(self):
         entries = [15, 1, 2 + 5j, 2 - 5j]
-        report = classify_pairing(entries)
-        assert report.is_circulant_compatible
-        witness_values = [entries[i] for i in report.circulant_witness]
+        witness = _witness("circulant", entries)
+        assert witness is not None
+        witness_values = [entries[i] for i in witness]
         assert witness_values == [15, 2 + 5j, 1, 2 - 5j]
-        assert satisfies_circulant_pairing(entries, report.circulant_witness)
+        assert satisfies_circulant_pairing(entries, witness)
 
     def test_skew_compatible(self):
-        report = classify_pairing([7, (5 + 1j * np.sqrt(3)) / 2, (5 - 1j * np.sqrt(3)) / 2])
-        assert report.is_skew_compatible
-        ordered = [
-            [7, (5 + 1j * np.sqrt(3)) / 2, (5 - 1j * np.sqrt(3)) / 2][i]
-            for i in report.skew_witness
-        ]
+        entries = [7, (5 + 1j * np.sqrt(3)) / 2, (5 - 1j * np.sqrt(3)) / 2]
+        witness = _witness("skew", entries)
+        assert witness is not None
+        ordered = [entries[i] for i in witness]
         assert satisfies_skew_pairing(ordered)
 
     def test_singleton_real(self):
-        report = classify_pairing([1])
-        assert report.is_circulant_compatible
-        assert report.is_skew_compatible
-        assert report.circulant_witness == (0,)
+        assert _witness("circulant", [1]) == (0,)
+        assert _witness("skew", [1]) == (0,)
 
     def test_not_conjugate_closed(self):
-        report = classify_pairing([1, 2 + 1j, 3])
-        assert not report.is_circulant_compatible
-        assert not report.is_skew_compatible
-        assert report.conjugate_pairs is None
+        assert _witness("circulant", [1, 2 + 1j, 3]) is None
+        assert _witness("skew", [1, 2 + 1j, 3]) is None
 
     def test_conjugate_pair_map(self):
-        report = classify_pairing([5, 2 + 1j, 2 - 1j])
-        assert report.conjugate_pairs[1] == 2
-        assert report.conjugate_pairs[2] == 1
-        assert report.conjugate_pairs[0] == 0
+        pairs = _pairs("skew", _witness("skew", [5, 2 + 1j, 2 - 1j]))
+        assert pairs[1] == 2
+        assert pairs[2] == 1
+        assert pairs[0] == 0
 
     def test_distinct_reals_even_order(self):
         # two distinct reals fill the two unpaired slots of an even list
-        report = classify_pairing([5, 3])
-        assert report.is_circulant_compatible
-        assert not report.is_skew_compatible
+        assert _witness("circulant", [5, 3]) is not None
+        assert _witness("skew", [5, 3]) is None
 
 
 class TestEnumerateCirculant:
@@ -77,10 +85,8 @@ class TestEnumerateCirculant:
 
     def test_all_real_list(self):
         # both permutations fixing 0 pass the pairing filter; they reorder
-        # the list identically, so dedup keeps the lexicographic first
+        # the list identically, so only the lexicographic first is kept
         entries = [5.0, 2.0, 2.0]
-        raw = enumerate_circulant_permutations(entries, dedup=False)
-        assert [p.mapping for p in raw] == [(0, 1, 2), (0, 2, 1)]
         deduped = enumerate_circulant_permutations(entries)
         assert [p.mapping for p in deduped] == [(0, 1, 2)]
 
@@ -109,8 +115,6 @@ class TestEnumerateSkew:
 
     def test_all_real_pair(self):
         entries = [3.0, 3.0]
-        raw = enumerate_skew_permutations(entries, dedup=False)
-        assert [p.mapping for p in raw] == [(0, 1), (1, 0)]
         assert [p.mapping for p in enumerate_skew_permutations(entries)] == [(0, 1)]
 
     def test_limit_zero(self):
@@ -133,7 +137,7 @@ def _pairing_filter(entries, kind):
     return tuple(perm for perm in candidates if check(entries, perm, tol))
 
 
-def _brute_force(entries, kind, limit=None, dedup=True, filtered=None):
+def _brute_force(entries, kind, limit=None, filtered=None):
     """Reference enumeration: the pairing filter (or its precomputed result
     ``filtered``), then exact-value dedup and truncation at ``limit`` in the
     same order as the original loop."""
@@ -143,11 +147,10 @@ def _brute_force(entries, kind, limit=None, dedup=True, filtered=None):
     for perm in filtered:
         if limit is not None and len(out) >= limit:
             break
-        if dedup:
-            key = tuple(complex(entries[i]) for i in perm)
-            if key in seen:
-                continue
-            seen.add(key)
+        key = tuple(complex(entries[i]) for i in perm)
+        if key in seen:
+            continue
+        seen.add(key)
         out.append(perm)
     return out
 
@@ -183,12 +186,6 @@ def test_results_are_self_consistent():
     assert [p for p in skew if satisfies_skew_pairing(UPSILON, p.mapping)] == skew
 
 
-def test_apply_reorders_entries():
-    entries = [15, 2 + 5j, 1, 2 - 5j]
-    perm = enumerate_circulant_permutations(entries)[1]
-    assert list(perm.apply(entries)) == [entries[i] for i in perm.mapping]
-
-
 ENUMERATORS = {
     "circulant": enumerate_circulant_permutations,
     "skew": enumerate_skew_permutations,
@@ -218,11 +215,10 @@ def _structured_lists(n, rng):
 def _assert_matches_brute_force(entries):
     for kind, enum in ENUMERATORS.items():
         filtered = _pairing_filter(entries, kind)
-        for dedup in (True, False):
-            for limit in (None, 0, 1, 3):
-                got = [p.mapping for p in enum(entries, limit=limit, dedup=dedup)]
-                want = _brute_force(entries, kind, limit, dedup, filtered)
-                assert got == want, (kind, dedup, limit, entries)
+        for limit in (None, 0, 1, 3):
+            got = [p.mapping for p in enum(entries, limit=limit)]
+            want = _brute_force(entries, kind, limit, filtered)
+            assert got == want, (kind, limit, entries)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -364,8 +360,8 @@ class TestOrderingCache:
 
     def test_cached_arrays_are_read_only_and_lists_fresh(self):
         entries = [15, 2 + 5j, 1, 2 - 5j]
-        first = spectra._orderings(entries, "circulant", None, 10, True)
-        assert spectra._orderings(entries, "circulant", None, 10, True) is first
+        first = spectra._orderings(entries, "circulant", None, 10)
+        assert spectra._orderings(entries, "circulant", None, 10) is first
         assert not first.flags.writeable
         with pytest.raises(ValueError):
             first[0, 0] = 1
@@ -383,23 +379,9 @@ class TestOrderingCache:
             entries = list(rng.permutation(np.asarray(base, dtype=complex)))
             spectra._generate.cache_clear()
             _assert_matches_brute_force(entries)
-            # two kinds x four limits with dedup, each generated and cached;
-            # the eight calls without dedup bypass the cache
+            # two kinds x four limits, each generated and cached
             info = spectra._generate.cache_info()
             assert (info.hits, info.misses, info.currsize) == (0, 8, 8)
-
-    @pytest.mark.parametrize("kind", ["circulant", "skew"])
-    def test_raw_orderings_are_not_cached(self, kind):
-        # 8! raw skew orderings of equal entries: kept in the cache, they
-        # would stay resident after the caller dropped the list
-        entries = [1.0] * 8
-        spectra._generate.cache_clear()
-        got = [p.mapping for p in ENUMERATORS[kind](entries, dedup=False)]
-        assert spectra._generate.cache_info().currsize == 0
-        assert got == _brute_force(entries, kind, dedup=False)
-        assert ENUMERATORS[kind](entries) == ENUMERATORS[kind](entries)
-        info = spectra._generate.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
     def test_head_realness_is_part_of_the_key(self):
         # the head is real (2|Im| <= tol) on one list and not on the other;
@@ -417,7 +399,7 @@ class TestOrderingCache:
 
     def test_exact_equality_is_part_of_the_key(self):
         # the two 2.0 entries pair within tol on both lists, but only one
-        # list has them exactly equal, which dedup merges
+        # list has them exactly equal, which the enumerators merge
         tol = 1e-12 * 4.0
         equal = [4.0, 2.0, 2.0]
         near = [4.0, 2.0, 2.0 + 0.5 * tol]
@@ -495,25 +477,22 @@ def _reference_generate(n, kind, compatible, head_real, labels, limit, dedup):
 
 
 def _list_structure(entries):
-    """The generator arguments of a list, less kind, limit and dedup."""
+    """The generator arguments of a list, less kind and limit."""
     entries = np.asarray(entries, dtype=complex)
     compatible, labels = spectra._structure(entries, pairing_tolerance(entries))
     return entries.size, compatible, labels
 
 
-def _assert_generator_matches_reference(n, compatible, labels, raw=True):
-    """Both kinds, with and without dedup (``raw``), at four limits; the
-    reference reads the head's realness apart, as the diagonal entry."""
+def _assert_generator_matches_reference(n, compatible, labels):
+    """Both kinds at four limits; the reference reads the head's realness
+    apart, as the diagonal entry."""
     head_real = bool(compatible[0])
     for kind in ("circulant", "skew"):
-        for dedup in (True, False) if raw else (True,):
-            for limit in (None, 0, 1, 3):
-                args = (n, kind, compatible, labels, limit, dedup)
-                got = spectra._generate.__wrapped__(*args)
-                want = _reference_generate(
-                    n, kind, compatible, head_real, labels, limit, dedup
-                )
-                assert got.shape == want.shape and np.array_equal(got, want), args
+        for limit in (None, 0, 1, 3):
+            args = (n, kind, compatible, labels, limit)
+            got = spectra._generate.__wrapped__(*args)
+            want = _reference_generate(n, kind, compatible, head_real, labels, limit, True)
+            assert got.shape == want.shape and np.array_equal(got, want), args
 
 
 # tol = 1e-12 * max|z| = 4e-12 on every list below
@@ -542,9 +521,7 @@ CHAIN_LISTS = [
 def test_generator_matches_reference_on_structured_lists(n):
     rng = np.random.default_rng(400 + n)
     for entries in _structured_lists(n, rng):
-        # without dedup, equal entries or repeated pairs have 10^5 to 10^6
-        # skew orderings at n = 9 and 10
-        _assert_generator_matches_reference(*_list_structure(entries), raw=n <= 8)
+        _assert_generator_matches_reference(*_list_structure(entries))
 
 
 @pytest.mark.parametrize("entries", CHAIN_LISTS)
@@ -571,67 +548,35 @@ def test_generator_matches_reference_on_random_structures(seed):
         _assert_generator_matches_reference(*_random_structure(int(rng.integers(1, 9)), rng))
 
 
-def _expected_report(entries):
-    """The classification read off the enumerators: the first skew
-    ordering; the first circulant ordering over real heads (2|Im| <= tol)
-    in index order;
-    the pairs of the first skew ordering of the nonreal entries under the
-    whole list's compatibility matrix."""
-    entries = np.asarray(entries, dtype=complex)
-    n = entries.size
-    tol = pairing_tolerance(entries)
-    real = [i for i in range(n) if 2 * abs(entries[i].imag) <= tol]
-    nonreal = [i for i in range(n) if 2 * abs(entries[i].imag) > tol]
-    skew = [p.mapping for p in enumerate_skew_permutations(entries, limit=1)]
-    circulant = []
-    for head in real:
-        arranged = [head] + [i for i in range(n) if i != head]
-        found = enumerate_circulant_permutations(entries[arranged], limit=1)
-        if found:
-            circulant = [tuple(arranged[i] for i in found[0].mapping)]
-            break
-    paired = [()]
-    if nonreal:
-        sub = entries[nonreal]
-        compatible = spectra._conjugate_distance(sub[None, :], sub[:, None]) <= tol
-        labels = np.argmax(sub[:, None] == sub[None, :], axis=1)
-        paired = _reference_generate(
-            len(nonreal), "skew", compatible.tobytes(), False, labels.tobytes(), 1, True
-        ).tolist()
-    pairs = None
-    if paired:
-        pairs = {i: i for i in real}
-        for k, i in enumerate(paired[0]):
-            pairs[nonreal[i]] = nonreal[paired[0][-1 - k]]
-    return spectra.PairingReport(
-        bool(circulant), bool(skew), circulant[0] if circulant else None,
-        skew[0] if skew else None, pairs,
-    )
+PREDICATES = {
+    "circulant": satisfies_circulant_pairing,
+    "skew": satisfies_skew_pairing,
+}
 
 
 def _assert_classified(entries):
-    report = classify_pairing(entries)
-    assert report == _expected_report(entries), entries
-    if report.circulant_witness is not None:
-        assert satisfies_circulant_pairing(entries, report.circulant_witness)
-    if report.skew_witness is not None:
-        assert satisfies_skew_pairing(entries, report.skew_witness)
-    if report.conjugate_pairs is not None:
-        tol = pairing_tolerance(entries)
-        for i, j in report.conjugate_pairs.items():
-            assert report.conjugate_pairs[j] == i
-            if i != j:
-                assert abs(complex(entries[j]) - complex(entries[i]).conjugate()) <= tol
-    return report
+    """The witness of each layout (:func:`_witness`) is the first ordering
+    of the reference generator on the list's structure, or ``None`` when it
+    has none, and passes the layout's predicate."""
+    n, compatible, labels = _list_structure(entries)
+    head_real = bool(compatible[0])
+    witnesses = {}
+    for kind, satisfies in PREDICATES.items():
+        witness = _witness(kind, entries)
+        first = _reference_generate(n, kind, compatible, head_real, labels, 1, True)
+        assert witness == (tuple(first[0].tolist()) if len(first) else None), (kind, entries)
+        if witness is not None:
+            assert satisfies(entries, witness)
+        witnesses[kind] = witness
+    return witnesses
 
 
 def test_classify_agrees_with_the_enumerators_on_a_conjugate_chain():
     # each nonreal entry is within tol of a conjugate of the other sign,
     # but the two upper entries are not within tol of each other's partners
     entries = CHAIN_LISTS[2]
-    report = _assert_classified(entries)
-    assert report.is_circulant_compatible and report.is_skew_compatible
-    assert report.conjugate_pairs is not None
+    witnesses = _assert_classified(entries)
+    assert None not in witnesses.values()
     assert len(enumerate_circulant_permutations(entries)) == 8
     assert len(enumerate_skew_permutations(entries)) == 8
 
@@ -678,9 +623,9 @@ def test_realness_is_self_compatibility():
     assert not satisfies_circulant_pairing(entries)
     # neither near-real entry is compatible with itself: they pair with each
     # other, as in the skew witness
-    report = _assert_classified([4.0, 3.0 + 0.6j * _T, 3.0 - 0.6j * _T])
-    assert report.skew_witness == (1, 0, 2)
-    assert report.conjugate_pairs == {0: 0, 1: 2, 2: 1}
+    witnesses = _assert_classified([4.0, 3.0 + 0.6j * _T, 3.0 - 0.6j * _T])
+    assert witnesses["skew"] == (1, 0, 2)
+    assert _pairs("skew", witnesses["skew"]) == {0: 0, 1: 2, 2: 1}
 
 
 def _distinct_pairs(count):

@@ -125,6 +125,12 @@ class TestIsPermutative:
         M[3, 0] += 1e-13
         assert is_permutative(M).permutative
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        # a NaN tol would accept every matrix and a negative one reject all
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            is_permutative([[1.0, 2.0], [5.0, 7.0]], tol=tol)
+
 
 def reference_is_permutative(matrix, tol=None):
     """The row-by-row loop that one batched argsort replaced, kept as the
