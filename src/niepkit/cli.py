@@ -97,10 +97,16 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _load_object(path, command):
+    """The JSON object in ``path``; any other JSON value is an input error."""
+    data = _load_json(path)
+    if not isinstance(data, dict):
+        raise ValueError(f"{command} input must be a JSON object")
+    return data
+
+
 def _write_output(args, payload, matrix=None):
     if getattr(args, "format", "json") == "csv":
-        if matrix is None:
-            raise ValueError("csv output is only available for matrix results")
         text = "\n".join(",".join(_fmt(v) for v in row) for row in matrix) + "\n"
     else:
         text = json.dumps(payload, indent=2) + "\n"
@@ -211,9 +217,7 @@ def _build_spec(args):
 
 
 def _cmd_build(args):
-    data = _load_json(args.input)
-    if not isinstance(data, dict):
-        raise ValueError("build input must be a JSON object")
+    data = _load_object(args.input, "build")
     spec = _build_spec(args)
     g = spec.signed_gamma
     if "circulant_row" in data and "skew_row" in data:
@@ -242,9 +246,7 @@ def _cmd_build(args):
 
 
 def _cmd_check(args):
-    data = _load_json(args.input)
-    if not isinstance(data, dict):
-        raise ValueError("check input must be a JSON object")
+    data = _load_object(args.input, "check")
     lam = _parse_complex_list(data["circulant"], "circulant")
     ups = _parse_complex_list(data["skew"], "skew")
     pair = SpectrumPair(
@@ -274,9 +276,7 @@ def _cmd_check(args):
 
 
 def _cmd_augment(args):
-    data = _load_json(args.input)
-    if not isinstance(data, dict):
-        raise ValueError("augment input must be a JSON object")
+    data = _load_object(args.input, "augment")
     ups = _parse_complex_list(data["skew"], "skew")
     tail = _parse_complex_list(data["tail"], "tail")
     rho = data["rho"]
@@ -297,9 +297,7 @@ def _cmd_augment(args):
 def _cmd_verify(args):
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
-    data = _load_json(args.input)
-    if not isinstance(data, dict):
-        raise ValueError("verify input must be a JSON object")
+    data = _load_object(args.input, "verify")
     M = _parse_matrix(data["matrix"], "matrix")
     expected = _parse_complex_list(data["spectrum"], "spectrum")
     tol = args.tol if args.tol is not None else slack(SWEEP_RTOL, expected, floor=1.0)
@@ -349,7 +347,7 @@ def build_parser():
         default="r=0:1:21,a=-1:1:21,b=-1:1:21",
         help="axes as r=lo:hi:steps,a=...,b=...",
     )
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
+    _add_common(p, fmt=False)
     p.set_defaults(func=_cmd_region_sweep)
 
     p = sub.add_parser("build", help="block builds from rows or matrices")

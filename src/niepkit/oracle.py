@@ -9,6 +9,7 @@ whose largest distance is the smallest achievable, which is the distance
 the verdict reads.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,10 @@ def match_spectra(x, y, tol):
     ``max_pair_distance`` is the smallest achievable largest distance
     ``|x[i] - y[j]|`` over all pairings, and ``matched`` is true when it is
     within ``tol``, that is, when some pairing keeps every pair within
-    ``tol``.
+    ``tol``.  ``tol`` must be finite and nonnegative.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     x = as_complex_vector(x, "x")
     y = as_complex_vector(y, "y")
     if x.size != y.size:

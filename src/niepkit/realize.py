@@ -241,12 +241,22 @@ def circulant_head_bound(values, cap=DEFAULT_ENUMERATION_CAP):
     inverse-DFT used by the constructive checker.
     """
     v = as_complex_vector(values, "spectrum")
-    return _head_bound(v, _orderings(v, "circulant", None, cap))
+    return _head_bound(v, _layout_orderings(v, "circulant", cap))
+
+
+def _layout_orderings(values, kind, cap):
+    """The ``kind``-layout orderings of ``values`` (a ``(K, n)`` index array,
+    see :func:`niepkit.spectra._orderings`); raises :class:`PairingError`
+    when there are none."""
+    orderings = _orderings(values, kind, None, cap)
+    if not len(orderings):
+        raise PairingError(f"list does not admit any {kind}-layout ordering")
+    return orderings
 
 
 def _head_bound(v, orderings):
-    """:func:`circulant_head_bound` of ``v`` over its orderings (a ``(K, n)``
-    index array).
+    """:func:`circulant_head_bound` of ``v`` over its orderings (a nonempty
+    ``(K, n)`` index array).
 
     The loads of all orderings come from one stacked ``np.matmul``, whose
     loop runs the same matrix-vector product per ordering, on the same
@@ -256,8 +266,6 @@ def _head_bound(v, orderings):
     n = v.size
     if n == 1:
         return 0.0
-    if not len(orderings):
-        raise PairingError("list does not admit any circulant-layout ordering")
     k = np.arange(n)
     if n % 2 == 1:
         j = np.arange(1, (n - 1) // 2 + 1)
@@ -273,21 +281,6 @@ def _head_bound(v, orderings):
     peaks = load.max(axis=1)
     # argmin keeps the first of tied minima, as a running min() does
     return float(peaks[np.argmin(peaks)])
-
-
-def _recovered(values, orderings, kind):
-    """First rows recovered from ``values`` reordered by each row of the
-    index array ``orderings``, one row per ordering, in one batch."""
-    if not len(orderings):
-        return np.zeros((0, values.size))
-    return _recover_rows(values[orderings], kind)
-
-
-def _skew_candidates(values, cap):
-    """The skew-layout orderings of ``values`` (an index array) and their
-    recovered rows."""
-    orderings = _orderings(values, "skew", None, cap)
-    return orderings, _recovered(values, orderings, "skew")
 
 
 def _permutation(orderings, row, kind):
@@ -349,7 +342,7 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
     if mode not in ("constructive", "formula"):
         raise ValueError(f"mode must be 'constructive' or 'formula', got {mode!r}")
     lam, ups = pair.arrays()
-    alphas = _orderings(lam, "circulant", None, cap)
+    alphas = _layout_orderings(lam, "circulant", cap)
     bound = _head_bound(lam, alphas)
     tol = slack(ROUNDOFF_RTOL, lam, ups, floor=1.0)
 
@@ -358,8 +351,9 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
         return ConditionReport(satisfied, "formula", bound, None)
 
     odd = lam.size == ups.size + 1
-    s_rows = _recovered(lam, alphas, "circulant")
-    betas, c_rows = _skew_candidates(ups, cap)
+    s_rows = _recover_rows(lam[alphas], "circulant")
+    betas = _layout_orderings(ups, "skew", cap)
+    c_rows = _recover_rows(ups[betas], "skew")
     c_abs = np.abs(c_rows)
     live = np.flatnonzero(np.all(s_rows >= -tol, axis=1))
     join_tol = slack(ROUNDOFF_RTOL, lam, ups, s_rows, c_abs, floor=1.0)
@@ -402,10 +396,8 @@ def skew_row_bound(upsilon, cap=DEFAULT_ENUMERATION_CAP):
     admissible skew row is dominated entrywise by it.
     """
     ups = as_complex_vector(upsilon, "skew spectrum")
-    orderings, rows = _skew_candidates(ups, cap)
-    if not len(orderings):
-        raise PairingError("list does not admit any skew-layout ordering")
-    return max_abs(rows)
+    betas = _layout_orderings(ups, "skew", cap)
+    return max_abs(_recover_rows(ups[betas], "skew"))
 
 
 @dataclass(frozen=True)
@@ -442,9 +434,8 @@ def brauer_plan(upsilon, tail, rho, cap=DEFAULT_ENUMERATION_CAP):
         raise ValueError(f"tail must have length {n}, got {tail.size}")
     rho = float(rho)
 
-    betas, c_rows = _skew_candidates(ups, cap)
-    if not len(betas):
-        raise PairingError("upsilon does not admit any skew-layout ordering")
+    betas = _layout_orderings(ups, "skew", cap)
+    c_rows = _recover_rows(ups[betas], "skew")
     magnitudes = np.max(np.abs(c_rows), axis=1)
     chi = float(magnitudes.max())
     # argmin keeps the first of tied minima: the lexicographically first beta
@@ -454,8 +445,8 @@ def brauer_plan(upsilon, tail, rho, cap=DEFAULT_ENUMERATION_CAP):
     head = rho - (n + 1) * chi
     shifted = np.concatenate([[complex(head)], tail])
     tol = slack(ROUNDOFF_RTOL, shifted, floor=1.0)
-    alphas = _orderings(shifted, "circulant", None, cap)
-    b_rows = _recovered(shifted, alphas, "circulant")
+    alphas = _layout_orderings(shifted, "circulant", cap)
+    b_rows = _recover_rows(shifted[alphas], "circulant")
     nonnegative = np.all(b_rows >= -tol, axis=1)
     if not nonnegative.any():
         raise RealizabilityError(

@@ -28,6 +28,60 @@ def assert_union_spectrum(M, S, C, g, tol=1e-7):
     assert report.matched, f"max pair distance {report.max_pair_distance}"
 
 
+def _asymmetric_seven():
+    A = fx.SEVEN_MATRIX.copy()
+    A[1, 1] += 1.0  # block (0, 0) is no longer [[a, b], [b, a]]
+    return A
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: split_spectrum_odd(np.eye(4)),
+            StructureError,
+            "matrix order must be odd and >= 3",
+        ),
+        (
+            lambda: split_spectrum_odd(_asymmetric_seven()),
+            StructureError,
+            r"2x2 blocks are not symmetric \[\[a, b\], \[b, a\]\]",
+        ),
+        (
+            lambda: build_even(np.eye(2), np.eye(3)),
+            ValueError,
+            r"S and C must have equal shape, got \(2, 2\) vs \(3, 3\)",
+        ),
+        (lambda: build_circ_skew([1.0, 2.0], [0.0]), ValueError, "rows must have equal length"),
+        (
+            lambda: build_odd(np.eye(3), [0.0, 0.0, 0.0]),
+            ValueError,
+            r"S must have order 4, got \(3, 3\)",
+        ),
+        (
+            lambda: build_odd(
+                circulant(fx.SEVEN_S_ROW),
+                fx.SEVEN_C_ROW,
+                BlockBuildSpec(last_row_split=((5, 1), (2, 1))),
+            ),
+            ValueError,
+            r"last_row_split must be 3 pairs, got shape \(2, 2\)",
+        ),
+    ],
+    ids=[
+        "split_odd_even_order",
+        "split_odd_asymmetric_blocks",
+        "build_even_shapes",
+        "build_circ_skew_lengths",
+        "build_odd_order",
+        "build_odd_split_shape",
+    ],
+)
+def test_malformed_input_is_rejected(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 class TestSplitEven:
     def test_eight_fixture(self):
         S, C = split_spectrum_even(fx.EIGHT_MATRIX)

@@ -120,6 +120,20 @@ class TestRegionSweep:
     def test_bad_grid_exits_3(self):
         assert main(["region-sweep", "--grid", "r=0:1:5,a=0:1:5"]) == 3
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("r=0:1,a=0:1:2,b=0:1:2", "bad grid axis 'r=0:1'; expected name=lo:hi:steps"),
+            ("r=0:1:2,a=0:1:0,b=0:1:2", "grid steps must be >= 1"),
+        ],
+        ids=["malformed_axis", "zero_steps"],
+    )
+    def test_bad_axis_exits_3(self, capsys, grid, message):
+        assert main(["region-sweep", "--grid", grid]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
     def test_nan_axis_exits_3(self, capsys):
         assert main(["region-sweep", "--grid", "r=0:1:3,a=nan:0:3,b=0:0:1"]) == 3
         captured = capsys.readouterr()
@@ -262,6 +276,17 @@ class TestAugment:
         )
         assert main(["augment", inp]) == 2
 
+    def test_tail_not_closed_under_conjugation_exits_2(self, tmp_path, capsys):
+        ups = skew_eigenvalues([4.0, -2.0, 1.0])
+        inp = write_json(
+            tmp_path / "in.json",
+            {"skew": pairs(ups), "tail": pairs([1j, 0, 0]), "rho": 100.0},
+        )
+        assert main(["augment", inp]) == 2
+        err = capsys.readouterr().err
+        assert "list does not admit any circulant-layout ordering" in err
+        assert "increase rho" not in err
+
     def test_boolean_rho_exits_3(self, tmp_path, capsys):
         inp = write_json(
             tmp_path / "in.json",
@@ -342,6 +367,13 @@ class TestVerify:
             {"matrix": [[2.0, 0.0], [0.0, 1.0]], "spectrum": pairs([1.0, 2.0])},
         )
         assert main(["verify", inp, "--tol=0"]) == 0
+
+
+@pytest.mark.parametrize("command", ["build", "check", "augment", "verify"])
+def test_input_that_is_not_an_object_exits_3(tmp_path, capsys, command):
+    inp = write_json(tmp_path / "in.json", [[1.0, 0.0], [2.0, 0.0]])
+    assert main([command, inp]) == 3
+    assert f"{command} input must be a JSON object" in capsys.readouterr().err
 
 
 class TestBooleanInput:

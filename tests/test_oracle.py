@@ -89,6 +89,12 @@ class TestMatchSpectra:
         M = spectrum(fx.EIGHT_MATRIX)
         assert match_spectra(M, fx.EIGHT_SPECTRUM, 1e-6).matched
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        # an infinite tol would match any two spectra, a NaN or negative one none
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            match_spectra([1.0, 2.0], [5.0, 9.0], tol)
+
 
 def _reference_bottleneck(x, y):
     """Brute force: the smallest largest distance over all pairings, on the

@@ -84,6 +84,8 @@ class TestRealizeFour:
             realize_four([5, 1, 1j, 2j])
         with pytest.raises(PairingError):
             realize_four([5, 4, 3, 2])
+        with pytest.raises(PairingError, match="^spectrum is not closed under conjugation$"):
+            realize_four([5, 1, 1j, 1])
 
     def test_trace_equals_spectrum_sum(self):
         for sigma in (fx.FOUR_A_SPECTRUM, fx.FOUR_B_SPECTRUM):
@@ -269,6 +271,31 @@ class TestCheckConditions:
     def test_pairing_violation(self):
         with pytest.raises(PairingError):
             check_conditions(SpectrumPair((1.0, 2j), (0.0, 0.0)))
+
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            (
+                lambda: SpectrumPair((1.0,), (0.0,), gamma=1.5),
+                ValueError,
+                r"gamma must lie in \[0, 1\], got 1.5",
+            ),
+            (
+                lambda: SpectrumPair((1.0, 2.0, 3.0), (0.0,)).arrays(),
+                ValueError,
+                "circulant part must have the same length as the skew part or one more, got 3 vs 1",
+            ),
+            (
+                lambda: SpectrumPair((1.0, 0.0), (1j, 2.0)).arrays(),
+                PairingError,
+                "skew part violates its pairing layout",
+            ),
+        ],
+        ids=["gamma", "lengths", "skew_layout"],
+    )
+    def test_malformed_pair_is_rejected(self, make, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            make()
 
     def test_witness_build_verifies(self):
         pair = SpectrumPair(
@@ -550,9 +577,11 @@ def _integer_pairs(seed, bordered):
 
 def _all_rows(pair):
     lam, ups = pair.arrays()
+    alphas = _index_array(enumerate_circulant_permutations(lam))
+    betas = _index_array(enumerate_skew_permutations(ups))
     return (
-        realize._recovered(lam, _index_array(enumerate_circulant_permutations(lam)), "circulant"),
-        realize._recovered(ups, _index_array(enumerate_skew_permutations(ups)), "skew"),
+        realize._recover_rows(lam[alphas], "circulant"),
+        realize._recover_rows(ups[betas], "skew"),
     )
 
 
@@ -713,6 +742,22 @@ class TestBrauer:
     def test_tail_length_mismatch(self):
         with pytest.raises(ValueError):
             brauer_plan(upsilon_seven(), [0, 0], 20.0)
+
+
+@pytest.mark.parametrize(
+    "search, kind",
+    [
+        (lambda: circulant_head_bound([1j]), "circulant"),
+        # no rho helps: the tail is not closed under conjugation
+        (lambda: brauer_plan(skew_eigenvalues([4, -2, 1]), [1j, 0, 0], 100.0), "circulant"),
+        (lambda: skew_row_bound([1j, 2j]), "skew"),
+        (lambda: brauer_plan([1j, 2j], [0, 0], 100.0), "skew"),
+    ],
+    ids=["head_bound_one_nonreal", "brauer_open_tail", "skew_row_bound", "brauer_skew"],
+)
+def test_no_layout_ordering_raises_one_pairing_error(search, kind):
+    with pytest.raises(PairingError, match=rf"^list does not admit any {kind}-layout ordering$"):
+        search()
 
 
 class TestAbsCircCombination:

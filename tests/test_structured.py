@@ -98,6 +98,11 @@ class TestAbsCirculant:
         with pytest.raises(ValueError):
             abs_circulant(AbsCirculant.from_arrays([1, 2], bad_diag))
 
+    def test_signs_of_the_wrong_shape(self):
+        ac = AbsCirculant.from_arrays([1.0, 2.0, 3.0], np.ones((2, 2)))
+        with pytest.raises(ValueError, match=r"^signs must be 3x3, got \(2, 2\)$"):
+            abs_circulant(ac)
+
     def test_zero_diagonal_magnitude_relaxes_sign(self):
         signs = np.array([[1.0, 1.0], [1.0, -1.0]])
         M = abs_circulant(AbsCirculant.from_arrays([0.0, 2.0], signs))
