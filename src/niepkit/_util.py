@@ -54,7 +54,7 @@ def as_float_matrix(x, name="matrix"):
 
 def max_abs(arr):
     arr = np.asarray(arr)
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+    return float(np.abs(arr).max()) if arr.size else 0.0
 
 
 def slack(rtol, *arrays, floor=0.0):

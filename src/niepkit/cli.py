@@ -105,6 +105,13 @@ def _load_object(path, command):
     return data
 
 
+def _required(data, key, command):
+    """``data[key]``; a missing key is an input error naming the command."""
+    if key not in data:
+        raise ValueError(f"{command}: missing key {key!r}")
+    return data[key]
+
+
 def _write_output(args, payload, matrix=None):
     if getattr(args, "format", "json") == "csv":
         text = "\n".join(",".join(_fmt(v) for v in row) for row in matrix) + "\n"
@@ -247,8 +254,8 @@ def _cmd_build(args):
 
 def _cmd_check(args):
     data = _load_object(args.input, "check")
-    lam = _parse_complex_list(data["circulant"], "circulant")
-    ups = _parse_complex_list(data["skew"], "skew")
+    lam = _parse_complex_list(_required(data, "circulant", "check"), "circulant")
+    ups = _parse_complex_list(_required(data, "skew", "check"), "skew")
     pair = SpectrumPair(
         circulant_part=tuple(lam), skew_part=tuple(ups), gamma=args.gamma
     )
@@ -277,9 +284,9 @@ def _cmd_check(args):
 
 def _cmd_augment(args):
     data = _load_object(args.input, "augment")
-    ups = _parse_complex_list(data["skew"], "skew")
-    tail = _parse_complex_list(data["tail"], "tail")
-    rho = data["rho"]
+    ups = _parse_complex_list(_required(data, "skew", "augment"), "skew")
+    tail = _parse_complex_list(_required(data, "tail", "augment"), "tail")
+    rho = _required(data, "rho", "augment")
     if not _is_number(rho):
         raise ValueError("rho must be a number")
     sign = 1 if args.sign == "plus" else -1
@@ -298,8 +305,8 @@ def _cmd_verify(args):
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     data = _load_object(args.input, "verify")
-    M = _parse_matrix(data["matrix"], "matrix")
-    expected = _parse_complex_list(data["spectrum"], "spectrum")
+    M = _parse_matrix(_required(data, "matrix", "verify"), "matrix")
+    expected = _parse_complex_list(_required(data, "spectrum", "verify"), "spectrum")
     tol = args.tol if args.tol is not None else slack(SWEEP_RTOL, expected, floor=1.0)
     report = match_spectra(spectrum(M), expected, tol)
     _write_output(

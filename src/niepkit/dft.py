@@ -25,11 +25,12 @@ Note the half shift sits on the running index ``j`` in the skew inverse;
 that is the unique placement that inverts the forward map above (checked by
 the round-trip tests).  Since ``w**(-k*(j + 1/2)) = iota**(-k) * w**(-k*j)``,
 both inverse maps are one forward FFT, ``np.fft.fft(V, axis=-1) / n``, with
-the skew rows also multiplied by the twiddle ``iota**(-k)``.  They run in
-batches: :func:`_recover_rows` takes one spectrum per row of a ``(K, n)``
-array, and the public single-row functions are a batch of one.  ``np.fft``
-transforms every row on its own, so a row comes out bit-identical alone
-or in any batch.
+the skew rows also multiplied by the twiddle ``iota**(-k)`` (a per-order
+table).  They run in batches: :func:`_recover_rows` takes one spectrum per
+row of a ``(K, n)`` array, and the public single-row functions are a batch
+of one.  ``np.fft`` transforms every row on its own, so a row comes out
+bit-identical alone or in any batch.  The realness test reduces across the
+transposed rows, one position at a time (a maximum is exact in any order).
 
 The forward maps and the matrices ``F`` / ``G`` are the naive O(n^2) sums,
 taken over a table of the ``2n`` roots ``iota**t`` (``t = 0..2n-1``): every
@@ -38,6 +39,8 @@ which keeps angles exact at desk scale, and indexes that table, so a call
 runs ``2n`` complex ``exp`` calls rather than one per matrix entry, with
 outputs bit-identical to exponentiating every entry.
 """
+
+import functools
 
 import numpy as np
 
@@ -58,6 +61,14 @@ def _unit_powers(numerator, half_turns):
     turn = 2 * half_turns
     roots = np.exp(1j * np.pi * np.arange(turn) / half_turns)
     return roots[np.mod(numerator, turn)]
+
+
+@functools.lru_cache(maxsize=64)
+def _skew_twiddle(n):
+    """The read-only skew twiddle ``iota**(-k)``, k = 0..n-1."""
+    twiddle = _unit_powers(-np.arange(n), n)
+    twiddle.flags.writeable = False
+    return twiddle
 
 
 def dft_matrix(n):
@@ -118,10 +129,11 @@ def _recover_rows(spectra, kind):
     n = spectra.shape[-1]
     rows = np.fft.fft(spectra, axis=-1)
     if kind == "skew":
-        rows = rows * _unit_powers(-np.arange(n), n)
+        rows = rows * _skew_twiddle(n)
     rows = rows / n
-    scale = np.max(np.abs(rows), axis=-1)
-    worst = np.max(np.abs(rows.imag), axis=-1)
+    cols = rows.T.copy()
+    scale = np.abs(cols).max(axis=0)
+    worst = np.abs(cols.imag).max(axis=0)
     limit = np.maximum(REALNESS_RTOL * scale, np.finfo(float).tiny)
     bad = np.flatnonzero(worst > limit)
     if bad.size:

@@ -12,6 +12,7 @@
   (Brauer's theorem) and bordering with a skew circulant.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,7 +32,7 @@ from .spectra import (
 from .structured import circulant
 
 #: Most (alpha, beta, position) comparisons one step of the dominance join
-#: holds in memory.
+#: makes; made one position at a time, it holds ``1/n`` of them at once.
 _JOIN_ELEMENTS = 1 << 16
 
 
@@ -254,6 +255,20 @@ def _layout_orderings(values, kind, cap):
     return orderings
 
 
+@functools.lru_cache(maxsize=64)
+def _head_tables(n):
+    """The read-only tables of :func:`_head_bound` for order n: the summed
+    positions ``j``, the cosines and sines of ``2*pi*k*j/n`` and the sign of
+    the alternating term (used for even n only)."""
+    k = np.arange(n)
+    j = np.arange(1, (n + 1) // 2)
+    ang = 2.0 * np.pi * np.outer(k, j) / n
+    tables = (j, np.cos(ang), np.sin(ang), -((-1.0) ** k))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _head_bound(v, orderings):
     """:func:`circulant_head_bound` of ``v`` over its orderings (a nonempty
     ``(K, n)`` index array).
@@ -266,14 +281,7 @@ def _head_bound(v, orderings):
     n = v.size
     if n == 1:
         return 0.0
-    k = np.arange(n)
-    if n % 2 == 1:
-        j = np.arange(1, (n - 1) // 2 + 1)
-    else:
-        j = np.arange(1, n // 2)
-        alternating = -((-1.0) ** k)
-    ang = 2.0 * np.pi * np.outer(k, j) / n
-    cos, sin = np.cos(ang), np.sin(ang)
+    j, cos, sin, alternating = _head_tables(n)
     nu = v[orderings]
     extra = np.zeros(n) if n % 2 == 1 else alternating * nu[:, n // 2, None].real
     x = nu[:, j, None]
@@ -296,13 +304,17 @@ def _dominated(s_rows, c_abs, odd, tol):
     the dense test ``|skew_circulant(c)| <= circulant(clip(s))[:n, :n] +
     tol`` compares ``|c_d|`` with ``clip(s)_d`` on and above the diagonal
     (d = j - i) and with ``clip(s)_{d+1}`` below it (d = n + j - i), so the
-    same comparisons are made on the rows.
+    same comparisons are made on the rows, position-major: one ``&=`` per
+    comparison across all rows, whose column reads are contiguous for a
+    Fortran-order ``c_abs``.
     """
-    n = c_abs.shape[1]
-    body = np.clip(s_rows, 0.0, None)[..., None, :] + tol
-    ok = np.all(c_abs <= body[..., :n], axis=-1)
-    if odd:
-        ok &= np.all(c_abs[:, 1:] <= body[..., 2:], axis=-1)
+    cols = c_abs.T
+    body = np.clip(s_rows, 0.0, None) + tol
+    ok = cols[0] <= body[..., 0, None]
+    for k in range(1, cols.shape[0]):
+        ok &= cols[k] <= body[..., k, None]
+        if odd:
+            ok &= cols[k] <= body[..., k + 1, None]
     return ok
 
 
@@ -332,12 +344,13 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
     the head bound and the circulant rows share one ordering array.  The
     circulant rows with no entry below the spectrum-scale slack (the live
     alphas) are joined with all skew rows (:func:`_dominated`) in chunks of
-    at most ``_JOIN_ELEMENTS`` comparisons.  The join's slack bounds the
-    slack of every pair, so it keeps every pair the builders accept; its
-    passing pairs are then judged in row-major order by the builders' own
-    rule (:func:`_builds`).  The witness is thus the lexicographically
-    first pair (alpha, beta), over live alphas, that
-    :func:`build_from_witness` accepts.
+    at most ``_JOIN_ELEMENTS`` comparisons; both per-row tests run
+    position-major, one vector operation per position across all rows.
+    The join's slack bounds the slack of every pair, so it keeps every
+    pair the builders accept; its passing pairs are then judged in
+    row-major order by the builders' own rule (:func:`_builds`).  The
+    witness is thus the lexicographically first pair (alpha, beta), over
+    live alphas, that :func:`build_from_witness` accepts.
     """
     if mode not in ("constructive", "formula"):
         raise ValueError(f"mode must be 'constructive' or 'formula', got {mode!r}")
@@ -354,8 +367,9 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
     s_rows = _recover_rows(lam[alphas], "circulant")
     betas = _layout_orderings(ups, "skew", cap)
     c_rows = _recover_rows(ups[betas], "skew")
-    c_abs = np.abs(c_rows)
-    live = np.flatnonzero(np.all(s_rows >= -tol, axis=1))
+    # Fortran order: the join reads one position of all skew rows at a time
+    c_abs = np.asfortranarray(np.abs(c_rows))
+    live = np.flatnonzero((s_rows.T.copy() >= -tol).all(axis=0))
     join_tol = slack(ROUNDOFF_RTOL, lam, ups, s_rows, c_abs, floor=1.0)
     step = max(1, _JOIN_ELEMENTS // max(1, c_abs.size))
     for start in range(0, live.size, step):
@@ -436,7 +450,7 @@ def brauer_plan(upsilon, tail, rho, cap=DEFAULT_ENUMERATION_CAP):
 
     betas = _layout_orderings(ups, "skew", cap)
     c_rows = _recover_rows(ups[betas], "skew")
-    magnitudes = np.max(np.abs(c_rows), axis=1)
+    magnitudes = np.abs(c_rows.T.copy()).max(axis=0)
     chi = float(magnitudes.max())
     # argmin keeps the first of tied minima: the lexicographically first beta
     best = int(np.argmin(magnitudes))

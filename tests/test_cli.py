@@ -376,6 +376,33 @@ def test_input_that_is_not_an_object_exits_3(tmp_path, capsys, command):
     assert f"{command} input must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, payload, key",
+    [
+        ("check", {}, "circulant"),
+        ("check", {"circulant": [[1.0, 0.0]]}, "skew"),
+        ("augment", {"skew": [[1.0, 0.0]], "tail": [[0.0, 0.0]]}, "rho"),
+        ("verify", {"matrix": [[1.0]]}, "spectrum"),
+    ],
+    ids=["check-circulant", "check-skew", "augment-rho", "verify-spectrum"],
+)
+def test_missing_key_names_command_and_key(tmp_path, capsys, command, payload, key):
+    inp = write_json(tmp_path / "in.json", payload)
+    assert main([command, inp]) == 3
+    assert capsys.readouterr().err == f"input error: {command}: missing key {key!r}\n"
+
+
+def test_build_without_a_key_set_names_the_sets(tmp_path, capsys):
+    # build reads no key unguarded: it names the key sets it accepts
+    for payload in ({}, {"circulant_row": [1.0]}):
+        inp = write_json(tmp_path / "in.json", payload)
+        assert main(["build", inp]) == 3
+        assert capsys.readouterr().err == (
+            "input error: build input must provide circulant_row+skew_row, "
+            "S+skew_row or S+C\n"
+        )
+
+
 class TestBooleanInput:
     """JSON true/false are rejected wherever a number is expected."""
 

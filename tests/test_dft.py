@@ -4,8 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from niepkit import dft
 from niepkit.dft import (
     _recover_rows,
+    _skew_twiddle,
     _unit_powers,
     circulant_eigenvalues,
     circulant_row_from_spectrum,
@@ -230,6 +232,32 @@ def test_root_table_is_bit_identical_to_one_exp_per_entry():
         G = reference_unit_powers(_numerators(n)["G"], n)
         assert np.array_equal(_bits(dft_matrix(n)), _bits(F / np.sqrt(n))), n
         assert np.array_equal(_bits(skew_dft_matrix(n)), _bits(G / np.sqrt(n))), n
+
+
+def test_skew_twiddle_is_read_only_and_bit_equal_to_a_fresh_table():
+    for n in range(1, 17):
+        twiddle = _skew_twiddle(n)
+        assert _skew_twiddle(n) is twiddle
+        fresh = _unit_powers(_numerators(n)["skew twiddle"], n)
+        assert np.array_equal(_bits(twiddle), _bits(fresh)), n
+        with pytest.raises(ValueError, match="read-only"):
+            twiddle[...] = 0
+
+
+def test_skew_rows_equal_on_cold_and_warm_caches():
+    rng = np.random.default_rng(48)
+    spectra = [skew_eigenvalues(rng.uniform(-1.0, 1.0, size=n)) for n in range(1, 17)]
+    cold = []
+    for values in spectra:
+        dft._skew_twiddle.cache_clear()
+        cold.append(skew_row_from_spectrum(values))
+    for values in spectra:
+        skew_row_from_spectrum(values)
+    misses = dft._skew_twiddle.cache_info().misses
+    warm = [skew_row_from_spectrum(values) for values in spectra]
+    assert dft._skew_twiddle.cache_info().misses == misses
+    for got, want in zip(warm, cold):
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=100, deadline=None)

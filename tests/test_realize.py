@@ -542,6 +542,84 @@ def test_bordered_row_test_matches_dense_blocks():
         assert _dominated(s[:n], np.abs(C), False, slack).tolist() == dense
 
 
+def _reference_dominated(s_rows, c_abs, odd, tol):
+    """The broadcast join that ``_dominated`` replaced: one ``(A, Kc, n)``
+    comparison tensor per block, reduced along its short last axis."""
+    n = c_abs.shape[1]
+    body = np.clip(s_rows, 0.0, None)[..., None, :] + tol
+    ok = np.all(c_abs <= body[..., :n], axis=-1)
+    if odd:
+        ok &= np.all(c_abs[:, 1:] <= body[..., 2:], axis=-1)
+    return ok
+
+
+@st.composite
+def _join_blocks(draw):
+    """One circulant row or a block of them, and skew magnitudes, with
+    order n = 1..9, even or bordered: some entries of ``s`` lie within the
+    slack below zero, some ``|c_k|`` equal the clipped ``s_k`` (or
+    ``s_{k+1}``) of some row, or that plus the slack, or one ulp more, and
+    some lie within the slack above zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    odd, n, tol = draw(st.booleans()), draw(st.integers(1, 9)), 1e-12
+    m = n + odd
+    shape = (m,) if draw(st.booleans()) else (draw(st.integers(1, 6)), m)
+    s = rng.uniform(0.0, 1.0, size=shape)
+    s[rng.uniform(size=shape) < 0.2] = -0.5 * tol
+    kc = draw(st.integers(1, 12))
+    c = rng.uniform(0.0, 1.0, size=(kc, n))
+    c[rng.uniform(size=kc) < 0.5] *= 0.1
+    clipped = np.clip(s, 0.0, None).reshape(-1, m)
+    rows = rng.integers(0, clipped.shape[0], size=(kc, n))
+    positions = np.arange(n) + rng.integers(0, 1 + odd, size=(kc, n))
+    met = clipped[rows, positions]
+    tied = rng.uniform(size=(kc, n)) < 0.4
+    c[tied] = met[tied]
+    # on the slack's edge, or one ulp past it
+    edge = rng.uniform(size=(kc, n)) < 0.1
+    c[edge] = (met + tol)[edge]
+    past = edge & (rng.uniform(size=(kc, n)) < 0.5)
+    c[past] = np.nextafter(c[past], np.inf)
+    c[rng.uniform(size=(kc, n)) < 0.1] = 0.75 * tol
+    return s, c, odd, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=_join_blocks())
+def test_position_major_join_matches_broadcast_reference(block):
+    s, c_abs, odd, tol = block
+    want = _reference_dominated(s, c_abs, odd, tol)
+    # row-major (as the tests pass it) and Fortran order (as the search does)
+    for layout in (c_abs, np.asfortranarray(c_abs)):
+        got = _dominated(s, layout, odd, tol)
+        assert got.shape == want.shape
+        assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("bordered", [False, True])
+def test_join_chunks_straddle_blocks_as_the_reference(bordered, monkeypatch):
+    # steps of 1, 2, 3 and 5 live alphas split the join at every boundary
+    pairs = list(_search_pairs(43 + bordered, bordered))
+    pairs += list(_integer_pairs(45 + bordered, bordered))
+    outcomes, split = set(), 0
+    for pair in pairs:
+        want = _reference_check_conditions(pair)
+        lam, ups = pair.arrays()
+        s_rows, c_rows = _all_rows(pair)
+        scale = max(np.max(np.abs(lam)), np.max(np.abs(ups)), 1.0)
+        lives = np.sum(np.all(s_rows >= -1e-12 * scale, axis=1))
+        for step in (1, 2, 3, 5):
+            monkeypatch.setattr(realize, "_JOIN_ELEMENTS", step * c_rows.size)
+            assert check_conditions(pair) == want
+            with monkeypatch.context() as patched:
+                patched.setattr(realize, "_dominated", _reference_dominated)
+                assert check_conditions(pair) == want
+            split += lives > step
+        outcomes.add(want.satisfied)
+    assert outcomes == {True, False}
+    assert split > 0
+
+
 @pytest.mark.parametrize("bordered", [False, True])
 def test_pair_search_matches_reference_loop(bordered):
     outcomes = set()
@@ -627,6 +705,44 @@ def test_reports_equal_on_cold_and_warm_caches():
     assert spectra._generate.cache_info().misses == misses
     assert warm == cold
     assert {report.satisfied for report in cold} == {True, False}
+
+
+def _fresh_head_tables(n):
+    """The tables ``_head_bound`` built on every call before they were
+    cached: positions, cosines, sines and the alternating sign."""
+    k = np.arange(n)
+    if n % 2 == 1:
+        j = np.arange(1, (n - 1) // 2 + 1)
+    else:
+        j = np.arange(1, n // 2)
+    ang = 2.0 * np.pi * np.outer(k, j) / n
+    return j, np.cos(ang), np.sin(ang), -((-1.0) ** k)
+
+
+def test_head_tables_are_read_only_and_bit_equal_to_fresh_ones():
+    for n in range(1, 17):
+        tables = realize._head_tables(n)
+        assert realize._head_tables(n) is tables
+        for got, want in zip(tables, _fresh_head_tables(n), strict=True):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                got[...] = 0
+
+
+def test_head_bound_equal_on_cold_and_warm_caches():
+    rng = np.random.default_rng(47)
+    lists = [circulant_eigenvalues(rng.uniform(-1.0, 1.0, size=n)) for n in range(1, 9)]
+    cold = []
+    for values in lists:
+        realize._head_tables.cache_clear()
+        cold.append(circulant_head_bound(values))
+    for values in lists:
+        circulant_head_bound(values)
+    misses = realize._head_tables.cache_info().misses
+    warm = [circulant_head_bound(values) for values in lists]
+    assert realize._head_tables.cache_info().misses == misses
+    assert np.array(warm).tobytes() == np.array(cold).tobytes()
 
 
 def _reference_brauer_choice(ups, tail, rho):
