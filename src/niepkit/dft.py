@@ -120,6 +120,9 @@ def _recover_rows(spectra, kind):
     circulants (``kind="skew"``) whose index-ordered spectra are the rows of
     the complex ``(K, n)`` array ``spectra``.
 
+    The rows come in Fortran order (each position of all rows is
+    contiguous), as the position-major tests downstream read them.
+
     Each row must be real within ``REALNESS_RTOL`` of its own largest
     magnitude; otherwise its spectrum breaks the pairing layout and
     :class:`PairingError` is raised.  An imaginary residue below the
@@ -143,7 +146,7 @@ def _recover_rows(spectra, kind):
             f"part {worst[i]:.3e} exceeds {REALNESS_RTOL:.0e} * {scale[i]:.3e}); "
             "the input spectrum violates its conjugate-pairing layout"
         )
-    return rows.real.copy()
+    return cols.real.copy().T
 
 
 def circulant_row_from_spectrum(values):

@@ -25,9 +25,9 @@ from .errors import PairingError, RealizabilityError
 from .spectra import (
     DEFAULT_ENUMERATION_CAP,
     PairingPermutation,
+    _in_layout,
     _orderings,
-    satisfies_circulant_pairing,
-    satisfies_skew_pairing,
+    _skew_representatives,
 )
 from .structured import circulant
 
@@ -187,9 +187,9 @@ class SpectrumPair:
                 "circulant part must have the same length as the skew part "
                 f"or one more, got {lam.size} vs {ups.size}"
             )
-        if not satisfies_circulant_pairing(lam):
+        if not _in_layout(lam, "circulant"):
             raise PairingError("circulant part violates its pairing layout")
-        if not satisfies_skew_pairing(ups):
+        if not _in_layout(ups, "skew"):
             raise PairingError("skew part violates its pairing layout")
         return lam, ups
 
@@ -246,10 +246,20 @@ def circulant_head_bound(values, cap=DEFAULT_ENUMERATION_CAP):
 
 
 def _layout_orderings(values, kind, cap):
-    """The ``kind``-layout orderings of ``values`` (a ``(K, n)`` index array,
-    see :func:`niepkit.spectra._orderings`); raises :class:`PairingError`
-    when there are none."""
-    orderings = _orderings(values, kind, None, cap)
+    """The ``kind``-layout orderings of ``values`` that the searches read (a
+    ``(K, n)`` index array, see :func:`niepkit.spectra._orderings`); raises
+    :class:`PairingError` when there are none.
+
+    The searches read a skew row only through ``|c|``, so the skew kind
+    gives one ordering per shift class at even n, the first
+    (:func:`niepkit.spectra._shift_representatives`): the first passing
+    representative is the first passing ordering, and the first of tied
+    minima is the first of all.
+    """
+    if kind == "skew":
+        orderings = _skew_representatives(values, cap)
+    else:
+        orderings = _orderings(values, kind, None, cap)
     if not len(orderings):
         raise PairingError(f"list does not admit any {kind}-layout ordering")
     return orderings
@@ -309,7 +319,9 @@ def _dominated(s_rows, c_abs, odd, tol):
     Fortran-order ``c_abs``.
     """
     cols = c_abs.T
-    body = np.clip(s_rows, 0.0, None) + tol
+    # np.maximum skips np.clip's Python wrappers; a signed zero it may keep
+    # compares as zero
+    body = np.maximum(s_rows, 0.0) + tol
     ok = cols[0] <= body[..., 0, None]
     for k in range(1, cols.shape[0]):
         ok &= cols[k] <= body[..., k, None]
@@ -322,11 +334,17 @@ def _builds(s_row, c_row, odd):
     """Whether :func:`build_from_witness` accepts the rows: ``|c| <= clip(s)``
     compared as in :func:`_dominated`, within the builders' slack, which
     scales with ``|c|`` and the entries of ``clip(s)`` their dense test
-    reads (all but ``s_1`` in the bordered build with n = 1)."""
-    s = np.clip(s_row, 0.0, None)
-    read = s[:1] if odd and c_row.size == 1 else s
-    tol = slack(ROUNDOFF_RTOL, read, c_row)
-    return bool(_dominated(s, np.abs(c_row)[None], odd, tol)[0])
+    reads (all but ``s_1`` in the bordered build with n = 1).  One row
+    takes two vector comparisons: ``|c_k|`` against ``clip(s)_k`` and, in
+    the bordered case, ``|c_k|`` (k >= 1) against ``clip(s)_{k+1}``."""
+    s = np.maximum(s_row, 0.0)
+    c = np.abs(c_row)
+    read = s[:1] if odd and c.size == 1 else s
+    body = s + slack(ROUNDOFF_RTOL, read, c)
+    n = c.size
+    if not (c <= body[:n]).all():
+        return False
+    return not odd or bool((c[1:] <= body[2:]).all())
 
 
 def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
@@ -341,16 +359,20 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
     against :func:`circulant_head_bound` and reports no witness.
 
     Each side is enumerated once and its rows are recovered in one batch;
-    the head bound and the circulant rows share one ordering array.  The
-    circulant rows with no entry below the spectrum-scale slack (the live
-    alphas) are joined with all skew rows (:func:`_dominated`) in chunks of
-    at most ``_JOIN_ELEMENTS`` comparisons; both per-row tests run
-    position-major, one vector operation per position across all rows.
-    The join's slack bounds the slack of every pair, so it keeps every
-    pair the builders accept; its passing pairs are then judged in
-    row-major order by the builders' own rule (:func:`_builds`).  The
-    witness is thus the lexicographically first pair (alpha, beta), over
-    live alphas, that :func:`build_from_witness` accepts.
+    the head bound and the circulant rows share one ordering array.  At
+    even n the skew side holds one ordering per shift class, the first
+    (:func:`_layout_orderings`): half of them for a list of distinct
+    values.  The circulant rows with no entry below the spectrum-scale
+    slack (the live alphas) are joined with those skew rows
+    (:func:`_dominated`) in chunks of at most ``_JOIN_ELEMENTS``
+    comparisons; both per-row tests run position-major, one vector
+    operation per position across all rows.  The join's slack bounds the
+    slack of every pair, so it keeps every pair the builders accept; its
+    passing pairs are then judged in row-major order by the builders' own
+    rule (:func:`_builds`).  The witness is thus the lexicographically
+    first pair (alpha, beta), over live alphas and all betas, that
+    :func:`build_from_witness` accepts: a beta left out has the
+    magnitudes of an earlier one.
     """
     if mode not in ("constructive", "formula"):
         raise ValueError(f"mode must be 'constructive' or 'formula', got {mode!r}")
@@ -367,10 +389,12 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
     s_rows = _recover_rows(lam[alphas], "circulant")
     betas = _layout_orderings(ups, "skew", cap)
     c_rows = _recover_rows(ups[betas], "skew")
-    # Fortran order: the join reads one position of all skew rows at a time
-    c_abs = np.asfortranarray(np.abs(c_rows))
-    live = np.flatnonzero((s_rows.T.copy() >= -tol).all(axis=0))
-    join_tol = slack(ROUNDOFF_RTOL, lam, ups, s_rows, c_abs, floor=1.0)
+    # Fortran order, as recovered: the join reads one position of all skew
+    # rows at a time, and the live test one position of all circulant rows
+    c_abs = np.abs(c_rows)
+    live = np.flatnonzero((s_rows.T >= -tol).all(axis=0))
+    # rounding is monotone, so rtol * max(a, b) = max(rtol * a, rtol * b)
+    join_tol = max(tol, slack(ROUNDOFF_RTOL, s_rows, floor=float(c_abs.max())))
     step = max(1, _JOIN_ELEMENTS // max(1, c_abs.size))
     for start in range(0, live.size, step):
         block = live[start:start + step]
@@ -379,7 +403,7 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
             i, b = divmod(int(np.argmax(ok)), ok.shape[1])
             s_row, c_row = s_rows[block[i]], c_rows[b]
             if _builds(s_row, c_row, odd):
-                c_pad = np.concatenate([np.abs(c_row), [0.0]]) if odd else np.abs(c_row)
+                c_pad = np.concatenate([c_abs[b], [0.0]]) if odd else c_abs[b]
                 witness = ConditionWitness(
                     alpha=_permutation(alphas, block[i], "circulant"),
                     beta=_permutation(betas, b, "skew"),
@@ -407,7 +431,9 @@ def skew_row_bound(upsilon, cap=DEFAULT_ENUMERATION_CAP):
     """Largest first-row magnitude over all skew circulants realizing ``upsilon``.
 
     This is the rank-one shift size used by :func:`brauer_augment`; every
-    admissible skew row is dominated entrywise by it.
+    admissible skew row is dominated entrywise by it.  At even n the rows
+    of one ordering per shift class are recovered (see
+    :func:`check_conditions`): the others repeat their magnitudes.
     """
     ups = as_complex_vector(upsilon, "skew spectrum")
     betas = _layout_orderings(ups, "skew", cap)
@@ -436,7 +462,8 @@ def brauer_plan(upsilon, tail, rho, cap=DEFAULT_ENUMERATION_CAP):
 
     Steps: chi is :func:`skew_row_bound` of upsilon; the skew row is the
     candidate minimizing its largest magnitude (ties to the
-    lexicographically first reordering); a nonnegative circulant B with
+    lexicographically first reordering, which is among the one ordering
+    per shift class that both read at even n); a nonnegative circulant B with
     spectrum {rho - (n+1)*chi} union tail is searched over circulant-layout
     reorderings; the all-ones rank-one update B + chi * ones shifts the
     Perron root to rho while keeping the rest (Brauer), and stays circulant.
@@ -450,7 +477,7 @@ def brauer_plan(upsilon, tail, rho, cap=DEFAULT_ENUMERATION_CAP):
 
     betas = _layout_orderings(ups, "skew", cap)
     c_rows = _recover_rows(ups[betas], "skew")
-    magnitudes = np.abs(c_rows.T.copy()).max(axis=0)
+    magnitudes = np.abs(c_rows.T).max(axis=0)
     chi = float(magnitudes.max())
     # argmin keeps the first of tied minima: the lexicographically first beta
     best = int(np.argmin(magnitudes))

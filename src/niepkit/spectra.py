@@ -23,7 +23,10 @@ entries are exactly equal.  Every generic list of a given order and layout
 shares one structure, so the orderings are generated once per structure
 (and per ``limit``) and kept, as read-only index arrays, in a
 least-recently-used cache of a fixed 64 entries.  The cache has no
-setting; the public functions return a fresh list on every call.
+setting; the public functions return a fresh list on every call.  Beside
+it, with the same key, sit the skew orderings that the searches of
+:mod:`niepkit.realize` read at even n: one per class of orderings that a
+roll by n/2 positions maps onto each other (:func:`_shift_representatives`).
 
 Three conventions hold throughout:
 
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ROUNDOFF_RTOL, as_complex_vector, slack
+from ._util import ROUNDOFF_RTOL, as_complex_vector, max_abs
 from .errors import EnumerationCapError
 
 #: Default size cap for exhaustive enumeration; the candidate sets grow
@@ -70,8 +73,9 @@ class PairingPermutation:
 
 
 def pairing_tolerance(entries):
-    """Matching tolerance: zero for all-zero input, else 1e-12 * max modulus."""
-    return slack(ROUNDOFF_RTOL, np.asarray(entries, dtype=complex))
+    """Matching tolerance: zero for all-zero input, else 1e-12 * max modulus
+    (:func:`niepkit._util.slack` with no floor)."""
+    return ROUNDOFF_RTOL * max_abs(np.asarray(entries, dtype=complex))
 
 
 def _conjugate_distance(a, b):
@@ -90,10 +94,17 @@ def _satisfies(entries, order, tol, kind):
     entries = as_complex_vector(entries)
     if order is not None:
         entries = entries[list(order)]
+    return _in_layout(entries, kind, tol)
+
+
+def _in_layout(entries, kind, tol=None):
+    """Whether the complex vector ``entries`` (already coerced) has the
+    ``kind`` layout: each entry within ``tol`` (default
+    :func:`pairing_tolerance`) of the conjugate of its partner's."""
     if tol is None:
         tol = pairing_tolerance(entries)
     mates = _layout_partners(entries.size, kind)
-    return bool(np.all(_conjugate_distance(entries[mates], entries) <= tol))
+    return bool((_conjugate_distance(entries[mates], entries) <= tol).all())
 
 
 def satisfies_circulant_pairing(entries, order=None, tol=None):
@@ -106,16 +117,18 @@ def satisfies_skew_pairing(entries, order=None, tol=None):
     return _satisfies(entries, order, tol, "skew")
 
 
+@functools.lru_cache(maxsize=64)
 def _layout_partners(n, kind):
-    """Position holding the conjugate partner of each position of a layout.
+    """Position holding the conjugate partner of each position of a layout,
+    as a read-only table built once per order and kind.
 
     A self-partnered position (the circulant head and position n/2, the
     skew middle) holds an entry compatible with itself, a real one.
     """
     k = np.arange(n)
-    if kind == "circulant":
-        return -k % n
-    return n - 1 - k
+    partners = -k % n if kind == "circulant" else n - 1 - k
+    partners.flags.writeable = False
+    return partners
 
 
 def _structure(entries, tol):
@@ -139,6 +152,20 @@ def _orderings(entries, kind, limit, cap):
     ``limit``: exactly what the generator reads.  Validation and the size
     cap come first, so a warm cache still raises.
     """
+    return _generate(*_structure_key(entries, kind, limit, cap))
+
+
+def _skew_representatives(entries, cap):
+    """The skew-layout orderings of ``entries`` that represent their
+    shift classes (see :func:`_shift_representatives`), validated and
+    cached as :func:`_orderings` is, with the same key."""
+    n, _, compatible, labels, _ = _structure_key(entries, "skew", None, cap)
+    return _shift_representatives(n, compatible, labels)
+
+
+def _structure_key(entries, kind, limit, cap):
+    """The cache key of :func:`_generate` for ``entries``, after validation
+    and the size cap."""
     entries = as_complex_vector(entries)
     n = entries.size
     if limit is not None and limit < 0:
@@ -150,7 +177,54 @@ def _orderings(entries, kind, limit, cap):
         )
     tol = pairing_tolerance(entries)
     compatible, labels = _structure(entries, tol)
-    return _generate(n, kind, compatible, labels, limit)
+    return n, kind, compatible, labels, limit
+
+
+@functools.lru_cache(maxsize=64)
+def _shift_representatives(n, compatible, labels):
+    """The rows of the skew-layout ordering array of one structure that
+    represent their shift classes, as a read-only ``(K', n)`` index array in
+    the order of the full array.
+
+    For even n, rolling a skew-layout ordering by n/2 positions gives
+    another one: the position pairs (k, n-1-k) go to position pairs.  The
+    inverse DFT then gives the rolled spectrum the row ``(-1)**k * c_k``,
+    so its magnitudes and realness residue are those of ``c``; numpy's FFT
+    reproduces this identity bit for bit (the shift identity, tested for
+    every even n up to 12).  Each ordering and the row holding its rolled
+    label sequence (:func:`_shift_partners`) form a class of one or two
+    rows; the first of each is kept.  A search that reads the skew rows only
+    through ``|c|`` and keeps the first row that passes, or the first of
+    tied minima, therefore finds the same ordering among the
+    representatives.  For odd n, which has a self-partnered middle, every
+    ordering is its own class.
+    """
+    orderings = _generate(n, "skew", compatible, labels, None)
+    if n % 2 or not len(orderings):
+        return orderings
+    partner = _shift_partners(orderings, np.frombuffer(labels, dtype=np.intp))
+    reps = orderings[partner >= np.arange(len(orderings))]
+    reps.flags.writeable = False
+    return reps
+
+
+def _shift_partners(orderings, labels):
+    """For a skew-layout ordering array at even n, the row whose label
+    sequence is that of each row rolled by n/2 positions.
+
+    The generator keeps one ordering per distinct reordered list, that is
+    per label sequence, and the rolled sequence of a kept ordering is a
+    valid one, so each sequence occurs once among the rows and once among
+    the rolled rows.  One stable ``np.lexsort`` of both sets puts every row
+    just before the rolled row it equals.
+    """
+    count, n = orderings.shape
+    rows = labels.astype(np.min_scalar_type(n))[orderings]
+    both = np.concatenate([rows, np.roll(rows, n // 2, axis=1)])
+    order = np.lexsort(both.T[::-1])
+    partner = np.empty(count, dtype=np.intp)
+    partner[order[1::2] - count] = order[0::2]
+    return partner
 
 
 @functools.lru_cache(maxsize=64)

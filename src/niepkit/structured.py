@@ -1,5 +1,6 @@
 """Dense materialization and recognition of the structured matrix classes."""
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -8,11 +9,28 @@ import numpy as np
 from ._util import PERMUTATIVE_RTOL, as_float_matrix, as_float_vector, slack
 
 
+@functools.lru_cache(maxsize=64)
 def _shift_table(n):
-    # entry (i, j) reads first-row position (j - i) mod n
+    """Read-only: entry (i, j) reads first-row position (j - i) mod n."""
     i = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
-    return (j - i) % n
+    table = (j - i) % n
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=64)
+def _skew_signs(n):
+    """Read-only: -1.0 on the wrapped entries (below the diagonal), else 1.0.
+
+    Multiplying by -1.0 negates exactly, signed zeros included, so one
+    product with this table is the negation of the wrapped entries.
+    """
+    i = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    signs = np.where(j < i, -1.0, 1.0)
+    signs.flags.writeable = False
+    return signs
 
 
 def circulant(row):
@@ -24,11 +42,7 @@ def circulant(row):
 def skew_circulant(row):
     """Dense skew circulant matrix: wrapped entries below the diagonal flip sign."""
     row = as_float_vector(row, "row")
-    n = row.size
-    out = row[_shift_table(n)]
-    lower = np.tril(np.ones((n, n), dtype=bool), k=-1)
-    out[lower] = -out[lower]
-    return out
+    return row[_shift_table(row.size)] * _skew_signs(row.size)
 
 
 @dataclass(frozen=True)

@@ -243,6 +243,33 @@ class TestCheck:
         assert report["satisfied"] is True
         assert min(report["witness"]["margins"]) >= 0.0
 
+    def test_even_pair_stdout_bytes(self, capsys):
+        # skew order 6: the search reads one skew ordering per shift class
+        assert main(["check", str(DATA / "even_pair.json")]) == 0
+        witness = {
+            "alpha": [0, 2, 1, 3, 5, 4],
+            "beta": [0, 1, 3, 2, 4, 5],
+            "circulant_row": [
+                1.4999999999999993, 1.625, 1.6250000000000002, 2.0, 1.8750000000000002,
+                1.125,
+            ],
+            "skew_row": [
+                0.49999999999999956, -1.510362971081845, -1.2410254037844386,
+                -1.2216878364870318, 1.8660254037844384, -0.12879311067463878,
+            ],
+            "margins": [
+                0.9999999999999998, 0.11463702891815508, 0.3839745962155616,
+                0.7783121635129682, 0.008974596215561848, 0.9962068893253613,
+            ],
+        }
+        report = {
+            "satisfied": True,
+            "mode": "constructive",
+            "bound_value": 2.2499999999999982,
+            "witness": witness,
+        }
+        assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+
     def test_formula_mode(self, tmp_path):
         inp = write_json(
             tmp_path / "in.json",

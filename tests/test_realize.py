@@ -909,3 +909,162 @@ class TestAbsCircCombination:
         ac = AbsCirculant.from_arrays([1, 2, 3], np.ones((3, 3)))
         with pytest.raises(MajorizationError):
             build_even(circulant([1.0, 1.0, 3.0]), abs_circulant(ac))
+
+
+def _reference_builds(s_row, c_row, odd):
+    """The one-row judge before its two vector comparisons: the join itself,
+    ``_dominated(...)[0]``, on one row."""
+    s = np.clip(s_row, 0.0, None)
+    read = s[:1] if odd and c_row.size == 1 else s
+    tol = 1e-12 * max(max_abs(read), max_abs(c_row))
+    return bool(_dominated(s, np.abs(c_row)[None], odd, tol)[0])
+
+
+@st.composite
+def _builds_edges(draw):
+    """One circulant row and one skew row, even or bordered, n = 1..9, at a
+    row scale from 1e-3 to 1e3: some entries of ``s`` lie within the slack
+    below zero, and one ``|c_k|`` sits on the builders' slack above the
+    entry it meets (``s_k`` or, bordered, ``s_{k+1}``), one ulp either side
+    or on it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    odd, n = draw(st.booleans()), draw(st.integers(1, 9))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    s = scale * rng.uniform(0.0, 1.0, size=n + odd)
+    s[rng.uniform(size=n + odd) < 0.2] = -1e-13 * scale
+    c = 0.5 * scale * rng.uniform(-1.0, 1.0, size=n)
+    k = draw(st.integers(0, n - 1))
+    clipped = np.clip(s, 0.0, None)
+    target = clipped[k + (odd and k > 0 and draw(st.booleans()))]
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    c[k] = sign * target
+    read = clipped[:1] if odd and n == 1 else clipped
+    edge = target + 1e-12 * max(max_abs(read), max_abs(c))
+    for _ in range(draw(st.integers(0, 2))):
+        edge = np.nextafter(edge, np.inf if draw(st.booleans()) else 0.0)
+    c[k] = sign * edge
+    return s, c, odd
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=_builds_edges())
+def test_builds_matches_the_one_row_join(rows):
+    s, c, odd = rows
+    got = realize._builds(s, c, odd)
+    assert type(got) is bool
+    assert got == _reference_builds(s, c, odd)
+
+
+def test_builds_decides_both_ways_at_the_edge():
+    # even and bordered, the verdict flips one ulp past the slack
+    for odd in (False, True):
+        s = np.array([2.0, 1.0, 1.5, 1.0])[: 3 + odd]
+        c = np.array([0.5, 1.0, -0.25])
+        k = 1
+        # bordered, |c_1| meets both s_1 and s_2
+        met = min(s[k], s[k + odd])
+        edge = met + 1e-12 * 2.0
+        for value, want in ((edge, True), (np.nextafter(edge, np.inf), False)):
+            c[k] = -value
+            assert realize._builds(s, c, odd) is want
+            assert _reference_builds(s, c, odd) is want
+
+
+@st.composite
+def _repeated_even_pairs(draw):
+    """A skew part of even order n = 2, 4 or 6 and a circulant part of order
+    n or n + 1, whose conjugate pairs (and reals) come from one small pool,
+    so entries repeat; both in random pairing layouts."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([2, 4, 6]))
+    m = n + draw(st.booleans())
+    pool = np.array([1 + 1j, -1 + 0.5j, 2.0, 0.5 - 1j, -1.0])
+    half = rng.choice(pool, size=n // 2)
+    ups = np.concatenate([half, np.conj(half[::-1])])
+    pairs = rng.choice(pool, size=(m - 1) // 2)
+    middle = [rng.choice([-1.0, 0.0, 2.0])] if m % 2 == 0 else []
+    head = draw(st.sampled_from([2.0, 4.0, 6.0, 9.0]))
+    lam = np.concatenate([[head], pairs, middle, np.conj(pairs[::-1])]).astype(complex)
+    return SpectrumPair(
+        _scrambled(lam, enumerate_circulant_permutations(lam), rng),
+        _scrambled(ups, enumerate_skew_permutations(ups), rng),
+    )
+
+
+@seed(12)
+@settings(max_examples=80, deadline=None)
+@given(pair=_repeated_even_pairs())
+def test_search_over_representatives_matches_reference_at_even_n(pair):
+    assert check_conditions(pair) == _reference_check_conditions(pair)
+
+
+def _undeduplicated_skew_rows(ups):
+    """Every skew-layout ordering of ``ups`` and its recovered row, with no
+    ordering left out."""
+    betas = spectra._orderings(ups, "skew", None, 10)
+    return betas, realize._recover_rows(ups[betas], "skew")
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_skew_searches_match_undeduplicated_rows(n):
+    rng = np.random.default_rng(50 + n)
+    ties = 0
+    for trial in range(12):
+        if trial % 2:
+            ups = skew_eigenvalues(rng.integers(-2, 3, size=n).astype(float))
+        else:
+            half = rng.choice(np.array([1 + 1j, 2.0, -1 + 0.5j]), size=n // 2)
+            ups = np.concatenate([half, np.conj(half[::-1])])
+        ups = np.asarray(_scrambled(ups, enumerate_skew_permutations(ups), rng))
+        betas, rows = _undeduplicated_skew_rows(ups)
+        chi = max_abs(rows)
+        assert skew_row_bound(ups) == chi
+        magnitudes = np.abs(rows).max(axis=1)
+        best = int(np.argmin(magnitudes))
+        ties += int(np.sum(magnitudes == magnitudes[best])) > 1
+        tail = circulant_eigenvalues(rng.uniform(0.0, 1.0, size=n + 1))[1:]
+        # a head of at least the tail row's sum keeps that row nonnegative
+        plan = brauer_plan(ups, tail, (n + 1) * chi + n + 2.0)
+        assert plan.chi == chi
+        assert plan.beta.mapping == tuple(betas[best].tolist())
+        assert plan.skew_row == tuple(rows[best].tolist())
+    assert ties > 0
+
+
+def test_even_reports_equal_on_cold_and_warm_representatives():
+    pairs = [*_search_pairs(44, False), *_search_pairs(44, True), *_integer_pairs(46, True)]
+    pairs = [pair for pair in pairs if len(pair.skew_part) % 2 == 0]
+    cold = []
+    for pair in pairs:
+        spectra._generate.cache_clear()
+        spectra._shift_representatives.cache_clear()
+        cold.append(check_conditions(pair))
+    for pair in pairs:
+        check_conditions(pair)
+    misses = spectra._shift_representatives.cache_info().misses
+    warm = [check_conditions(pair) for pair in pairs]
+    assert spectra._shift_representatives.cache_info().misses == misses
+    assert warm == cold == [_reference_check_conditions(pair) for pair in pairs]
+    assert {report.satisfied for report in cold} == {True, False}
+
+
+def test_join_chunks_straddle_blocks_over_representatives(monkeypatch):
+    # at even n the join reads one skew row per shift class, so steps of 1,
+    # 2, 3 and 5 live alphas are set from the representatives' row count
+    pairs = [*_search_pairs(53, False), *_integer_pairs(54, False), *_integer_pairs(55, True)]
+    pairs = [pair for pair in pairs if len(pair.skew_part) % 2 == 0]
+    outcomes, split = set(), 0
+    for pair in pairs:
+        want = _reference_check_conditions(pair)
+        lam, ups = pair.arrays()
+        reps = spectra._skew_representatives(ups, 10)
+        s_rows, _ = _all_rows(pair)
+        scale = max(np.max(np.abs(lam)), np.max(np.abs(ups)), 1.0)
+        lives = np.sum(np.all(s_rows >= -1e-12 * scale, axis=1))
+        for step in (1, 2, 3, 5):
+            monkeypatch.setattr(realize, "_JOIN_ELEMENTS", step * reps.size)
+            assert check_conditions(pair) == want
+            split += lives > step
+        outcomes.add(want.satisfied)
+    assert outcomes == {True, False}
+    assert split > 0

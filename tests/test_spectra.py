@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from niepkit import spectra
+from niepkit.dft import _recover_rows, _skew_twiddle, skew_eigenvalues
 from niepkit.errors import EnumerationCapError
 from niepkit.spectra import (
     _layout_partners,
@@ -662,3 +663,149 @@ def test_circulant_hit_after_dead_end_prefix():
     assert time.perf_counter() - start < 2.0
     assert len(perms) == 1
     assert satisfies_circulant_pairing(entries, perms[0].mapping)
+
+
+def _skew_structure(entries, cap=12):
+    """The skew ordering array of a list, its labels and its shift partners."""
+    n, _, compatible, labels, _ = spectra._structure_key(entries, "skew", None, cap)
+    orderings = spectra._generate(n, "skew", compatible, labels, None)
+    labels = np.frombuffer(labels, dtype=np.intp)
+    return orderings, labels, spectra._shift_partners(orderings, labels)
+
+
+def _reference_representatives(orderings, labels):
+    """The first ordering of each shift class, found with a dict of label
+    tuples, one row at a time."""
+    n = orderings.shape[1]
+    first = {}
+    keep = []
+    for i, row in enumerate(labels[orderings].tolist()):
+        rolled = tuple(row[-(n // 2):] + row[:-(n // 2)])
+        if rolled not in first:
+            keep.append(i)
+        first.setdefault(tuple(row), i)
+    return orderings[keep]
+
+
+def _shift_rows(kind, n, rng):
+    """Skew first rows of one kind, or (``repeated_spectrum``) the rows of
+    skew-layout spectra whose conjugate pairs repeat."""
+    if kind == "random":
+        return rng.uniform(-1.0, 1.0, size=n)
+    if kind == "integer":
+        return rng.integers(-3, 4, size=n).astype(float)
+    if kind == "repeated":
+        return rng.choice([-1.5, 0.5, 2.0], size=n)
+    if kind == "zero":
+        return np.zeros(n)
+    if kind in ("tiny", "huge"):
+        exponent = -8.0 if kind == "tiny" else 8.0
+        return rng.uniform(-1.0, 1.0, size=n) * 10.0 ** (exponent + rng.uniform(-1.0, 1.0, size=n))
+    pool = np.array([1 + 1j, -2 + 0.5j, 3.0, 1 + 1j, 0.5 - 2j])
+    half = rng.choice(pool, size=n // 2)
+    return np.concatenate([half, np.conj(half[::-1])])
+
+
+@pytest.mark.parametrize("n", range(2, 13, 2))
+@pytest.mark.parametrize(
+    "kind", ["random", "integer", "repeated", "zero", "tiny", "huge", "repeated_spectrum"]
+)
+def test_shift_identity_holds_bit_for_bit(n, kind):
+    # rolling a skew ordering by n/2 maps c_k to (-1)**k c_k; the search
+    # keeps one ordering per class, so |c| and the realness residue of the
+    # rolled ordering must be those of its representative, bit for bit
+    rng = np.random.default_rng(600 + 10 * n + len(kind))
+    for _ in range(2 if n == 12 else 4):
+        row = _shift_rows(kind, n, rng)
+        ups = row if kind == "repeated_spectrum" else skew_eigenvalues(row)
+        orderings, labels, partner = _skew_structure(ups)
+        assert len(orderings)
+        # an involution pairing each row with its rolled label sequence
+        assert np.array_equal(partner[partner], np.arange(len(orderings)))
+        rows = labels[orderings]
+        assert np.array_equal(rows[partner], np.roll(rows, n // 2, axis=1))
+        # the complex rows _recover_rows judges, and the real rows it returns
+        complex_rows = np.fft.fft(ups[orderings], axis=-1) * _skew_twiddle(n) / n
+        for part in (np.abs(complex_rows), np.abs(complex_rows.imag)):
+            assert part[partner].tobytes() == part.tobytes()
+        real_rows = np.abs(_recover_rows(ups[orderings], "skew"))
+        assert real_rows[partner].tobytes() == real_rows.tobytes()
+        assert np.array_equal(
+            complex_rows[partner], complex_rows * (-1.0) ** np.arange(n)
+        )
+
+
+#: Skew-compatible lists of even order with near-tie chains (tol = 4e-12).
+SKEW_CHAIN_LISTS = [
+    [_Z, _Z.conjugate() + 0.6 * _T, _Z + 1.2 * _T, 4.0, _Z.conjugate() + 1.8 * _T, 4.0],
+    [2.0, 4.0, 2.0 + 0.6 * _T, 2.0 + 1.2 * _T, 4.0, 2.0 + 1.8 * _T],
+    [4.0, _Z, 1.0, _Z.conjugate() + 0.6 * _T, 1.0, _Z + 1.2 * _T, 4.0, _Z.conjugate()],
+]
+
+
+@pytest.mark.parametrize("entries", SKEW_CHAIN_LISTS)
+def test_shift_partners_on_near_tie_chains(entries):
+    orderings, labels, partner = _skew_structure(entries)
+    assert len(orderings)
+    assert np.array_equal(partner[partner], np.arange(len(orderings)))
+    rows = labels[orderings]
+    assert np.array_equal(rows[partner], np.roll(rows, len(entries) // 2, axis=1))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_representatives_match_a_row_by_row_reference(n):
+    rng = np.random.default_rng(700 + n)
+    lists = _structured_lists(n, rng) + [skew_eigenvalues(rng.uniform(-1.0, 1.0, n))]
+    checked = 0
+    for entries in lists:
+        orderings = spectra._orderings(entries, "skew", None, 10)
+        reps = spectra._skew_representatives(entries, 10)
+        if n % 2:
+            assert reps is orderings
+            continue
+        labels = np.frombuffer(spectra._structure_key(entries, "skew", None, 10)[3], np.intp)
+        want = _reference_representatives(orderings, labels) if len(orderings) else orderings
+        assert reps.shape == want.shape and np.array_equal(reps, want)
+        checked += len(orderings) > 0
+    assert n % 2 or checked
+    if n % 2 == 0:
+        # a list of distinct values: exactly half the orderings
+        assert 2 * len(reps) == len(orderings)
+
+
+def test_representatives_are_read_only_and_equal_on_cold_and_warm_caches():
+    rng = np.random.default_rng(48)
+    lists = [skew_eigenvalues(rng.integers(-2, 3, size=n).astype(float)) for n in range(1, 9)]
+    lists += [skew_eigenvalues(rng.uniform(-1.0, 1.0, size=n)) for n in range(1, 9)]
+    cold = []
+    for entries in lists:
+        spectra._generate.cache_clear()
+        spectra._shift_representatives.cache_clear()
+        cold.append(spectra._skew_representatives(entries, 10))
+    for entries in lists:
+        spectra._skew_representatives(entries, 10)
+    misses = spectra._shift_representatives.cache_info().misses
+    for entries, want in zip(lists, cold):
+        got = spectra._skew_representatives(entries, 10)
+        assert spectra._skew_representatives(entries, 10) is got
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+        if got.size:
+            with pytest.raises(ValueError, match="read-only"):
+                got[0, 0] = 0
+    assert spectra._shift_representatives.cache_info().misses == misses
+    # the cap is checked before the cache is read
+    with pytest.raises(EnumerationCapError):
+        spectra._skew_representatives(lists[-1], 7)
+
+
+def test_partner_tables_are_read_only_and_bit_equal_to_fresh_ones():
+    for n in range(1, 17):
+        k = np.arange(n)
+        for kind, fresh in (("circulant", -k % n), ("skew", n - 1 - k)):
+            _layout_partners.cache_clear()
+            cold = _layout_partners(n, kind)
+            assert _layout_partners(n, kind) is cold
+            assert (cold.dtype, cold.tobytes()) == (fresh.dtype, fresh.tobytes())
+            with pytest.raises(ValueError, match="read-only"):
+                cold[...] = 0

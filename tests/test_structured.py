@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixtures as fx
+from niepkit import structured
 from niepkit._util import PERMUTATIVE_RTOL, as_float_matrix, max_abs
 from niepkit.structured import (
     AbsCirculant,
@@ -211,3 +212,60 @@ def test_ties_and_moved_entries_at_the_tolerance(n):
         moved = M.copy()
         moved[n // 2, n - 1] += factor * tol
         assert _assert_same_report(moved, tol).permutative == (inside or n == 1)
+
+
+def _reference_skew_circulant(row):
+    """The masked negation that one product with the sign table replaced."""
+    row = np.asarray(row, dtype=float)
+    n = row.size
+    out = row[np.arange(n)[None, :] - np.arange(n)[:, None]]
+    lower = np.tril(np.ones((n, n), dtype=bool), k=-1)
+    out[lower] = -out[lower]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_skew_circulant_is_the_masked_negation_bit_for_bit(n):
+    rng = np.random.default_rng(60 + n)
+    rows = [
+        rng.normal(size=n),
+        rng.integers(-2, 3, size=n).astype(float),
+        # signed zeros: -0.0 negates to 0.0 below the diagonal and back
+        rng.choice([0.0, -0.0, 1.5, -2.5], size=n),
+        np.full(n, -0.0),
+        rng.normal(size=n) * 10.0 ** rng.uniform(-300, 300, size=n),
+    ]
+    for row in rows:
+        got, want = skew_circulant(row), _reference_skew_circulant(row)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_order_tables_are_read_only_and_bit_equal_to_fresh_ones():
+    for n in range(1, 17):
+        i, j = np.arange(n)[:, None], np.arange(n)[None, :]
+        fresh = {
+            structured._shift_table: (j - i) % n,
+            structured._skew_signs: np.where(np.tril(np.ones((n, n), dtype=bool), k=-1), -1.0, 1.0),
+        }
+        for table, want in fresh.items():
+            table.cache_clear()
+            got = table(n)
+            assert table(n) is got
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                got[...] = 0
+
+
+def test_dense_matrices_equal_on_cold_and_warm_caches():
+    rng = np.random.default_rng(61)
+    rows = [rng.normal(size=n) for n in range(1, 10)]
+    makers = (circulant, skew_circulant)
+    cold = []
+    for row in rows:
+        structured._shift_table.cache_clear()
+        structured._skew_signs.cache_clear()
+        cold.append([make(row).tobytes() for make in makers])
+    warm = [[make(row).tobytes() for make in makers] for row in rows]
+    assert warm == cold
