@@ -85,6 +85,33 @@ def _assemble_even(S, C, g):
     return M
 
 
+def _split(A, differ):
+    """``(S, C)`` read from the 2x2 block layout of a square matrix of order
+    2n or 2n+1: S = A+B and C = A-B over the top rows ``[a, b]`` of the
+    blocks; at odd order S also takes the last column, the block sums of the
+    last row, and the corner.  ``differ(x, y)`` judges each pair of views
+    that the layout makes equal, the body's first; the first pair it flags
+    raises :class:`StructureError`.  The layout's one coding, shared by the
+    ``split_spectrum_*`` functions and :func:`niepkit.oracle.spectrum`.
+    """
+    N = A.shape[0]
+    m = N - N % 2
+    a, b = A[0:m:2, 0:m:2], A[0:m:2, 1:m:2]
+    if differ(A[1:m:2, 1:m:2], a) or differ(A[1:m:2, 0:m:2], b):
+        raise StructureError("2x2 blocks are not symmetric [[a, b], [b, a]]")
+    if m == N:
+        return a + b, a - b
+    top = A[0:m:2, m]
+    if differ(A[1:m:2, m], top):
+        raise StructureError("last column entries are not duplicated per block row")
+    S = np.empty((m // 2 + 1, m // 2 + 1))
+    S[:-1, :-1] = a + b
+    S[:-1, -1] = top
+    S[-1, :-1] = A[m, 0:m:2] + A[m, 1:m:2]
+    S[-1, -1] = A[m, m]
+    return S, a - b
+
+
 def split_spectrum_even(A):
     """Recover (S, C) from an order-2n matrix of symmetric 2x2 blocks.
 
@@ -95,11 +122,7 @@ def split_spectrum_even(A):
     if A.shape[0] % 2 != 0:
         raise StructureError("matrix order must be even")
     tol = slack(ROUNDOFF_RTOL, A)
-    a = A[0::2, 0::2]
-    b = A[0::2, 1::2]
-    if max_abs(A[1::2, 1::2] - a) > tol or max_abs(A[1::2, 0::2] - b) > tol:
-        raise StructureError("2x2 blocks are not symmetric [[a, b], [b, a]]")
-    return a + b, a - b
+    return _split(A, lambda x, y: max_abs(x - y) > tol)
 
 
 def split_spectrum_odd(A):
@@ -113,23 +136,8 @@ def split_spectrum_odd(A):
     N = A.shape[0]
     if N % 2 != 1 or N < 3:
         raise StructureError("matrix order must be odd and >= 3")
-    n = (N - 1) // 2
     tol = slack(ROUNDOFF_RTOL, A)
-    body = A[: 2 * n, : 2 * n]
-    a = body[0::2, 0::2]
-    b = body[0::2, 1::2]
-    if max_abs(body[1::2, 1::2] - a) > tol or max_abs(body[1::2, 0::2] - b) > tol:
-        raise StructureError("2x2 blocks are not symmetric [[a, b], [b, a]]")
-    last_col_top = A[0 : 2 * n : 2, 2 * n]
-    last_col_bot = A[1 : 2 * n : 2, 2 * n]
-    if max_abs(last_col_top - last_col_bot) > tol:
-        raise StructureError("last column entries are not duplicated per block row")
-    S = np.empty((n + 1, n + 1))
-    S[:n, :n] = a + b
-    S[:n, n] = last_col_top
-    S[n, :n] = A[2 * n, 0 : 2 * n : 2] + A[2 * n, 1 : 2 * n : 2]
-    S[n, n] = A[2 * n, 2 * n]
-    return S, a - b
+    return _split(A, lambda x, y: max_abs(x - y) > tol)
 
 
 def build_even(S, C, spec=BlockBuildSpec()):

@@ -180,6 +180,12 @@ class SpectrumPair:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
 
     def arrays(self):
+        """The two parts as complex arrays, validated.  A pair that passes
+        keeps its read-only arrays, so later calls skip the coercion and
+        the layout tests; one that fails raises again on every call."""
+        cached = self.__dict__.get("_arrays")
+        if cached is not None:
+            return cached
         lam = as_complex_vector(self.circulant_part, "circulant part")
         ups = as_complex_vector(self.skew_part, "skew part")
         if lam.size not in (ups.size, ups.size + 1):
@@ -191,6 +197,10 @@ class SpectrumPair:
             raise PairingError("circulant part violates its pairing layout")
         if not _in_layout(ups, "skew"):
             raise PairingError("skew part violates its pairing layout")
+        # copies: a part passed as an array is neither frozen nor shared
+        lam, ups = lam.copy(), ups.copy()
+        lam.flags.writeable = ups.flags.writeable = False
+        object.__setattr__(self, "_arrays", (lam, ups))
         return lam, ups
 
 

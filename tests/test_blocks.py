@@ -152,6 +152,34 @@ class TestSplitOdd:
             split_spectrum_odd(A)
 
 
+_BODY = r"^2x2 blocks are not symmetric \[\[a, b\], \[b, a\]\]$"
+_COLUMN = "^last column entries are not duplicated per block row$"
+
+
+@pytest.mark.parametrize(
+    "matrix, entry, message",
+    [
+        (fx.EIGHT_MATRIX, (1, 1), _BODY),
+        (fx.EIGHT_MATRIX, (3, 0), _BODY),
+        (fx.SEVEN_MATRIX, (1, 1), _BODY),
+        (fx.SEVEN_MATRIX, (1, 6), _COLUMN),
+    ],
+    ids=["even-a", "even-b", "odd-a", "odd-last-column"],
+)
+def test_splits_judge_mirrored_entries_within_roundoff(matrix, entry, message):
+    # the oracle tests the same entries for exact equality instead
+    split = split_spectrum_odd if matrix.shape[0] % 2 else split_spectrum_even
+    tol = 1e-12 * np.abs(matrix).max()
+    near = matrix.copy()
+    near[entry] += 0.5 * tol
+    for got, want in zip(split(near), split(matrix)):
+        assert np.array_equal(got, want)
+    far = matrix.copy()
+    far[entry] += 2.0 * tol
+    with pytest.raises(StructureError, match=message):
+        split(far)
+
+
 class TestBuildEven:
     def test_reproduces_eight_fixture(self):
         S = circulant(fx.EIGHT_S_ROW)

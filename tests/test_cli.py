@@ -150,6 +150,17 @@ class TestBuild:
         assert payload["verified"] is True
         assert payload["matrix"] == fx.EIGHT_MATRIX.tolist()
 
+    def test_checked_in_order_64_rows(self, tmp_path):
+        # the packaging smoke test in CI runs the installed script on this
+        # file too: an order-64 build, which the oracle solves as two halves
+        out = tmp_path / "out.json"
+        assert main(["build", str(DATA / "rows_32.json"), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["verified"] is True
+        M = np.asarray(payload["matrix"])
+        assert M.shape == (64, 64)
+        assert payload["computed_spectrum"] == cli._complex_out(spectrum(M))
+
     def test_rows_build_matches_fixture(self, tmp_path):
         inp = write_json(
             tmp_path / "in.json",

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixtures as fx
+from niepkit import oracle
+from niepkit._util import VERIFY_RTOL
+from niepkit.blocks import BlockBuildSpec, build_circ_skew, build_even, build_odd
 from niepkit.dft import circulant_eigenvalues, skew_eigenvalues
 from niepkit.oracle import match_spectra, spectrum
+from niepkit.realize import brauer_augment
 from niepkit.structured import circulant, skew_circulant
 
 
@@ -194,6 +199,182 @@ def test_bottleneck_matches_brute_force(case, below):
     assert report.max_pair_distance == want
     assert report.matched is (want <= tol)
     _assert_bottleneck_pairing(x, y, report)
+
+
+# ------------------------------------------------------------- split route
+
+
+def _spectrum_and_shapes(M):
+    """``spectrum(M)`` and the shapes of the arrays it hands LAPACK."""
+    with mock.patch.object(np.linalg, "eigvals", wraps=np.linalg.eigvals) as spy:
+        values = spectrum(M)
+    return values, [np.shape(call.args[0]) for call in spy.call_args_list]
+
+
+def _route(N):
+    """The shapes :func:`spectrum` solves at order N for a block build."""
+    n = N // 2
+    if N < oracle._SPLIT_ORDER:
+        return [(N, N)]
+    return [(2, n, n)] if N % 2 == 0 else [(n + 1, n + 1), (n, n)]
+
+
+def _symmetric_rows(rng, n):
+    """Rows whose circulant and skew circulant are symmetric: a build whose
+    eigenvalues are real and mostly double."""
+    c = rng.uniform(-1.0, 1.0, size=n)
+    c[1:] = (c[1:] - c[1:][::-1]) / 2.0
+    u = rng.uniform(0.0, 1.0, size=n)
+    u[1:] = (u[1:] + u[1:][::-1]) / 2.0
+    return np.abs(c) + u, c
+
+
+@st.composite
+def _block_builds(draw):
+    """A block build at an even or odd order just below or at the split
+    crossover, or at order 63 / 64: circulant rows, general (S, C), bordered
+    with an optional uneven last-row split, or Brauer; gamma 0, sign -1,
+    zero rows and the symmetric repeated-eigenvalue build included."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["circ_skew", "even", "odd", "brauer"]))
+    half = oracle._SPLIT_ORDER // 2
+    odd = kind in ("odd", "brauer")
+    n = draw(st.sampled_from([half - 1, half, 31 if odd else 32]))
+    gamma = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    sign = draw(st.sampled_from([1, -1]))
+    zero = draw(st.sampled_from(["none", "skew", "both"]))
+    c = rng.uniform(-1.0, 1.0, size=n) * (zero == "none")
+    if kind == "circ_skew":
+        if draw(st.booleans()):
+            s, c = _symmetric_rows(rng, n)
+        else:
+            s = np.abs(c) + rng.uniform(0.0, 1.0, size=n)
+        s, c = s * (zero != "both"), c * (zero == "none")
+        return build_circ_skew(s, c, BlockBuildSpec(gamma, sign))
+    if kind == "even":
+        C = rng.uniform(-1.0, 1.0, size=(n, n)) * (zero == "none")
+        S = (np.abs(C) + rng.uniform(0.0, 1.0, size=(n, n))) * (zero != "both")
+        return build_even(S, C, BlockBuildSpec(gamma, sign))
+    if kind == "odd":
+        S = (np.abs(c).max() + rng.uniform(0.0, 1.0, size=(n + 1, n + 1))) * (zero != "both")
+        split = None
+        if draw(st.booleans()):
+            w = rng.uniform(0.0, 1.0, size=n)
+            split = tuple(zip(w * S[n, :n], (1.0 - w) * S[n, :n]))
+        return build_odd(S, c, BlockBuildSpec(gamma, sign, split))
+    # brauer: distinct values need an exhaustive search, so order 63 takes
+    # a skew row (x, 0, ..., 0), one repeated value, and a zero tail
+    if n == 31:
+        c[1:] = 0.0
+    ups = skew_eigenvalues(2.0 * c)
+    tail = np.zeros(n, dtype=complex)
+    head = 0.0
+    if zero == "none" and n < 31:
+        lam = circulant_eigenvalues(rng.uniform(0.0, 1.0, size=n + 1))
+        tail, head = lam[1:], float(lam[0].real)
+    rho = (n + 1) * float(np.abs(ups).sum()) / n + head + rng.uniform(0.0, 1.0)
+    return brauer_augment(ups, tail, rho, gamma=gamma, sign=sign, cap=n + 1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(M=_block_builds())
+def test_split_and_dense_spectra_agree(M):
+    values, shapes = _spectrum_and_shapes(M)
+    assert shapes == _route(M.shape[0])
+    dense = np.linalg.eigvals(M)
+    tol = 1e-12 * max(1.0, float(np.abs(dense).max()))
+    assert match_spectra(values, dense, tol).matched
+
+
+def _block_case(N, seed=0):
+    """A verified block build of order N and its intended spectrum: circulant
+    rows at even N, a bordered build with an uneven last-row split at odd N."""
+    rng = np.random.default_rng(seed)
+    n = N // 2
+    c = rng.uniform(-1.0, 1.0, size=n)
+    spec = BlockBuildSpec(0.75, -1)
+    if N % 2 == 0:
+        s = np.abs(c) + rng.uniform(0.0, 1.0, size=n)
+        M = build_circ_skew(s, c, spec)
+    else:
+        s = np.abs(c).max() + rng.uniform(0.0, 1.0, size=n + 1)
+        last = circulant(s)[n, :n]
+        w = rng.uniform(0.0, 1.0, size=n)
+        spec = BlockBuildSpec(0.75, -1, tuple(zip(w * last, (1.0 - w) * last)))
+        M = build_odd(circulant(s), c, spec)
+    return M, np.concatenate([circulant_eigenvalues(s), -0.75 * skew_eigenvalues(c)])
+
+
+def _verify_tol(expected):
+    return VERIFY_RTOL * max(1.0, float(np.abs(expected).max()))
+
+
+@pytest.mark.parametrize(
+    "N, entry",
+    [(64, (1, 1)), (64, (5, 2)), (63, (1, 1)), (63, (5, 2)), (63, (3, 62))],
+    ids=["64-a", "64-b", "63-a", "63-b", "63-last-column"],
+)
+def test_one_ulp_off_the_layout_takes_the_dense_path(N, entry):
+    # (1, 1) mirrors a, (5, 2) mirrors b, (3, 62) the last column's top copy
+    M, expected = _block_case(N)
+    tol = _verify_tol(expected)
+    split, shapes = _spectrum_and_shapes(M)
+    assert shapes == _route(N)
+    M[entry] = np.nextafter(M[entry], np.inf)
+    dense, shapes = _spectrum_and_shapes(M)
+    assert shapes == [(N, N)]
+    assert match_spectra(split, expected, tol).matched
+    assert match_spectra(dense, expected, tol).matched
+
+
+def test_order_64_splits_and_order_65_raises_whatever_its_structure():
+    M, expected = _block_case(64)
+    values, shapes = _spectrum_and_shapes(M)
+    assert shapes == [(2, 32, 32)]
+    assert match_spectra(values, expected, _verify_tol(expected)).matched
+    bordered = build_odd(circulant(np.ones(33)), np.zeros(32))
+    for big in (bordered, np.eye(65), np.ones((65, 65))):
+        with pytest.raises(ValueError, match="^matrix order 65 exceeds 64$"):
+            spectrum(big)
+
+
+@pytest.mark.parametrize("N", [63, 64])
+@pytest.mark.parametrize("mirrored", [False, True], ids=["one-entry", "mirrored-pair"])
+def test_entry_moved_by_six_tolerances_is_rejected(N, mirrored):
+    # S and C diagonal put every 2x2 block on the diagonal, so a move stays
+    # in one block's eigenvalues; a circulant build would spread it over N
+    rng = np.random.default_rng(N)
+    n = N // 2
+    s = rng.uniform(1.0, 2.0, size=n + N % 2)
+    c = rng.uniform(-1.0, 1.0, size=n)
+    spec = BlockBuildSpec(1.0, 1)
+    if N % 2:
+        c[1:] = 0.0  # the skew circulant is c[0] * I
+        M = build_odd(np.diag(s), c, spec)
+        expected = np.concatenate([s, np.full(n, c[0])])
+    else:
+        M = build_even(np.diag(s), np.diag(c), spec)
+        expected = np.concatenate([s, c])
+    tol = _verify_tol(expected)
+    assert match_spectra(spectrum(M), expected, tol).matched
+    M[0, 0] += 6.0 * tol
+    if mirrored:
+        M[1, 1] += 6.0 * tol
+    values, shapes = _spectrum_and_shapes(M)
+    assert shapes == (_route(N) if mirrored else [(N, N)])
+    report = match_spectra(values, expected, tol)
+    assert not report.matched
+    assert report.max_pair_distance > 2.0 * tol
+
+
+def test_a_half_that_overflows_takes_the_dense_path():
+    # a - b overflows in every block; the whole matrix reports the overflow
+    N = oracle._SPLIT_ORDER
+    M = np.kron(np.eye(N // 2), [[1e308, -1e308], [-1e308, 1e308]])
+    with mock.patch.object(np.linalg, "eigvals", wraps=np.linalg.eigvals) as spy:
+        with pytest.raises(ValueError, match="eigenvalues of the matrix overflow"):
+            spectrum(M)
+    assert [np.shape(call.args[0]) for call in spy.call_args_list] == [(N, N)]
 
 
 def test_cli_import_loads_no_scipy():

@@ -297,6 +297,42 @@ class TestCheckConditions:
         with pytest.raises(error, match=f"^{message}$"):
             make()
 
+    @pytest.mark.parametrize(
+        "parts, error, message",
+        [
+            (((1.0, 2.0, 3.0), (0.0,)), ValueError, "circulant part must have the same "
+             "length as the skew part or one more, got 3 vs 1"),
+            (((1.0, 2j), (0.0, 0.0)), PairingError, "circulant part violates its pairing layout"),
+            (((1.0, 0.0), (1j, 2.0)), PairingError, "skew part violates its pairing layout"),
+            (((1.0, float("nan")), (0.0, 0.0)), ValueError, "circulant part must have finite entries"),
+        ],
+        ids=["lengths", "circulant_layout", "skew_layout", "nonfinite"],
+    )
+    def test_invalid_pair_raises_the_same_error_on_every_call(self, parts, error, message):
+        # validated arrays are kept only for a pair that passes
+        witness = check_conditions(SpectrumPair((3.0, 1.0), (0.5, 0.5))).witness
+        assert witness is not None
+        pair = SpectrumPair(*parts)
+        for _ in range(2):
+            with pytest.raises(error, match=f"^{message}$"):
+                build_from_witness(pair, witness)
+            with pytest.raises(error, match=f"^{message}$"):
+                pair.arrays()
+
+    def test_validated_arrays_are_kept_read_only(self):
+        lam = np.array([6.0, 2j, 1.0, -2j])
+        pair = SpectrumPair(lam, (0.0, 0.0, 0.0, 0.0))
+        first = pair.arrays()
+        assert all(a is b for a, b in zip(pair.arrays(), first))
+        assert not any(a.flags.writeable for a in first)
+        # the caller's array is neither frozen nor shared
+        assert lam.flags.writeable and not np.shares_memory(lam, first[0])
+        assert np.array_equal(first[0], lam)
+        tupled = SpectrumPair(tuple(lam), (0.0,) * 4)
+        tupled.arrays()
+        assert tupled == SpectrumPair(tuple(lam), (0.0,) * 4)
+        assert hash(tupled) == hash(SpectrumPair(tuple(lam), (0.0,) * 4))
+
     def test_witness_build_verifies(self):
         pair = SpectrumPair(
             circulant_part=(15, 2 + 5j, 1, 2 - 5j),
