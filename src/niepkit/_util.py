@@ -24,7 +24,7 @@ def as_float_vector(x, name="vector"):
         raise ValueError(f"{name} must be a real 1-D sequence") from exc
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D sequence")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must have finite entries")
     return arr
 
@@ -47,7 +47,7 @@ def as_float_matrix(x, name="matrix"):
         raise ValueError(f"{name} must be a nonempty 2-D array")
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must have finite entries")
     return arr
 

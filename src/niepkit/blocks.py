@@ -16,7 +16,7 @@ import numpy as np
 
 from ._util import ROUNDOFF_RTOL, as_float_matrix, as_float_vector, max_abs, slack
 from .errors import MajorizationError, RealizabilityError, StructureError
-from .structured import circulant, skew_circulant
+from .structured import _circulant, _skew_circulant
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,9 @@ def _finalize_nonnegative(M):
 
 def _assemble_even(S, C, g):
     n = S.shape[0]
-    plus = (S + g * C) / 2.0
-    minus = (S - g * C) / 2.0
+    gC = g * C
+    plus = (S + gC) / 2.0
+    minus = (S - gC) / 2.0
     M = np.empty((2 * n, 2 * n))
     M[0::2, 0::2] = plus
     M[1::2, 1::2] = plus
@@ -169,7 +170,7 @@ def build_circ_skew(s_row, c_row, spec=BlockBuildSpec()):
             f"|c_k| <= s_k fails at k = {', '.join(map(str, bad.tolist()))}",
             positions=[(0, int(k)) for k in bad],
         )
-    M = _assemble_even(circulant(s_row), skew_circulant(c_row), spec.signed_gamma)
+    M = _assemble_even(_circulant(s_row), _skew_circulant(c_row), spec.signed_gamma)
     return _finalize_nonnegative(M)
 
 
@@ -206,7 +207,7 @@ def build_odd(S, c_row, spec=BlockBuildSpec()):
     n = c_row.size
     if S.shape != (n + 1, n + 1):
         raise ValueError(f"S must have order {n + 1}, got {S.shape}")
-    C = skew_circulant(c_row)
+    C = _skew_circulant(c_row)
     _check_majorization(S[:n, :n], C)
     split = _resolve_split(spec, S[n, :n])
     g = spec.signed_gamma

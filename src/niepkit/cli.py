@@ -52,7 +52,8 @@ def _fmt(x):
 
 
 def _complex_out(values):
-    return [[float(z.real), float(z.imag)] for z in np.asarray(values, complex)]
+    values = np.asarray(values, complex)
+    return np.stack((values.real, values.imag), axis=-1).tolist()
 
 
 def _is_number(v):
@@ -149,7 +150,7 @@ def _matrix_payload(matrix, expected):
     """The verified JSON payload of a constructed matrix; the oracle runs once."""
     computed, report = _verify_matrix(matrix, expected)
     return {
-        "matrix": [[float(v) for v in row] for row in matrix],
+        "matrix": matrix.tolist(),
         "expected_spectrum": _complex_out(expected),
         "computed_spectrum": _complex_out(computed),
         "max_pair_distance": report.max_pair_distance,

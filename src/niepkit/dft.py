@@ -35,9 +35,12 @@ transposed rows, one position at a time (a maximum is exact in any order).
 The forward maps and the matrices ``F`` / ``G`` are the naive O(n^2) sums,
 taken over a table of the ``2n`` roots ``iota**t`` (``t = 0..2n-1``): every
 exponent (twiddles included) is an integer reduced modulo a full turn,
-which keeps angles exact at desk scale, and indexes that table, so a call
-runs ``2n`` complex ``exp`` calls rather than one per matrix entry, with
-outputs bit-identical to exponentiating every entry.
+which keeps angles exact at desk scale, and indexes that table, so a table
+costs ``2n`` complex ``exp`` calls rather than one per matrix entry, with
+entries bit-identical to exponentiating every entry.  Each forward map
+keeps its ``n x n`` table per order in a cache (:func:`_forward_table`),
+built on the first call at that order and read-only, so a call is one
+validation and one matrix-vector product.
 """
 
 import functools
@@ -61,6 +64,18 @@ def _unit_powers(numerator, half_turns):
     turn = 2 * half_turns
     roots = np.exp(1j * np.pi * np.arange(turn) / half_turns)
     return roots[np.mod(numerator, turn)]
+
+
+@functools.lru_cache(maxsize=64)
+def _forward_table(n, kind):
+    """The read-only ``n x n`` table of a forward map: ``w**(k*j)`` for
+    ``kind="circulant"``, ``w**((k + 1/2)*j)`` for ``kind="skew"``."""
+    k = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    numerator = 2 * k * j if kind == "circulant" else (2 * k + 1) * j
+    table = _unit_powers(numerator, n)
+    table.flags.writeable = False
+    return table
 
 
 @functools.lru_cache(maxsize=64)
@@ -95,24 +110,21 @@ def skew_dft_matrix(n):
 def circulant_eigenvalues(row):
     """Spectrum (lam_0, ..., lam_{n-1}) of the circulant with first row ``row``.
 
-    lam_0 is the row sum and lam_{n-k} is the conjugate of lam_k.
+    lam_0 is the row sum and lam_{n-k} is the conjugate of lam_k.  The
+    sum runs over the cached table of the order (:func:`_forward_table`).
     """
     row = as_float_vector(row, "row")
-    n = row.size
-    k = np.arange(n)
-    return _unit_powers(2 * np.outer(k, k), n) @ row.astype(complex)
+    return _forward_table(row.size, "circulant") @ row.astype(complex)
 
 
 def skew_eigenvalues(row):
     """Spectrum (mu_0, ..., mu_{n-1}) of the skew circulant with first row ``row``.
 
-    mu_{n-1-k} is the conjugate of mu_k.
+    mu_{n-1-k} is the conjugate of mu_k.  The sum runs over the cached
+    table of the order (:func:`_forward_table`).
     """
     row = as_float_vector(row, "row")
-    n = row.size
-    k = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    return _unit_powers((2 * k + 1) * j, n) @ row.astype(complex)
+    return _forward_table(row.size, "skew") @ row.astype(complex)
 
 
 def _recover_rows(spectra, kind):

@@ -33,16 +33,24 @@ def _skew_signs(n):
     return signs
 
 
+def _circulant(row):
+    """:func:`circulant` of a row already validated as a float vector."""
+    return row[_shift_table(row.size)]
+
+
+def _skew_circulant(row):
+    """:func:`skew_circulant` of a row already validated as a float vector."""
+    return _circulant(row) * _skew_signs(row.size)
+
+
 def circulant(row):
     """Dense circulant matrix: each row is the right cyclic shift of the one above."""
-    row = as_float_vector(row, "row")
-    return row[_shift_table(row.size)]
+    return _circulant(as_float_vector(row, "row"))
 
 
 def skew_circulant(row):
     """Dense skew circulant matrix: wrapped entries below the diagonal flip sign."""
-    row = as_float_vector(row, "row")
-    return row[_shift_table(row.size)] * _skew_signs(row.size)
+    return _skew_circulant(as_float_vector(row, "row"))
 
 
 @dataclass(frozen=True)
@@ -105,26 +113,28 @@ class PermutativityReport:
 def is_permutative(matrix, tol=None):
     """Check whether every row of a square matrix rearranges its first row.
 
-    Every row is sorted stably by one ``argsort`` over all rows, and the
-    sorted rows are compared entrywise with the sorted first row; the
-    matrix is permutative when no difference exceeds ``tol`` (default
-    ``1e-9`` times the largest magnitude; a given ``tol`` must be finite
-    and nonnegative).  The witness for row ``i``,
-    scattered for all rows at once, sends the position of the k-th
-    smallest entry of row ``i`` to that of the k-th smallest entry of row
-    0, ties taken in index order: the witness a row-by-row stable sort
-    gives.
+    Every row is sorted by one ``np.sort`` over all rows, and the sorted
+    rows are compared entrywise with the sorted first row; the matrix is
+    permutative when no difference exceeds ``tol`` (default ``1e-9`` times
+    the largest magnitude; a given ``tol`` must be finite and nonnegative).
+    The witness for row ``i``, scattered for all rows at once, sends the
+    position of the k-th smallest entry of row ``i`` to that of the k-th
+    smallest entry of row 0, ties taken in index order: the witness a
+    row-by-row stable sort gives.  Its ``argsort`` is the default kind when
+    every sorted row strictly increases (distinct entries have one order
+    under any sort; ``-0.0`` and ``0.0`` count as a tie), and the stable
+    kind otherwise.
     """
     matrix = as_float_matrix(matrix, "matrix")
     if tol is None:
         tol = slack(PERMUTATIVE_RTOL, matrix)
     elif not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    rows = np.arange(matrix.shape[0])[:, None]
-    order = np.argsort(matrix, axis=1, kind="stable")
-    ranked = matrix[rows, order]
+    ranked = np.sort(matrix, axis=1)
     if np.max(np.abs(ranked - ranked[0])) > tol:
         return PermutativityReport(False, None)
+    distinct = (ranked[:, 1:] > ranked[:, :-1]).all()
+    order = np.argsort(matrix, axis=1, kind=None if distinct else "stable")
     perm = np.empty_like(order)
-    perm[rows, order] = order[0]
+    perm[np.arange(matrix.shape[0])[:, None], order] = order[0]
     return PermutativityReport(True, tuple(map(tuple, perm.tolist())))

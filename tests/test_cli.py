@@ -361,6 +361,12 @@ class TestAugment:
 
 
 class TestVerify:
+    def test_checked_in_claim(self, capsys):
+        # the packaging smoke test in CI runs the installed script on this
+        # file: a 16x16 circulant and its spectrum
+        assert main(["verify", str(DATA / "claim_16.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["matched"] is True
+
     def test_matched(self, tmp_path):
         inp = write_json(
             tmp_path / "in.json",
@@ -514,6 +520,37 @@ def reference_payload_text(matrix, expected):
         "verified": True,
     }
     return json.dumps(payload, indent=2) + "\n"
+
+
+def test_payload_writers_give_the_bytes_of_per_entry_floats():
+    # tolist gives the Python floats that converting entry by entry gave,
+    # signed zeros and extreme magnitudes included, so the JSON is unchanged
+    values = np.array([1e300, 1.0, 1e-300, -0.0, 0.0])
+    M = np.diag(values)
+    M[1, 2] = -0.0
+    expected = np.array(
+        [complex(1e300, -0.0), complex(1.0, 1e-300), complex(1e-300, -1e300),
+         complex(-0.0, -0.0), 0j]
+    )
+
+    def old_complex_out(z):
+        return [[float(v.real), float(v.imag)] for v in np.asarray(z, complex)]
+
+    assert json.dumps(cli._complex_out(expected)) == json.dumps(
+        old_complex_out(expected)
+    )
+    tol = VERIFY_RTOL * max(1.0, max_abs(values))
+    report = match_spectra(spectrum(M), values, tol)
+    old = {
+        "matrix": [[float(v) for v in row] for row in M],
+        "expected_spectrum": old_complex_out(values),
+        "computed_spectrum": old_complex_out(spectrum(M)),
+        "max_pair_distance": report.max_pair_distance,
+        "verified": True,
+    }
+    got = cli._matrix_payload(M, values)
+    assert json.dumps(got, indent=2) == json.dumps(old, indent=2)
+    assert "-0.0" in json.dumps(got) and "1e-300" in json.dumps(got)
 
 
 def rows_reference_text(gamma=1.0, sign=1):

@@ -260,6 +260,35 @@ def test_skew_rows_equal_on_cold_and_warm_caches():
         assert got.tobytes() == want.tobytes()
 
 
+def test_forward_tables_are_read_only_and_bit_equal_on_cold_and_warm_caches():
+    rng = np.random.default_rng(14)
+    rows = [rng.uniform(-100.0, 100.0, size=n) for n in range(1, 65)]
+    maps = {
+        "circulant": ("F and the circulant forward map", circulant_eigenvalues),
+        "skew": ("skew forward map", skew_eigenvalues),
+    }
+    for kind, (name, forward) in maps.items():
+        cold = []
+        for row in rows:
+            dft._forward_table.cache_clear()
+            cold.append(forward(row))
+        for row in rows:
+            forward(row)
+        misses = dft._forward_table.cache_info().misses
+        for row, want in zip(rows, cold):
+            n = row.size
+            table = dft._forward_table(n, kind)
+            assert dft._forward_table(n, kind) is table
+            reference = reference_unit_powers(_numerators(n)[name], n)
+            assert np.array_equal(_bits(table), _bits(reference)), (kind, n)
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0
+            got = forward(row)
+            assert got.tobytes() == want.tobytes(), (kind, n)
+            assert np.array_equal(_bits(got), _bits(reference @ row.astype(complex)))
+        assert dft._forward_table.cache_info().misses == misses
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     row=st.integers(min_value=1, max_value=128).flatmap(

@@ -198,20 +198,48 @@ def test_batched_check_matches_row_loop(M):
         assert not _assert_same_report(M, float(np.nextafter(worst, 0.0)))
 
 
+_BASES = {
+    # each row sorts to a strictly increasing one: the default-kind argsort
+    "distinct": lambda rng, n: rng.permutation(n) + rng.uniform(0.0, 0.5, size=n),
+    # the last entry repeats the first
+    "ties": lambda rng, n: np.resize(rng.integers(0, 3, size=max(n - 1, 1)), n) * 1.0,
+    # -0.0 == 0.0, so signed zeros are ties for the sort and the witness
+    "signed zeros": lambda rng, n: np.resize([-0.0, 0.0, 1.5], n),
+    "all zero": lambda rng, n: np.zeros(n),
+}
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 64])
-def test_ties_and_moved_entries_at_the_tolerance(n):
+def test_ties_and_moved_entries_at_the_tolerance(n, monkeypatch):
+    kinds = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        kinds.append(kwargs.get("kind"))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
     rng = np.random.default_rng(30 + n)
-    base = rng.integers(0, 3, size=n).astype(float)
-    M = np.array([rng.permutation(base) for _ in range(n)])
-    report = _assert_same_report(M)
-    assert report.permutative
-    for i, perm in enumerate(report.row_permutations):
-        assert np.array_equal(M[i], M[0][list(perm)])
-    tol = PERMUTATIVE_RTOL * max(max_abs(M), 1.0)
-    for factor, inside in ((0.999, True), (1.001, False)):
-        moved = M.copy()
-        moved[n // 2, n - 1] += factor * tol
-        assert _assert_same_report(moved, tol).permutative == (inside or n == 1)
+    for base, draw in _BASES.items():
+        row = draw(rng, n)
+        M = np.array([rng.permutation(row) for _ in range(n)])
+        ranked = np.sort(M, axis=1)
+        distinct = bool((ranked[:, 1:] > ranked[:, :-1]).all())
+        assert distinct == (base == "distinct" or n == 1)
+        tol = PERMUTATIVE_RTOL * max(max_abs(M), 1.0)
+        for factor, inside in ((None, True), (0.999, True), (1.001, False)):
+            moved = M.copy()
+            if factor is not None:
+                moved[n // 2, n - 1] += factor * tol
+            kinds.clear()
+            report = _assert_same_report(moved, None if factor is None else tol)
+            assert report.permutative == (inside or n == 1), (base, factor)
+            if report.permutative:
+                # the check's own argsort, then the reference's stable ones
+                assert kinds[0] == (None if distinct else "stable"), base
+            if factor is None:
+                for i, perm in enumerate(report.row_permutations):
+                    assert np.array_equal(M[i], M[0][list(perm)])
 
 
 def _reference_skew_circulant(row):
