@@ -7,6 +7,15 @@ over matrices ``S = (s_ij)`` and ``C = (c_ij)`` has spectrum
 block body with a duplicated last column of ``S``, a split last row and the
 scalar corner.  The two ``split_spectrum_*`` functions invert the layout,
 recovering ``(S, C)`` from a structured matrix.
+
+With rows and columns 2i and 2i+1 read from i and n+i,
+:func:`build_circ_skew` is the order-2n circulant with first row
+``f = ((s + g*c)/2, (s - g*c)/2)``, bit for bit (tested).  Its even
+frequencies give the circulant spectrum of ``s = f_k + f_{k+n}``, its odd
+ones the skew spectrum of ``g*c = f_k - f_{k+n}``.  So at gamma = 1 the
+even route realizes exactly the lists a nonnegative order-2n circulant
+realizes (``f >= 0`` is ``|c| <= s``); for gamma < 1 that circulant needs
+only ``|g*c| <= s``, and ``|c| <= s`` is stronger than needed.
 """
 
 from dataclasses import dataclass

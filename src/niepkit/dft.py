@@ -40,7 +40,8 @@ costs ``2n`` complex ``exp`` calls rather than one per matrix entry, with
 entries bit-identical to exponentiating every entry.  Each forward map
 keeps its ``n x n`` table per order in a cache (:func:`_forward_table`),
 built on the first call at that order and read-only, so a call is one
-validation and one matrix-vector product.
+validation and one matrix-vector product.  ``F`` and ``G`` are those two
+tables over ``sqrt(n)`` (``G`` transposed): the exponents have one coding.
 """
 
 import functools
@@ -90,8 +91,7 @@ def dft_matrix(n):
     """Unitary DFT matrix F with F[p, q] = w**(p*q) / sqrt(n)."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    idx = np.arange(n)
-    return _unit_powers(2 * np.outer(idx, idx), n) / np.sqrt(n)
+    return _forward_table(n, "circulant") / np.sqrt(n)
 
 
 def skew_dft_matrix(n):
@@ -102,9 +102,7 @@ def skew_dft_matrix(n):
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    p = np.arange(n)[:, None]
-    q = np.arange(n)[None, :]
-    return _unit_powers(p * (2 * q + 1), n) / np.sqrt(n)
+    return np.ascontiguousarray(_forward_table(n, "skew").T) / np.sqrt(n)
 
 
 def circulant_eigenvalues(row):

@@ -25,9 +25,10 @@ from .errors import PairingError, RealizabilityError
 from .spectra import (
     DEFAULT_ENUMERATION_CAP,
     PairingPermutation,
-    _in_layout,
+    _conjugate_distance,
     _orderings,
     _skew_representatives,
+    pairing_tolerance,
 )
 from .structured import circulant
 
@@ -164,11 +165,13 @@ def in_gamma_region(z):
 
 @dataclass(frozen=True)
 class SpectrumPair:
-    """A circulant-layout list, a skew-layout list and a scaling gamma.
+    """A circulant part, a skew part and a scaling gamma.
 
     ``circulant_part`` has length n (paired with an even block build) or
-    n+1 (odd build); ``skew_part`` has length n.  Both must already be in
-    their pairing layouts in index order.
+    n+1 (odd build); ``skew_part`` has length n.  Each part is a multiset:
+    its entries may come in any order, and the searches try every
+    reordering that keeps its pairing layout.  The circulant head is
+    forced (:func:`_head_first`), so it need not come first either.
     """
 
     circulant_part: tuple
@@ -180,10 +183,19 @@ class SpectrumPair:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
 
     def arrays(self):
-        """The two parts as complex arrays, validated.  A pair that passes
-        keeps its read-only arrays, so later calls skip the coercion and
-        the layout tests; one that fails raises again on every call."""
-        cached = self.__dict__.get("_arrays")
+        """The two parts as complex arrays, in the caller's order, validated:
+        each part must admit an ordering of its pairing layout, the
+        circulant part one headed by its forced head, or
+        :class:`PairingError` is raised; the ordering generator judges
+        both.  A pair that passes keeps its read-only arrays, so later
+        calls skip the coercion and the layout tests; one that fails
+        raises again on every call."""
+        return self._validated()[:2]
+
+    def _validated(self):
+        """:meth:`arrays` and the index order of the circulant part that
+        puts its head first (:func:`_head_first`), kept with them."""
+        cached = self.__dict__.get("_parts")
         if cached is not None:
             return cached
         lam = as_complex_vector(self.circulant_part, "circulant part")
@@ -193,15 +205,37 @@ class SpectrumPair:
                 "circulant part must have the same length as the skew part "
                 f"or one more, got {lam.size} vs {ups.size}"
             )
-        if not _in_layout(lam, "circulant"):
+        order = _head_first(lam, slack(ROUNDOFF_RTOL, lam, ups, floor=1.0))
+        if not len(_orderings(lam[order], "circulant", 1, DEFAULT_ENUMERATION_CAP)):
             raise PairingError("circulant part violates its pairing layout")
-        if not _in_layout(ups, "skew"):
+        if not len(_orderings(ups, "skew", 1, DEFAULT_ENUMERATION_CAP)):
             raise PairingError("skew part violates its pairing layout")
         # copies: a part passed as an array is neither frozen nor shared
         lam, ups = lam.copy(), ups.copy()
-        lam.flags.writeable = ups.flags.writeable = False
-        object.__setattr__(self, "_arrays", (lam, ups))
-        return lam, ups
+        for array in (lam, ups, order):
+            array.flags.writeable = False
+        object.__setattr__(self, "_parts", (lam, ups, order))
+        return lam, ups, order
+
+
+def _head_first(lam, tol):
+    """The index order of ``lam`` that moves its circulant head to the
+    front, the other entries keeping their order.
+
+    A nonnegative circulant's eigenvalue lam_0 = sum_j s_j is at least
+    every |lam_k|, so only a real entry of largest modulus can head one
+    (real by the generator's rule, ``2|Im| <= pairing_tolerance(lam)``).
+    The search admits rows with entries down to ``-tol``; for those,
+    lam_0 >= |lam_k| - 2m*tol (m = ``lam.size``), so an entry within that
+    margin of the largest modulus qualifies, and every pair the search
+    satisfies with index 0 as head keeps it.  Index 0 keeps the head when
+    it qualifies; otherwise the first entry that does moves, and when none
+    does nothing moves.
+    """
+    real = _conjugate_distance(lam, lam) <= pairing_tolerance(lam)
+    heads = real & (lam.real >= max_abs(lam) - 2 * lam.size * tol)
+    h = int(np.argmax(heads))  # 0 when index 0 qualifies or none does
+    return np.r_[h, 0:h, h + 1:lam.size]
 
 
 @dataclass(frozen=True)
@@ -360,13 +394,20 @@ def _builds(s_row, c_row, odd):
 def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
     """Sufficient-condition check for realizing Lambda union (+/-gamma)*Upsilon.
 
+    Both parts may come in any order.  The circulant part is read with its
+    forced head first (:func:`_head_first`); the alphas reorder the rest,
+    and ``witness.alpha.mapping`` indexes ``circulant_part`` as given, its
+    first entry the head.  The other entries keep their order when the head
+    moves, so the alphas stay in lexicographic order of their image tuples.
+
     Constructive mode (the authoritative one) searches reordering pairs in
     lexicographic order for recovered first rows with ``s`` nonnegative and
     the skew row dominated entrywise by the circulant body; the first
     witness found feeds :func:`niepkit.blocks.build_circ_skew` (equal
     lengths) or :func:`niepkit.blocks.build_odd` (circulant part longer by
-    one).  Formula mode only compares the head of the circulant part
-    against :func:`circulant_head_bound` and reports no witness.
+    one).  Formula mode only compares the head against
+    :func:`circulant_head_bound` and reports no witness; it still raises
+    :class:`PairingError` for a part with no layout ordering.
 
     Each side is enumerated once and its rows are recovered in one batch;
     the head bound and the circulant rows share one ordering array.  At
@@ -386,7 +427,8 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
     """
     if mode not in ("constructive", "formula"):
         raise ValueError(f"mode must be 'constructive' or 'formula', got {mode!r}")
-    lam, ups = pair.arrays()
+    lam, ups, order = pair._validated()
+    lam = lam[order]
     alphas = _layout_orderings(lam, "circulant", cap)
     bound = _head_bound(lam, alphas)
     tol = slack(ROUNDOFF_RTOL, lam, ups, floor=1.0)
@@ -415,7 +457,7 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
             if _builds(s_row, c_row, odd):
                 c_pad = np.concatenate([c_abs[b], [0.0]]) if odd else c_abs[b]
                 witness = ConditionWitness(
-                    alpha=_permutation(alphas, block[i], "circulant"),
+                    alpha=_permutation(order[alphas], block[i], "circulant"),
                     beta=_permutation(betas, b, "skew"),
                     circulant_row=tuple(s_row.tolist()),
                     skew_row=tuple(c_row.tolist()),

@@ -64,8 +64,11 @@ class PairingPermutation:
     """A permutation whose reordering preserves a conjugate-pairing layout.
 
     ``mapping`` is the image tuple: position k of the reordered list holds
-    entry ``mapping[k]`` of the original.  ``kind`` is ``"circulant"``
-    (fixes 0) or ``"skew"``.
+    entry ``mapping[k]`` of the original.  ``kind`` is ``"circulant"`` or
+    ``"skew"``.  A circulant permutation puts the circulant head at
+    position 0: index 0 in the enumerators, which fix it, and the forced
+    head of a :class:`niepkit.realize.SpectrumPair` in a witness, wherever
+    the caller's list holds it.
     """
 
     mapping: tuple
@@ -91,16 +94,12 @@ def _conjugate_distance(a, b):
 
 
 def _satisfies(entries, order, tol, kind):
+    """Whether ``entries`` (optionally reordered) has the ``kind`` layout:
+    each entry within ``tol`` (default :func:`pairing_tolerance`) of the
+    conjugate of its partner's."""
     entries = as_complex_vector(entries)
     if order is not None:
         entries = entries[list(order)]
-    return _in_layout(entries, kind, tol)
-
-
-def _in_layout(entries, kind, tol=None):
-    """Whether the complex vector ``entries`` (already coerced) has the
-    ``kind`` layout: each entry within ``tol`` (default
-    :func:`pairing_tolerance`) of the conjugate of its partner's."""
     if tol is None:
         tol = pairing_tolerance(entries)
     mates = _layout_partners(entries.size, kind)
@@ -158,8 +157,11 @@ def _orderings(entries, kind, limit, cap):
 def _skew_representatives(entries, cap):
     """The skew-layout orderings of ``entries`` that represent their
     shift classes (see :func:`_shift_representatives`), validated and
-    cached as :func:`_orderings` is, with the same key."""
-    n, _, compatible, labels, _ = _structure_key(entries, "skew", None, cap)
+    cached as :func:`_orderings` is, with the same key.  At odd n every
+    ordering is its own class, and the array is :func:`_orderings`' own."""
+    n, kind, compatible, labels, limit = _structure_key(entries, "skew", None, cap)
+    if n % 2:
+        return _generate(n, kind, compatible, labels, limit)
     return _shift_representatives(n, compatible, labels)
 
 
@@ -196,11 +198,11 @@ def _shift_representatives(n, compatible, labels):
     rows; the first of each is kept.  A search that reads the skew rows only
     through ``|c|`` and keeps the first row that passes, or the first of
     tied minima, therefore finds the same ordering among the
-    representatives.  For odd n, which has a self-partnered middle, every
-    ordering is its own class.
+    representatives.  Called for even n only: odd n has a self-partnered
+    middle, and every ordering is its own class.
     """
     orderings = _generate(n, "skew", compatible, labels, None)
-    if n % 2 or not len(orderings):
+    if not len(orderings):
         return orderings
     partner = _shift_partners(orderings, np.frombuffer(labels, dtype=np.intp))
     reps = orderings[partner >= np.arange(len(orderings))]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import fixtures as fx
 from niepkit.blocks import (
@@ -14,6 +16,30 @@ from niepkit.dft import circulant_eigenvalues, skew_eigenvalues
 from niepkit.errors import MajorizationError, StructureError
 from niepkit.oracle import match_spectra, spectrum
 from niepkit.structured import circulant, is_permutative, skew_circulant
+
+
+#: g = sign * gamma over {1, 0.5, 0, -0.5, -1}, with g = -0.0 too.
+_SIGNED_GAMMAS = [
+    BlockBuildSpec(gamma=gamma, sign=sign)
+    for gamma in (1.0, 0.5, 0.0)
+    for sign in (1, -1)
+]
+#: Row entries that stress the identity: signed zeros, extreme magnitudes.
+_EDGE_ENTRIES = [0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, 1.0, -1.0]
+
+
+@st.composite
+def _dominated_rows(draw):
+    """Rows ``s`` and ``c`` of one order n = 1..32 with ``|c| <= s``:
+    ``c`` from uniform and edge entries, ``s = |c| + u`` with ``u`` from
+    the same, and ``s = -0.0`` wherever ``c`` and ``u`` are zero."""
+    n = draw(st.integers(1, 32))
+    entry = st.one_of(st.sampled_from(_EDGE_ENTRIES), st.floats(-4.0, 4.0))
+    c = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    u = np.abs(draw(st.lists(entry, min_size=n, max_size=n)))
+    s = np.abs(c) + u
+    s[(c == 0) & (u == 0) & draw(st.booleans())] = -0.0
+    return s, c
 
 
 def random_majorized_pair(rng, n):
@@ -252,15 +278,23 @@ class TestBuildCircSkew:
         assert np.allclose(M[0:2, 0:2], 1.0)
         assert np.allclose(M[0:2, 2:4], 2.0)
 
-    def test_matches_materialized_build_even(self):
-        rng = np.random.default_rng(9)
-        c = rng.uniform(-1, 1, size=4)
-        s = np.abs(c) + rng.uniform(0, 1, size=4)
-        spec = BlockBuildSpec(gamma=0.5, sign=-1)
-        assert np.array_equal(
-            build_circ_skew(s, c, spec),
-            build_even(circulant(s), skew_circulant(c), spec),
-        )
+    @seed(11)
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_dominated_rows(), spec=st.sampled_from(_SIGNED_GAMMAS))
+    def test_matches_materialized_build_even(self, rows, spec):
+        """The even build is the order-2n circulant of
+        f = ((s + g*c)/2, (s - g*c)/2), rows and columns 2i and 2i+1 read
+        from i and n+i: bit for bit once both pass the builders' final clip
+        (which may turn a -0.0 into 0.0)."""
+        s, c = rows
+        n = s.size
+        M = build_circ_skew(s, c, spec)
+        assert M.tobytes() == build_even(circulant(s), skew_circulant(c), spec).tobytes()
+        g = spec.signed_gamma
+        f = np.concatenate([(s + g * c) / 2.0, (s - g * c) / 2.0])
+        interleave = np.arange(2 * n).reshape(2, n).T.ravel()
+        F = circulant(f)[np.ix_(interleave, interleave)]
+        assert M.tobytes() == np.clip(F, 0.0, None).tobytes()
 
     def test_spectrum_from_rows(self):
         rng = np.random.default_rng(10)

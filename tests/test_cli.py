@@ -241,9 +241,18 @@ class TestCheck:
     def test_unsatisfied_exits_2(self, tmp_path):
         inp = write_json(
             tmp_path / "in.json",
-            {"circulant": pairs([1.0, 5.0]), "skew": pairs([0.0, 0.0])},
+            {"circulant": pairs([5.0, -5.5]), "skew": pairs([0.0, 0.0])},
         )
         assert main(["check", inp]) == 2
+
+    def test_multiset_pair_exits_0(self, tmp_path):
+        # the head is third and the skew part out of layout: both are read
+        # as multisets, and the witness indexes them as given
+        out = tmp_path / "report.json"
+        assert main(["check", str(DATA / "multiset_pair.json"), "--out", str(out)]) == 0
+        witness = json.loads(out.read_text())["witness"]
+        assert witness["alpha"] == [2, 0, 1, 3]
+        assert witness["beta"] == [1, 0, 2]
 
     def test_edge_pair_witness_builds(self, tmp_path):
         # a witness within a spectrum-scale slack but not the builders' one

@@ -36,7 +36,12 @@ from niepkit.realize import (
     region_check,
     skew_row_bound,
 )
-from niepkit.spectra import enumerate_circulant_permutations, enumerate_skew_permutations
+from niepkit.spectra import (
+    enumerate_circulant_permutations,
+    enumerate_skew_permutations,
+    satisfies_circulant_pairing,
+    satisfies_skew_pairing,
+)
 from niepkit.structured import (
     AbsCirculant,
     abs_circulant,
@@ -263,7 +268,7 @@ class TestCheckConditions:
         assert check_conditions(pair).satisfied
 
     def test_unsatisfied_reports_no_witness(self):
-        pair = SpectrumPair((1.0, 5.0), (0.0, 0.0))
+        pair = SpectrumPair((5.0, -5.5), (0.0, 0.0))
         report = check_conditions(pair)
         assert not report.satisfied
         assert report.witness is None
@@ -1104,3 +1109,124 @@ def test_join_chunks_straddle_blocks_over_representatives(monkeypatch):
         outcomes.add(want.satisfied)
     assert outcomes == {True, False}
     assert split > 0
+
+
+def _witness_verifies(pair, report):
+    """The witness indexes both parts as given, each part reordered by it
+    has its pairing layout, and its build verifies."""
+    lam = np.asarray(pair.circulant_part, dtype=complex)
+    ups = np.asarray(pair.skew_part, dtype=complex)
+    witness = report.witness
+    assert satisfies_circulant_pairing(lam[list(witness.alpha.mapping)])
+    assert satisfies_skew_pairing(ups[list(witness.beta.mapping)])
+    M = build_from_witness(pair, witness)
+    expected = np.concatenate([lam, pair.gamma * ups])
+    tol = VERIFY_RTOL * max(1.0, max_abs(expected))
+    assert match_spectra(spectrum(M), expected, tol).matched
+
+
+class TestMultisetParts:
+    """Both parts are multisets: any order is read, the circulant head is
+    forced and the witness indexes the parts as given."""
+
+    @pytest.mark.parametrize(
+        "lam, alpha",
+        [
+            ((6, 2j, 1, -2j), (0, 1, 2, 3)),
+            ((6, 1, 2j, -2j), (0, 2, 1, 3)),  # once "violates its pairing layout"
+            ((1, 2j, 6, -2j), (2, 1, 0, 3)),  # once headed by 1, and unsatisfied
+            ((1.0, 5.0), (1, 0)),  # circ(3, 2); once unsatisfied
+        ],
+    )
+    def test_circulant_part_in_any_order(self, lam, alpha):
+        pair = SpectrumPair(lam, (0.0,) * len(lam))
+        report = check_conditions(pair)
+        assert report.satisfied
+        assert report.witness.alpha.mapping == alpha
+        assert check_conditions(pair, mode="formula").satisfied
+        _witness_verifies(pair, report)
+
+    def test_bordered_pair_in_any_order(self):
+        # the seven pair, its head third and its skew part out of layout
+        data = json.loads((DATA / "multiset_pair.json").read_text())
+        pair = SpectrumPair(
+            tuple(complex(*z) for z in data["circulant"]),
+            tuple(complex(*z) for z in data["skew"]),
+        )
+        assert not satisfies_circulant_pairing(pair.circulant_part)
+        assert not satisfies_skew_pairing(pair.skew_part)
+        report = check_conditions(pair)
+        assert report.satisfied
+        assert report.witness.alpha.mapping == (2, 0, 1, 3)
+        assert report.witness.beta.mapping == (1, 0, 2)
+        np.testing.assert_allclose(report.witness.circulant_row, fx.SEVEN_S_ROW, atol=1e-10)
+        np.testing.assert_allclose(report.witness.skew_row, fx.SEVEN_C_ROW, atol=1e-10)
+        _witness_verifies(pair, report)
+
+    @pytest.mark.parametrize("bordered", [False, True])
+    def test_head_rule_margin(self, bordered):
+        # index 0 keeps the head down to 2m*tol below the largest modulus
+        # (m entries, tol the search's slack); one ulp lower, the largest
+        # entry heads.  For n = 2 the head bound is the other entry.
+        big = 10.0
+        tol = 1e-12 * big
+        edge = big - 2 * 2 * tol
+        ups = (0.0,) if bordered else (0.0, 0.0)
+        inside = check_conditions(SpectrumPair((edge, big), ups))
+        assert inside.bound_value == big
+        below = float(np.nextafter(edge, 0.0))
+        outside = check_conditions(SpectrumPair((below, big), ups))
+        assert outside.bound_value == below
+        assert outside.satisfied and outside.witness.alpha.mapping == (1, 0)
+
+    def test_entry_not_real_never_heads(self):
+        # 10 +/- 1e-6j lie within the modulus margin but are not real by the
+        # generator's rule (2|Im| <= 1e-12 * max modulus); nothing moves, so
+        # the list is read with head 1 and is a plain miss
+        pair = SpectrumPair((1.0, 10 + 1e-6j, 10 - 1e-6j), (0.0, 0.0, 0.0))
+        report = check_conditions(pair)
+        assert not report.satisfied and report.witness is None
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            (((1.0, 2j), (0.0, 0.0)), "circulant part violates its pairing layout"),
+            (((1.0, 0.0), (1j, 2.0)), "skew part violates its pairing layout"),
+        ],
+    )
+    def test_formula_mode_still_needs_a_layout(self, parts, message):
+        with pytest.raises(PairingError, match=f"^{message}$"):
+            check_conditions(SpectrumPair(*parts), mode="formula")
+
+
+@st.composite
+def _shuffled_planted_pairs(draw):
+    """A planted satisfied pair (s = |c| + u even, s = max|c| + u bordered,
+    skew order 1..6) with both parts shuffled.  Its head is distinct, or,
+    at even order, exactly equal to lam_{n/2}: the odd entries of both rows
+    are zero, and lam_{n/2} is set to the bits of lam_0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bordered = draw(st.booleans())
+    n = draw(st.integers(1, 6))
+    c = rng.uniform(-1.0, 1.0, size=n)
+    if bordered:
+        s = np.max(np.abs(c)) + rng.uniform(0.0, 1.0, size=n + 1)
+    else:
+        s = np.abs(c) + rng.uniform(0.0, 1.0, size=n)
+    equal_heads = not bordered and n % 2 == 0 and draw(st.booleans())
+    if equal_heads:
+        s[1::2] = c[1::2] = 0.0
+    lam = circulant_eigenvalues(s)
+    if equal_heads:
+        lam[n // 2] = lam[0]
+    ups = skew_eigenvalues(c)
+    return SpectrumPair(tuple(rng.permutation(lam)), tuple(rng.permutation(ups)))
+
+
+@seed(16)
+@settings(max_examples=150, deadline=None)
+@given(pair=_shuffled_planted_pairs())
+def test_shuffled_parts_stay_satisfied(pair):
+    report = check_conditions(pair)
+    assert report.satisfied
+    _witness_verifies(pair, report)
