@@ -27,10 +27,13 @@ the round-trip tests).  Since ``w**(-k*(j + 1/2)) = iota**(-k) * w**(-k*j)``,
 both inverse maps are one forward FFT, ``np.fft.fft(V, axis=-1) / n``, with
 the skew rows also multiplied by the twiddle ``iota**(-k)`` (a per-order
 table).  They run in batches: :func:`_recover_rows` takes one spectrum per
-row of a ``(K, n)`` array, and the public single-row functions are a batch
-of one.  ``np.fft`` transforms every row on its own, so a row comes out
-bit-identical alone or in any batch.  The realness test reduces across the
-transposed rows, one position at a time (a maximum is exact in any order).
+row of a ``(K, n)`` array, circulant rows first and skew rows after them,
+and the public single-row functions are a batch of one.  A search of an
+even-order pair thus recovers both sides' rows with one FFT call and one
+realness pass.  ``np.fft`` transforms every row on its own, so a row comes
+out bit-identical alone, in a batch of its kind or in a mixed one.  The
+realness test reduces across the transposed rows, one position at a time
+(a maximum is exact in any order).
 
 The forward maps and the matrices ``F`` / ``G`` are the naive O(n^2) sums,
 taken over a table of the ``2n`` roots ``iota**t`` (``t = 0..2n-1``): every
@@ -50,6 +53,8 @@ import numpy as np
 
 from ._util import REALNESS_RTOL, as_complex_vector, as_float_vector
 from .errors import PairingError
+
+_TINY = np.finfo(float).tiny
 
 
 def _unit_powers(numerator, half_turns):
@@ -125,32 +130,34 @@ def skew_eigenvalues(row):
     return _forward_table(row.size, "skew") @ row.astype(complex)
 
 
-def _recover_rows(spectra, kind):
-    """First rows of the real circulants (``kind="circulant"``) or skew
-    circulants (``kind="skew"``) whose index-ordered spectra are the rows of
-    the complex ``(K, n)`` array ``spectra``.
+def _recover_rows(spectra, skew_from):
+    """First rows of the real circulants and skew circulants whose
+    index-ordered spectra are the rows of the complex ``(K, n)`` array
+    ``spectra``: rows ``0..skew_from-1`` are circulant spectra, the rest
+    skew spectra, so both kinds of one order take one ``np.fft.fft`` call.
 
     The rows come in Fortran order (each position of all rows is
     contiguous), as the position-major tests downstream read them.
 
     Each row must be real within ``REALNESS_RTOL`` of its own largest
     magnitude; otherwise its spectrum breaks the pairing layout and
-    :class:`PairingError` is raised.  An imaginary residue below the
-    smallest normal float is roundoff at any scale: a row of subnormal
-    entries has no relative precision left to judge.
+    :class:`PairingError` is raised, naming the kind of the first such
+    row.  An imaginary residue below the smallest normal float is roundoff
+    at any scale: a row of subnormal entries has no relative precision
+    left to judge.
     """
     n = spectra.shape[-1]
     rows = np.fft.fft(spectra, axis=-1)
-    if kind == "skew":
-        rows = rows * _skew_twiddle(n)
-    rows = rows / n
+    rows[skew_from:] *= _skew_twiddle(n)
+    rows /= n
     cols = rows.T.copy()
     scale = np.abs(cols).max(axis=0)
     worst = np.abs(cols.imag).max(axis=0)
-    limit = np.maximum(REALNESS_RTOL * scale, np.finfo(float).tiny)
+    limit = np.maximum(REALNESS_RTOL * scale, _TINY)
     bad = np.flatnonzero(worst > limit)
     if bad.size:
         i = bad[0]
+        kind = "circulant" if i < skew_from else "skew"
         raise PairingError(
             f"{kind} row recovery: recovered row is not real (residual imaginary "
             f"part {worst[i]:.3e} exceeds {REALNESS_RTOL:.0e} * {scale[i]:.3e}); "
@@ -166,7 +173,7 @@ def circulant_row_from_spectrum(values):
     real); raises :class:`PairingError` otherwise.
     """
     values = as_complex_vector(values, "spectrum")
-    return _recover_rows(values[None, :], "circulant")[0]
+    return _recover_rows(values[None, :], 1)[0]
 
 
 def skew_row_from_spectrum(values):
@@ -176,4 +183,4 @@ def skew_row_from_spectrum(values):
     :class:`PairingError` otherwise.
     """
     values = as_complex_vector(values, "spectrum")
-    return _recover_rows(values[None, :], "skew")[0]
+    return _recover_rows(values[None, :], 0)[0]

@@ -14,7 +14,7 @@
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -26,8 +26,9 @@ from .spectra import (
     DEFAULT_ENUMERATION_CAP,
     PairingPermutation,
     _conjugate_distance,
-    _orderings,
-    _skew_representatives,
+    _lookup,
+    _representatives,
+    _structure_key,
     pairing_tolerance,
 )
 from .structured import circulant
@@ -172,6 +173,11 @@ class SpectrumPair:
     its entries may come in any order, and the searches try every
     reordering that keeps its pairing layout.  The circulant head is
     forced (:func:`_head_first`), so it need not come first either.
+
+    The pair is validated on first use, and what the searches read of it
+    is kept: the arrays, the head order, each part's pairing structure and
+    the search's slack.  Every search of the pair then keys each part
+    once; the size cap is still checked on every call.
     """
 
     circulant_part: tuple
@@ -193,8 +199,8 @@ class SpectrumPair:
         return self._validated()[:2]
 
     def _validated(self):
-        """:meth:`arrays` and the index order of the circulant part that
-        puts its head first (:func:`_head_first`), kept with them."""
+        """:meth:`arrays` and what the searches read of the pair
+        (:class:`_Parts`), computed on the first call and kept with them."""
         cached = self.__dict__.get("_parts")
         if cached is not None:
             return cached
@@ -205,22 +211,43 @@ class SpectrumPair:
                 "circulant part must have the same length as the skew part "
                 f"or one more, got {lam.size} vs {ups.size}"
             )
-        order = _head_first(lam, slack(ROUNDOFF_RTOL, lam, ups, floor=1.0))
-        if not len(_orderings(lam[order], "circulant", 1, DEFAULT_ENUMERATION_CAP)):
-            raise PairingError("circulant part violates its pairing layout")
-        if not len(_orderings(ups, "skew", 1, DEFAULT_ENUMERATION_CAP)):
+        tol = slack(ROUNDOFF_RTOL, lam, ups, floor=1.0)
+        order, circulant_key = _head_first(lam, tol)
+        skew_key = _structure_key(ups, "skew")
+        if not len(_lookup(skew_key, 1, DEFAULT_ENUMERATION_CAP)):
             raise PairingError("skew part violates its pairing layout")
         # copies: a part passed as an array is neither frozen nor shared
         lam, ups = lam.copy(), ups.copy()
-        for array in (lam, ups, order):
+        headed = lam[order]
+        for array in (lam, ups, order, headed):
             array.flags.writeable = False
-        object.__setattr__(self, "_parts", (lam, ups, order))
-        return lam, ups, order
+        parts = _Parts(lam, ups, order, headed, circulant_key, skew_key, tol)
+        object.__setattr__(self, "_parts", parts)
+        return parts
+
+
+class _Parts(NamedTuple):
+    """What a valid :class:`SpectrumPair` keeps: the arrays of
+    :meth:`SpectrumPair.arrays`, the index order of the circulant part that
+    puts its head first (:func:`_head_first`) and the part so reordered,
+    the structure keys of that part and of the skew part (see
+    :func:`niepkit.spectra._structure_key`) and the search's slack, so that
+    every search of the pair keys each part once."""
+
+    lam: np.ndarray
+    ups: np.ndarray
+    order: np.ndarray
+    headed: np.ndarray
+    circulant_key: tuple
+    skew_key: tuple
+    tol: float
 
 
 def _head_first(lam, tol):
     """The index order of ``lam`` that moves its circulant head to the
-    front, the other entries keeping their order.
+    front, the other entries keeping their order, and the structure key of
+    ``lam`` so reordered; raises :class:`PairingError` when no head tried
+    leaves a circulant layout ordering.
 
     A nonnegative circulant's eigenvalue lam_0 = sum_j s_j is at least
     every |lam_k|, so only a real entry of largest modulus can head one
@@ -228,14 +255,19 @@ def _head_first(lam, tol):
     The search admits rows with entries down to ``-tol``; for those,
     lam_0 >= |lam_k| - 2m*tol (m = ``lam.size``), so an entry within that
     margin of the largest modulus qualifies, and every pair the search
-    satisfies with index 0 as head keeps it.  Index 0 keeps the head when
-    it qualifies; otherwise the first entry that does moves, and when none
-    does nothing moves.
+    satisfies with index 0 as head keeps it.  The qualifying entries are
+    tried in index order, and the first whose head leaves a layout
+    ordering heads; when none does, index 0 keeps the head.
     """
     real = _conjugate_distance(lam, lam) <= pairing_tolerance(lam)
     heads = real & (lam.real >= max_abs(lam) - 2 * lam.size * tol)
-    h = int(np.argmax(heads))  # 0 when index 0 qualifies or none does
-    return np.r_[h, 0:h, h + 1:lam.size]
+    # the qualifying heads in index order, then index 0, each once
+    for h in dict.fromkeys([*np.flatnonzero(heads).tolist(), 0]):
+        order = np.r_[h, 0:h, h + 1:lam.size]
+        key = _structure_key(lam[order], "circulant")
+        if len(_lookup(key, 1, DEFAULT_ENUMERATION_CAP)):
+            return order, key
+    raise PairingError("circulant part violates its pairing layout")
 
 
 @dataclass(frozen=True)
@@ -286,13 +318,14 @@ def circulant_head_bound(values, cap=DEFAULT_ENUMERATION_CAP):
     inverse-DFT used by the constructive checker.
     """
     v = as_complex_vector(values, "spectrum")
-    return _head_bound(v, _layout_orderings(v, "circulant", cap))
+    return _head_bound(v, _layout_orderings(_structure_key(v, "circulant"), cap))
 
 
-def _layout_orderings(values, kind, cap):
-    """The ``kind``-layout orderings of ``values`` that the searches read (a
-    ``(K, n)`` index array, see :func:`niepkit.spectra._orderings`); raises
-    :class:`PairingError` when there are none.
+def _layout_orderings(key, cap):
+    """The layout orderings that the searches read of the lists with
+    structure ``key`` (a ``(K, n)`` index array, see
+    :func:`niepkit.spectra._lookup`); raises :class:`PairingError` when
+    there are none.
 
     The searches read a skew row only through ``|c|``, so the skew kind
     gives one ordering per shift class at even n, the first
@@ -300,10 +333,11 @@ def _layout_orderings(values, kind, cap):
     representative is the first passing ordering, and the first of tied
     minima is the first of all.
     """
+    kind = key[1]
     if kind == "skew":
-        orderings = _skew_representatives(values, cap)
+        orderings = _representatives(key, cap)
     else:
-        orderings = _orderings(values, kind, None, cap)
+        orderings = _lookup(key, None, cap)
     if not len(orderings):
         raise PairingError(f"list does not admit any {kind}-layout ordering")
     return orderings
@@ -409,38 +443,44 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
     :func:`circulant_head_bound` and reports no witness; it still raises
     :class:`PairingError` for a part with no layout ordering.
 
-    Each side is enumerated once and its rows are recovered in one batch;
-    the head bound and the circulant rows share one ordering array.  At
-    even n the skew side holds one ordering per shift class, the first
-    (:func:`_layout_orderings`): half of them for a list of distinct
-    values.  The circulant rows with no entry below the spectrum-scale
-    slack (the live alphas) are joined with those skew rows
-    (:func:`_dominated`) in chunks of at most ``_JOIN_ELEMENTS``
-    comparisons; both per-row tests run position-major, one vector
-    operation per position across all rows.  The join's slack bounds the
-    slack of every pair, so it keeps every pair the builders accept; its
-    passing pairs are then judged in row-major order by the builders' own
-    rule (:func:`_builds`).  The witness is thus the lexicographically
-    first pair (alpha, beta), over live alphas and all betas, that
-    :func:`build_from_witness` accepts: a beta left out has the
-    magnitudes of an earlier one.
+    Each part is keyed once per pair (:class:`SpectrumPair` keeps its
+    structure keys and the slack), so a check only looks its orderings
+    up; the head bound and the circulant rows share one ordering array.
+    The rows of both sides are recovered in one batch at even n, one FFT
+    call and one realness pass, and in one batch per side for a bordered
+    pair, whose parts differ in length.  At even n the skew side holds
+    one ordering per shift class, the first (:func:`_layout_orderings`):
+    half of them for a list of distinct values.  The circulant rows with
+    no entry below the spectrum-scale slack (the live alphas) are joined
+    with those skew rows (:func:`_dominated`) in chunks of at most
+    ``_JOIN_ELEMENTS`` comparisons; both per-row tests run
+    position-major, one vector operation per position across all rows.
+    The join's slack bounds the slack of every pair, so it keeps every
+    pair the builders accept; its passing pairs are then judged in
+    row-major order by the builders' own rule (:func:`_builds`).  The
+    witness is thus the lexicographically first pair (alpha, beta), over
+    live alphas and all betas, that :func:`build_from_witness` accepts: a
+    beta left out has the magnitudes of an earlier one.
     """
     if mode not in ("constructive", "formula"):
         raise ValueError(f"mode must be 'constructive' or 'formula', got {mode!r}")
-    lam, ups, order = pair._validated()
-    lam = lam[order]
-    alphas = _layout_orderings(lam, "circulant", cap)
+    parts = pair._validated()
+    lam, ups, tol = parts.headed, parts.ups, parts.tol
+    alphas = _layout_orderings(parts.circulant_key, cap)
     bound = _head_bound(lam, alphas)
-    tol = slack(ROUNDOFF_RTOL, lam, ups, floor=1.0)
 
     if mode == "formula":
         satisfied = bool(lam[0].real >= bound - tol)
         return ConditionReport(satisfied, "formula", bound, None)
 
     odd = lam.size == ups.size + 1
-    s_rows = _recover_rows(lam[alphas], "circulant")
-    betas = _layout_orderings(ups, "skew", cap)
-    c_rows = _recover_rows(ups[betas], "skew")
+    betas = _layout_orderings(parts.skew_key, cap)
+    if odd:  # the parts differ in length: one FFT call each
+        s_rows = _recover_rows(lam[alphas], len(alphas))
+        c_rows = _recover_rows(ups[betas], 0)
+    else:
+        rows = _recover_rows(np.concatenate([lam[alphas], ups[betas]]), len(alphas))
+        s_rows, c_rows = rows[:len(alphas)], rows[len(alphas):]
     # Fortran order, as recovered: the join reads one position of all skew
     # rows at a time, and the live test one position of all circulant rows
     c_abs = np.abs(c_rows)
@@ -457,7 +497,7 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
             if _builds(s_row, c_row, odd):
                 c_pad = np.concatenate([c_abs[b], [0.0]]) if odd else c_abs[b]
                 witness = ConditionWitness(
-                    alpha=_permutation(order[alphas], block[i], "circulant"),
+                    alpha=_permutation(parts.order[alphas], block[i], "circulant"),
                     beta=_permutation(betas, b, "skew"),
                     circulant_row=tuple(s_row.tolist()),
                     skew_row=tuple(c_row.tolist()),
@@ -488,8 +528,8 @@ def skew_row_bound(upsilon, cap=DEFAULT_ENUMERATION_CAP):
     :func:`check_conditions`): the others repeat their magnitudes.
     """
     ups = as_complex_vector(upsilon, "skew spectrum")
-    betas = _layout_orderings(ups, "skew", cap)
-    return max_abs(_recover_rows(ups[betas], "skew"))
+    betas = _layout_orderings(_structure_key(ups, "skew"), cap)
+    return max_abs(_recover_rows(ups[betas], 0))
 
 
 @dataclass(frozen=True)
@@ -527,8 +567,8 @@ def brauer_plan(upsilon, tail, rho, cap=DEFAULT_ENUMERATION_CAP):
         raise ValueError(f"tail must have length {n}, got {tail.size}")
     rho = float(rho)
 
-    betas = _layout_orderings(ups, "skew", cap)
-    c_rows = _recover_rows(ups[betas], "skew")
+    betas = _layout_orderings(_structure_key(ups, "skew"), cap)
+    c_rows = _recover_rows(ups[betas], 0)
     magnitudes = np.abs(c_rows.T).max(axis=0)
     chi = float(magnitudes.max())
     # argmin keeps the first of tied minima: the lexicographically first beta
@@ -538,8 +578,8 @@ def brauer_plan(upsilon, tail, rho, cap=DEFAULT_ENUMERATION_CAP):
     head = rho - (n + 1) * chi
     shifted = np.concatenate([[complex(head)], tail])
     tol = slack(ROUNDOFF_RTOL, shifted, floor=1.0)
-    alphas = _layout_orderings(shifted, "circulant", cap)
-    b_rows = _recover_rows(shifted[alphas], "circulant")
+    alphas = _layout_orderings(_structure_key(shifted, "circulant"), cap)
+    b_rows = _recover_rows(shifted[alphas], len(alphas))
     nonnegative = np.all(b_rows >= -tol, axis=1)
     if not nonnegative.any():
         raise RealizabilityError(

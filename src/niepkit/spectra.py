@@ -22,7 +22,12 @@ entries may sit opposite which (``|e_j - conj(e_i)| <= tol``) and which
 entries are exactly equal.  Every generic list of a given order and layout
 shares one structure, so the orderings are generated once per structure
 (and per ``limit``) and kept, as read-only index arrays, in a
-least-recently-used cache of a fixed 64 entries.  The cache has no
+least-recently-used cache of a fixed 64 entries.  Reading them takes two
+steps: the *key* (:func:`_structure_key`: coercion, tolerance and the
+n x n structure, the costly part) and the *lookup* (:func:`_lookup`,
+:func:`_representatives`: the limit and size-cap checks, then the cache).
+A caller that keeps a key, as :class:`niepkit.realize.SpectrumPair` does,
+looks up again without keying again.  The cache has no
 setting; the public functions return a fresh list on every call.  Beside
 it, with the same key, sit the skew orderings that the searches of
 :mod:`niepkit.realize` read at even n: one per class of orderings that a
@@ -140,36 +145,27 @@ def _structure(entries, tol):
     return compatible.tobytes(), labels.tobytes()
 
 
-def _orderings(entries, kind, limit, cap):
-    """The pairing-preserving orderings of ``entries`` as a read-only
-    ``(K, n)`` index array, one image tuple per row, in lexicographic order.
-
-    The orderings depend on the values only through their pairing
-    structure, so they are generated once per structure and kept in a
-    fixed-size cache (:func:`_generate`).  The key is the order, the kind,
-    the compatibility matrix and labels of :func:`_structure` and
-    ``limit``: exactly what the generator reads.  Validation and the size
-    cap come first, so a warm cache still raises.
-    """
-    return _generate(*_structure_key(entries, kind, limit, cap))
-
-
-def _skew_representatives(entries, cap):
-    """The skew-layout orderings of ``entries`` that represent their
-    shift classes (see :func:`_shift_representatives`), validated and
-    cached as :func:`_orderings` is, with the same key.  At odd n every
-    ordering is its own class, and the array is :func:`_orderings`' own."""
-    n, kind, compatible, labels, limit = _structure_key(entries, "skew", None, cap)
-    if n % 2:
-        return _generate(n, kind, compatible, labels, limit)
-    return _shift_representatives(n, compatible, labels)
-
-
-def _structure_key(entries, kind, limit, cap):
-    """The cache key of :func:`_generate` for ``entries``, after validation
-    and the size cap."""
+def _structure_key(entries, kind):
+    """The pairing structure of ``entries`` for a ``kind`` layout, as a
+    hashable key ``(n, kind, compatible, labels)``: the order, the kind and
+    the key bytes of :func:`_structure` at :func:`pairing_tolerance`.
+    Exactly what the generator reads, so every list with one key has the
+    same orderings; the lookups (:func:`_lookup`, :func:`_representatives`)
+    take it as is."""
     entries = as_complex_vector(entries)
-    n = entries.size
+    return (entries.size, kind, *_structure(entries, pairing_tolerance(entries)))
+
+
+def _lookup(key, limit, cap):
+    """The pairing-preserving orderings of the lists with structure ``key``
+    as a read-only ``(K, n)`` index array, one image tuple per row, in
+    lexicographic order, truncated at ``limit`` when given.
+
+    They are generated once per key and ``limit`` and kept in a fixed-size
+    cache (:func:`_generate`).  The limit and the size cap are checked
+    first, so a warm cache still raises.
+    """
+    n = key[0]
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
     if n > cap and limit is None:
@@ -177,9 +173,27 @@ def _structure_key(entries, kind, limit, cap):
             f"exhaustive enumeration requested for n={n} above cap {cap}; "
             "pass a larger cap explicitly to override"
         )
-    tol = pairing_tolerance(entries)
-    compatible, labels = _structure(entries, tol)
-    return n, kind, compatible, labels, limit
+    return _generate(*key, limit)
+
+
+def _representatives(key, cap):
+    """The skew-layout orderings of the lists with structure ``key`` that
+    represent their shift classes (see :func:`_shift_representatives`),
+    checked and cached as :func:`_lookup` is: at odd n every ordering is
+    its own class, and the array is :func:`_lookup`'s own."""
+    orderings = _lookup(key, None, cap)
+    n, _, compatible, labels = key
+    return orderings if n % 2 else _shift_representatives(n, compatible, labels)
+
+
+def _orderings(entries, kind, limit, cap):
+    """:func:`_lookup` of the structure of ``entries``."""
+    return _lookup(_structure_key(entries, kind), limit, cap)
+
+
+def _skew_representatives(entries, cap):
+    """:func:`_representatives` of the skew structure of ``entries``."""
+    return _representatives(_structure_key(entries, "skew"), cap)
 
 
 @functools.lru_cache(maxsize=64)
@@ -231,7 +245,7 @@ def _shift_partners(orderings, labels):
 
 @functools.lru_cache(maxsize=64)
 def _generate(n, kind, compatible, labels, limit):
-    """Generate the orderings of one pairing structure (see :func:`_orderings`).
+    """Generate the orderings of one pairing structure (see :func:`_lookup`).
 
     Orderings are built position by position, 0 to n-1, trying original
     indices in increasing order, so they come out in lexicographic order of

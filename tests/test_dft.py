@@ -326,11 +326,20 @@ def reference_skew_row(values):
     return (reference_unit_powers(-k * (2 * j + 1), n) @ values / n).real
 
 
-def reference_recover_rows(spectra, kind):
+def reference_recover_rows(spectra, skew_from):
     """Drop-in for ``_recover_rows`` that recovers row by row through the
-    reference sums."""
-    recover = reference_circulant_row if kind == "circulant" else reference_skew_row
-    return np.array([recover(v) for v in spectra])
+    reference sums: circulant rows before ``skew_from``, skew rows after."""
+    return np.array(
+        [
+            (reference_circulant_row if k < skew_from else reference_skew_row)(v)
+            for k, v in enumerate(spectra)
+        ]
+    )
+
+
+def recover_kind(spectra, kind):
+    """``_recover_rows`` of a batch of one kind."""
+    return _recover_rows(spectra, len(spectra) if kind == "circulant" else 0)
 
 
 _FORWARD = {"circulant": circulant_eigenvalues, "skew": skew_eigenvalues}
@@ -351,7 +360,7 @@ _REFERENCE = {"circulant": reference_circulant_row, "skew": reference_skew_row}
 )
 def test_batched_recovery_matches_single_rows_and_reference(rows, kind):
     spectra = np.array([_FORWARD[kind](row) for row in rows])
-    batch = _recover_rows(spectra, kind)
+    batch = recover_kind(spectra, kind)
     assert batch.shape == rows.shape
     for row, spec, got in zip(rows, spectra, batch):
         # bit-identical to the public single-row map, whatever the batch size
@@ -368,9 +377,9 @@ def test_batch_with_one_nonreal_row_raises(kind):
     spectra = np.array([_FORWARD[kind](rng.normal(size=4)) for _ in range(5)])
     spectra[3] = [1, 1j, 2, 3]
     with pytest.raises(PairingError, match=f"{kind} row recovery"):
-        _recover_rows(spectra, kind)
+        recover_kind(spectra, kind)
     # the other rows alone are fine
-    _recover_rows(np.delete(spectra, 3, axis=0), kind)
+    recover_kind(np.delete(spectra, 3, axis=0), kind)
 
 
 @pytest.mark.parametrize("kind", ["circulant", "skew"])
@@ -385,10 +394,59 @@ def test_subnormal_rows_count_as_real(kind, n):
 def test_realness_is_judged_per_row(kind):
     tiny, large = np.array([3e-12, -1e-12, 2e-12]), np.array([4e6, -2e6, 1e6])
     spectra = np.array([_FORWARD[kind](tiny), _FORWARD[kind](large)])
-    rows = _recover_rows(spectra, kind)
+    rows = recover_kind(spectra, kind)
     np.testing.assert_allclose(rows[0], tiny, rtol=0, atol=1e-10 * np.sum(tiny))
     np.testing.assert_allclose(rows[1], large, rtol=0, atol=1e-10 * np.sum(large))
     # a tiny row that is not real still fails next to a large real one
     spectra[0] = 1e-12 * np.array([1, 1j, 2])
     with pytest.raises(PairingError):
-        _recover_rows(spectra, kind)
+        recover_kind(spectra, kind)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.tuples(st.integers(1, 12), st.integers(0, 12), st.integers(0, 12))
+    .filter(lambda shape: shape[1] + shape[2])
+    .flatmap(
+        lambda shape: st.tuples(
+            *(
+                hnp.arrays(
+                    np.float64,
+                    (count, shape[0]),
+                    elements=st.sampled_from([0.0, -0.0, 1e-300, -1e300, 5e-324])
+                    | st.floats(-100, 100, allow_nan=False, allow_infinity=False),
+                )
+                for count in shape[1:]
+            )
+        )
+    )
+)
+def test_mixed_batch_is_bit_equal_to_one_batch_per_kind(rows):
+    # the search of an even pair recovers both kinds in one call; np.fft
+    # transforms each row on its own, so every row keeps its bits
+    circ_rows, skew_rows = rows
+    n = circ_rows.shape[1]
+    circ = np.array([circulant_eigenvalues(r) for r in circ_rows]).reshape(-1, n)
+    skew = np.array([skew_eigenvalues(r) for r in skew_rows]).reshape(-1, n)
+    merged = _recover_rows(np.concatenate([circ, skew]), len(circ))
+    assert merged.shape == (len(circ) + len(skew), n)
+    assert merged.flags.f_contiguous
+    parts = ((merged[: len(circ)], "circulant", circ), (merged[len(circ):], "skew", skew))
+    for part, kind, spectra in parts:
+        if len(spectra):
+            assert part.tobytes() == recover_kind(spectra, kind).tobytes()
+
+
+@pytest.mark.parametrize("bad", [("skew",), ("circulant",), ("circulant", "skew")])
+def test_mixed_batch_names_the_kind_of_its_first_bad_row(bad):
+    rng = np.random.default_rng(17)
+    circ = np.array([circulant_eigenvalues(rng.normal(size=4)) for _ in range(3)])
+    skew = np.array([skew_eigenvalues(rng.normal(size=4)) for _ in range(3)])
+    _recover_rows(np.concatenate([circ, skew]), 3)
+    if "circulant" in bad:
+        circ[2] = [1, 1j, 2, 3]
+    if "skew" in bad:
+        skew[0] = [1, 1j, 2, 3]
+    # a bad circulant row is named before a bad skew row
+    with pytest.raises(PairingError, match=f"^{bad[0]} row recovery"):
+        _recover_rows(np.concatenate([circ, skew]), 3)

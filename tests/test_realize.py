@@ -17,7 +17,12 @@ from niepkit.dft import (
     skew_eigenvalues,
     skew_row_from_spectrum,
 )
-from niepkit.errors import MajorizationError, PairingError, RealizabilityError
+from niepkit.errors import (
+    EnumerationCapError,
+    MajorizationError,
+    PairingError,
+    RealizabilityError,
+)
 from niepkit.oracle import match_spectra, spectrum
 from niepkit.realize import (
     _dominated,
@@ -49,7 +54,7 @@ from niepkit.structured import (
     is_permutative,
     skew_circulant,
 )
-from test_dft import reference_recover_rows
+from test_dft import recover_kind, reference_recover_rows
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -382,6 +387,12 @@ class TestCheckConditions:
         assert report.satisfied
         assert abs(report.bound_value - 8.0) <= 1e-10
 
+    def test_slack_scales_with_both_parts(self):
+        # the head -5e-12 lies inside the slack at the skew part's scale
+        # (1e-12 * 10), outside it at the floor's (1e-12 * 1)
+        assert check_conditions(SpectrumPair((-5e-12,), (10.0,)), mode="formula").satisfied
+        assert not check_conditions(SpectrumPair((-5e-12,), (0.5,)), mode="formula").satisfied
+
     def test_formula_implies_constructive_for_circulant_part(self):
         rng = np.random.default_rng(33)
         for _ in range(40):
@@ -699,8 +710,8 @@ def _all_rows(pair):
     alphas = _index_array(enumerate_circulant_permutations(lam))
     betas = _index_array(enumerate_skew_permutations(ups))
     return (
-        realize._recover_rows(lam[alphas], "circulant"),
-        realize._recover_rows(ups[betas], "skew"),
+        recover_kind(lam[alphas], "circulant"),
+        recover_kind(ups[betas], "skew"),
     )
 
 
@@ -1043,7 +1054,7 @@ def _undeduplicated_skew_rows(ups):
     """Every skew-layout ordering of ``ups`` and its recovered row, with no
     ordering left out."""
     betas = spectra._orderings(ups, "skew", None, 10)
-    return betas, realize._recover_rows(ups[betas], "skew")
+    return betas, recover_kind(ups[betas], "skew")
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -1198,6 +1209,25 @@ class TestMultisetParts:
         with pytest.raises(PairingError, match=f"^{message}$"):
             check_conditions(SpectrumPair(*parts), mode="formula")
 
+    def test_head_that_leaves_no_layout_is_passed_over(self):
+        # index 0 lies inside the margin (2*3*1e-11 below 10) but, heading,
+        # leaves 10 to pair with 10 - 3e-11, beyond the pairing tolerance
+        # (1e-11); the next qualifying entry heads
+        pair = SpectrumPair((10 - 3e-11, 10.0, 10 - 3e-11), (0.0,) * 3)
+        report = check_conditions(pair)
+        assert report.satisfied and report.witness.alpha.mapping == (1, 0, 2)
+        _witness_verifies(pair, report)
+
+    def test_no_head_with_a_layout_falls_back_to_index_0(self):
+        # 10 +/- 1e-13j are real by the generator's rule and qualify, but
+        # each leaves 1 to pair with the other: index 0 heads, and the list
+        # is a miss, not a "violates its pairing layout"
+        pair = SpectrumPair((1.0, 10 + 1e-13j, 10 - 1e-13j), (0.0,) * 3)
+        report = check_conditions(pair)
+        assert not report.satisfied and report.witness is None
+        assert not check_conditions(pair, mode="formula").satisfied
+        assert pair._validated().order.tolist() == [0, 1, 2]
+
 
 @st.composite
 def _shuffled_planted_pairs(draw):
@@ -1230,3 +1260,160 @@ def test_shuffled_parts_stay_satisfied(pair):
     report = check_conditions(pair)
     assert report.satisfied
     _witness_verifies(pair, report)
+
+
+def _reference_layout_orderings(values, kind, cap):
+    """The orderings the searches read, keyed from ``values``."""
+    if kind == "skew":
+        orderings = spectra._skew_representatives(values, cap)
+    else:
+        orderings = spectra._orderings(values, kind, None, cap)
+    if not len(orderings):
+        raise PairingError(f"list does not admit any {kind}-layout ordering")
+    return orderings
+
+
+def reference_check_conditions(pair, mode="constructive", cap=spectra.DEFAULT_ENUMERATION_CAP):
+    """:func:`check_conditions` as it read before the pair kept its keys:
+    both parts keyed again on every call, the slack computed again, and
+    one row recovery per side."""
+    if mode not in ("constructive", "formula"):
+        raise ValueError(f"mode must be 'constructive' or 'formula', got {mode!r}")
+    lam, ups = pair.arrays()
+    order = pair._validated().order
+    lam = lam[order]
+    alphas = _reference_layout_orderings(lam, "circulant", cap)
+    bound = realize._head_bound(lam, alphas)
+    tol = 1e-12 * max(max_abs(lam), max_abs(ups), 1.0)
+    if mode == "formula":
+        return ConditionReport(bool(lam[0].real >= bound - tol), "formula", bound, None)
+    odd = lam.size == ups.size + 1
+    s_rows = recover_kind(lam[alphas], "circulant")
+    betas = _reference_layout_orderings(ups, "skew", cap)
+    c_rows = recover_kind(ups[betas], "skew")
+    c_abs = np.abs(c_rows)
+    live = np.flatnonzero((s_rows >= -tol).all(axis=1))
+    join_tol = max(tol, 1e-12 * max(max_abs(s_rows), float(c_abs.max())))
+    step = max(1, realize._JOIN_ELEMENTS // max(1, c_abs.size))
+    for start in range(0, live.size, step):
+        block = live[start:start + step]
+        ok = _dominated(s_rows[block], c_abs, odd, join_tol)
+        while ok.any():
+            i, b = divmod(int(np.argmax(ok)), ok.shape[1])
+            s_row, c_row = s_rows[block[i]], c_rows[b]
+            if realize._builds(s_row, c_row, odd):
+                c_pad = np.concatenate([c_abs[b], [0.0]]) if odd else c_abs[b]
+                witness = ConditionWitness(
+                    alpha=realize._permutation(order[alphas], block[i], "circulant"),
+                    beta=realize._permutation(betas, b, "skew"),
+                    circulant_row=tuple(s_row.tolist()),
+                    skew_row=tuple(c_row.tolist()),
+                    margins=tuple((s_row - c_pad).tolist()),
+                )
+                return ConditionReport(True, "constructive", bound, witness)
+            ok[i, b] = False
+    return ConditionReport(False, "constructive", bound, None)
+
+
+@st.composite
+def _reference_cases(draw):
+    """A pair of skew order n = 1..8, even or bordered, from first rows:
+    planted (a hit), uniform in [-1, 1] (mostly misses) or small integers
+    (repeated values and ties); at even order the head may be exactly equal
+    to lam_{n/2}.  Zero parts may carry signed zeros, both parts may be
+    scaled by 1e+-300, shuffled, or given an entry that breaks the layout.
+    Also a mode and a cap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bordered = draw(st.booleans())
+    n = int(rng.integers(1, 8 if bordered else 9))
+    rows = draw(st.sampled_from(["planted", "uniform", "integer"]))
+    if rows == "integer":
+        c = rng.integers(-2, 3, size=n).astype(float)
+        s = rng.integers(-1, 4, size=n + bordered).astype(float)
+    else:
+        c = rng.uniform(-1.0, 1.0, size=n)
+        s = rng.uniform(-1.0, 1.0, size=n + bordered)
+    if rows == "planted":
+        s = (np.max(np.abs(c)) if bordered else np.abs(c)) + rng.uniform(0.0, 1.0, s.size)
+    if draw(st.booleans()):
+        c[rng.uniform(size=n) < 0.5] = 0.0
+    equal_heads = not bordered and n % 2 == 0 and draw(st.booleans())
+    if equal_heads:
+        s[1::2] = c[1::2] = 0.0
+    lam, ups = circulant_eigenvalues(s), skew_eigenvalues(c)
+    if equal_heads:
+        lam[n // 2] = lam[0]
+    for part in (lam, ups):
+        if draw(st.booleans()):
+            part.real[part.real == 0.0] = -0.0
+            part.imag[part.imag == 0.0] = -0.0
+    scale = draw(st.sampled_from([1.0, 1.0, 1e300, 1e-300]))
+    lam, ups = lam * scale, ups * scale
+    if draw(st.booleans()):
+        lam, ups = rng.permutation(lam), rng.permutation(ups)
+    broken = draw(st.sampled_from([None] * 6 + ["circulant", "skew"]))
+    if broken:
+        part = lam if broken == "circulant" else ups
+        part[int(rng.integers(part.size))] += 3j * scale
+    mode = draw(st.sampled_from(["constructive", "constructive", "formula"]))
+    cap = draw(st.sampled_from([10, 10, 10, 3, 5, 7]))
+    return SpectrumPair(tuple(lam), tuple(ups)), mode, cap
+
+
+def _outcome(check, pair, mode, cap):
+    """The report of ``check``, or the type and message of its error."""
+    try:
+        return check(pair, mode=mode, cap=cap)
+    except (PairingError, EnumerationCapError) as exc:
+        return type(exc), str(exc)
+
+
+@seed(17)
+@settings(max_examples=250, deadline=None)
+@given(case=_reference_cases())
+def test_check_conditions_equals_the_rekeying_reference(case):
+    # repr tells -0.0 from 0.0 and is the shortest round trip of each
+    # float, so equal reprs are equal bits
+    pair, mode, cap = case
+    fresh = _outcome(check_conditions, pair, mode, cap)
+    want = _outcome(reference_check_conditions, pair, mode, cap)
+    warm = _outcome(check_conditions, pair, mode, cap)
+    assert repr(fresh) == repr(want)
+    assert repr(warm) == repr(want)
+
+
+def test_a_pair_is_keyed_once(monkeypatch):
+    keyed = []
+    structure = spectra._structure
+
+    def spy(entries, tol):
+        keyed.append(entries.size)
+        return structure(entries, tol)
+
+    monkeypatch.setattr(spectra, "_structure", spy)
+    for lam, ups in (
+        (circulant_eigenvalues(fx.EIGHT_S_ROW), upsilon_eight()),
+        (circulant_eigenvalues(fx.SEVEN_S_ROW), upsilon_seven()),
+    ):
+        pair = SpectrumPair(tuple(lam), tuple(ups))
+        # a fresh pair: each part keyed once, while it is validated
+        assert check_conditions(pair).satisfied
+        assert keyed == [lam.size, ups.size]
+        keyed.clear()
+        # a warm pair: no part keyed again, in either mode
+        assert check_conditions(pair).satisfied
+        assert check_conditions(pair, mode="formula").satisfied
+        pair.arrays()
+        assert keyed == []
+
+
+def test_warm_pair_still_checks_the_cap():
+    pair = SpectrumPair(
+        tuple(circulant_eigenvalues([5.0, 1.0, 2.0, 0.5, 1.0])),
+        tuple(skew_eigenvalues([0.5, -0.25, 0.5, 0.0, 0.25])),
+    )
+    check_conditions(pair)
+    for mode in ("constructive", "formula"):
+        with pytest.raises(EnumerationCapError, match="n=5 above cap 3"):
+            check_conditions(pair, mode=mode, cap=3)
+    assert check_conditions(pair).satisfied

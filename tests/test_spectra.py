@@ -665,9 +665,9 @@ def test_circulant_hit_after_dead_end_prefix():
     assert satisfies_circulant_pairing(entries, perms[0].mapping)
 
 
-def _skew_structure(entries, cap=12):
+def _skew_structure(entries):
     """The skew ordering array of a list, its labels and its shift partners."""
-    n, _, compatible, labels, _ = spectra._structure_key(entries, "skew", None, cap)
+    n, _, compatible, labels = spectra._structure_key(entries, "skew")
     orderings = spectra._generate(n, "skew", compatible, labels, None)
     labels = np.frombuffer(labels, dtype=np.intp)
     return orderings, labels, spectra._shift_partners(orderings, labels)
@@ -728,7 +728,7 @@ def test_shift_identity_holds_bit_for_bit(n, kind):
         complex_rows = np.fft.fft(ups[orderings], axis=-1) * _skew_twiddle(n) / n
         for part in (np.abs(complex_rows), np.abs(complex_rows.imag)):
             assert part[partner].tobytes() == part.tobytes()
-        real_rows = np.abs(_recover_rows(ups[orderings], "skew"))
+        real_rows = np.abs(_recover_rows(ups[orderings], 0))
         assert real_rows[partner].tobytes() == real_rows.tobytes()
         assert np.array_equal(
             complex_rows[partner], complex_rows * (-1.0) ** np.arange(n)
@@ -763,7 +763,7 @@ def test_representatives_match_a_row_by_row_reference(n):
         if n % 2:
             assert reps is orderings
             continue
-        labels = np.frombuffer(spectra._structure_key(entries, "skew", None, 10)[3], np.intp)
+        labels = np.frombuffer(spectra._structure_key(entries, "skew")[3], np.intp)
         want = _reference_representatives(orderings, labels) if len(orderings) else orderings
         assert reps.shape == want.shape and np.array_equal(reps, want)
         checked += len(orderings) > 0
