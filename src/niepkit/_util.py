@@ -3,9 +3,10 @@
 Each tolerance below is relative: :func:`slack` scales it by the largest
 magnitude a comparison reads, or by ``floor`` when that is larger; each
 comment names its users, then those magnitudes.  Each inequality has one
-judge: ``|c| <= s`` the builders of :mod:`niepkit.blocks` (whose rule the
-witness search applies), the 4x4 region :func:`realize_four`'s conditions
-(which :func:`region_check` wraps).
+judge: ``|c| <= s`` the rule of the builders of :mod:`niepkit.blocks`,
+which the witness search applies to each pair its join (one for both
+parities, on body rows) passes; the 4x4 region :func:`realize_four`'s
+conditions, which :func:`region_check` wraps.
 """
 
 import numpy as np

@@ -19,19 +19,19 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._util import ROUNDOFF_RTOL, as_complex_vector, max_abs, slack
-from .blocks import BlockBuildSpec, build_circ_skew, build_odd
+from .blocks import BlockBuildSpec, _violations, build_circ_skew, build_odd
 from .dft import _recover_rows
 from .errors import PairingError, RealizabilityError
 from .spectra import (
     DEFAULT_ENUMERATION_CAP,
     PairingPermutation,
     _conjugate_distance,
-    _lookup,
-    _representatives,
+    _has_layout,
+    _search_orderings,
     _structure_key,
     pairing_tolerance,
 )
-from .structured import circulant
+from .structured import _circulant, _skew_circulant, circulant
 
 #: Most (alpha, beta, position) comparisons one step of the dominance join
 #: makes; made one position at a time, it holds ``1/n`` of them at once.
@@ -196,14 +196,12 @@ class SpectrumPair:
         both.  A pair that passes keeps its read-only arrays, so later
         calls skip the coercion and the layout tests; one that fails
         raises again on every call."""
-        return self._validated()[:2]
+        return self._parts[:2]
 
-    def _validated(self):
+    @functools.cached_property
+    def _parts(self):
         """:meth:`arrays` and what the searches read of the pair
-        (:class:`_Parts`), computed on the first call and kept with them."""
-        cached = self.__dict__.get("_parts")
-        if cached is not None:
-            return cached
+        (:class:`_Parts`), computed on first access and kept."""
         lam = as_complex_vector(self.circulant_part, "circulant part")
         ups = as_complex_vector(self.skew_part, "skew part")
         if lam.size not in (ups.size, ups.size + 1):
@@ -214,16 +212,14 @@ class SpectrumPair:
         tol = slack(ROUNDOFF_RTOL, lam, ups, floor=1.0)
         order, circulant_key = _head_first(lam, tol)
         skew_key = _structure_key(ups, "skew")
-        if not len(_lookup(skew_key, 1, DEFAULT_ENUMERATION_CAP)):
+        if not _has_layout(skew_key):
             raise PairingError("skew part violates its pairing layout")
         # copies: a part passed as an array is neither frozen nor shared
         lam, ups = lam.copy(), ups.copy()
         headed = lam[order]
         for array in (lam, ups, order, headed):
             array.flags.writeable = False
-        parts = _Parts(lam, ups, order, headed, circulant_key, skew_key, tol)
-        object.__setattr__(self, "_parts", parts)
-        return parts
+        return _Parts(lam, ups, order, headed, circulant_key, skew_key, tol)
 
 
 class _Parts(NamedTuple):
@@ -254,18 +250,19 @@ def _head_first(lam, tol):
     (real by the generator's rule, ``2|Im| <= pairing_tolerance(lam)``).
     The search admits rows with entries down to ``-tol``; for those,
     lam_0 >= |lam_k| - 2m*tol (m = ``lam.size``), so an entry within that
-    margin of the largest modulus qualifies, and every pair the search
-    satisfies with index 0 as head keeps it.  The qualifying entries are
-    tried in index order, and the first whose head leaves a layout
-    ordering heads; when none does, index 0 keeps the head.
+    margin of the largest modulus qualifies.  The qualifying entries are
+    tried by descending real part, in index order on ties, and the first
+    whose head leaves a layout ordering heads; when none does, index 0
+    keeps the head.  So the verdict does not depend on the order in which
+    the part lists entries of distinct real parts.
     """
     real = _conjugate_distance(lam, lam) <= pairing_tolerance(lam)
-    heads = real & (lam.real >= max_abs(lam) - 2 * lam.size * tol)
-    # the qualifying heads in index order, then index 0, each once
-    for h in dict.fromkeys([*np.flatnonzero(heads).tolist(), 0]):
+    heads = np.flatnonzero(real & (lam.real >= max_abs(lam) - 2 * lam.size * tol))
+    heads = heads[np.argsort(-lam.real[heads], kind="stable")]
+    for h in dict.fromkeys([*heads.tolist(), 0]):
         order = np.r_[h, 0:h, h + 1:lam.size]
         key = _structure_key(lam[order], "circulant")
-        if len(_lookup(key, 1, DEFAULT_ENUMERATION_CAP)):
+        if _has_layout(key):
             return order, key
     raise PairingError("circulant part violates its pairing layout")
 
@@ -318,29 +315,7 @@ def circulant_head_bound(values, cap=DEFAULT_ENUMERATION_CAP):
     inverse-DFT used by the constructive checker.
     """
     v = as_complex_vector(values, "spectrum")
-    return _head_bound(v, _layout_orderings(_structure_key(v, "circulant"), cap))
-
-
-def _layout_orderings(key, cap):
-    """The layout orderings that the searches read of the lists with
-    structure ``key`` (a ``(K, n)`` index array, see
-    :func:`niepkit.spectra._lookup`); raises :class:`PairingError` when
-    there are none.
-
-    The searches read a skew row only through ``|c|``, so the skew kind
-    gives one ordering per shift class at even n, the first
-    (:func:`niepkit.spectra._shift_representatives`): the first passing
-    representative is the first passing ordering, and the first of tied
-    minima is the first of all.
-    """
-    kind = key[1]
-    if kind == "skew":
-        orderings = _representatives(key, cap)
-    else:
-        orderings = _lookup(key, None, cap)
-    if not len(orderings):
-        raise PairingError(f"list does not admit any {kind}-layout ordering")
-    return orderings
+    return _head_bound(v, _search_orderings(_structure_key(v, "circulant"), cap))
 
 
 @functools.lru_cache(maxsize=64)
@@ -383,46 +358,53 @@ def _permutation(orderings, row, kind):
     return PairingPermutation(tuple(orderings[row].tolist()), kind)
 
 
-def _dominated(s_rows, c_abs, odd, tol):
-    """Which rows of ``c_abs`` (skew row magnitudes, one per row) each
-    circulant row of ``s_rows`` dominates within ``tol``: booleans of
-    shape ``(Kc,)`` for one row ``s_rows``, ``(A, Kc)`` for ``A`` rows.
+def _body(s_rows):
+    """The body rows of bordered circulant rows ``s`` (one entry longer
+    than the skew rows): ``(s_0, min(s_1, s_2), ..., min(s_{n-1}, s_n))``.
 
-    Even case: ``|c| <= clip(s) + tol``.  Bordered case (``s`` one longer):
-    the dense test ``|skew_circulant(c)| <= circulant(clip(s))[:n, :n] +
-    tol`` compares ``|c_d|`` with ``clip(s)_d`` on and above the diagonal
-    (d = j - i) and with ``clip(s)_{d+1}`` below it (d = n + j - i), so the
-    same comparisons are made on the rows, position-major: one ``&=`` per
-    comparison across all rows, whose column reads are contiguous for a
-    Fortran-order ``c_abs``.
+    The bordered build's dense test, ``|skew_circulant(c)| <=
+    circulant(clip(s))[:n, :n]`` within a slack, meets ``|c_0|`` with
+    ``s_0`` alone and each later ``|c_k|`` with both ``s_k`` and
+    ``s_{k+1}``.  Clipping and the rounded addition of a slack are
+    monotone, so one comparison with the smaller of the two decides both,
+    bit for bit, and the join (:func:`_dominated`) is the same at both
+    parities.
+    """
+    body = s_rows[..., :-1].copy()
+    np.minimum(body[..., 1:], s_rows[..., 2:], out=body[..., 1:])
+    return body
+
+
+def _dominated(body, c_abs, tol):
+    """Which rows of ``c_abs`` (skew row magnitudes, one per row) each body
+    row dominates, ``|c| <= clip(body) + tol``: booleans of shape ``(Kc,)``
+    for one row ``body``, ``(A, Kc)`` for ``A`` rows.  A body row is the
+    circulant row at even n and :func:`_body` of it when bordered.
+
+    The comparisons run position-major: one ``&=`` per position across all
+    rows, whose column reads are contiguous for a Fortran-order ``c_abs``.
     """
     cols = c_abs.T
     # np.maximum skips np.clip's Python wrappers; a signed zero it may keep
     # compares as zero
-    body = np.maximum(s_rows, 0.0) + tol
+    body = np.maximum(body, 0.0) + tol
     ok = cols[0] <= body[..., 0, None]
     for k in range(1, cols.shape[0]):
         ok &= cols[k] <= body[..., k, None]
-        if odd:
-            ok &= cols[k] <= body[..., k + 1, None]
     return ok
 
 
 def _builds(s_row, c_row, odd):
-    """Whether :func:`build_from_witness` accepts the rows: ``|c| <= clip(s)``
-    compared as in :func:`_dominated`, within the builders' slack, which
-    scales with ``|c|`` and the entries of ``clip(s)`` their dense test
-    reads (all but ``s_1`` in the bordered build with n = 1).  One row
-    takes two vector comparisons: ``|c_k|`` against ``clip(s)_k`` and, in
-    the bordered case, ``|c_k|`` (k >= 1) against ``clip(s)_{k+1}``."""
-    s = np.maximum(s_row, 0.0)
-    c = np.abs(c_row)
-    read = s[:1] if odd and c.size == 1 else s
-    body = s + slack(ROUNDOFF_RTOL, read, c)
-    n = c.size
-    if not (c <= body[:n]).all():
-        return False
-    return not odd or bool((c[1:] <= body[2:]).all())
+    """Whether :func:`build_from_witness` accepts the rows: the builders'
+    own rule (:func:`niepkit.blocks._violations`) on what it hands them,
+    the clipped circulant row against the skew row at even n and, bordered,
+    the leading n x n block of the clipped row's circulant against the skew
+    circulant."""
+    s = np.clip(s_row, 0.0, None)
+    if odd:
+        n = c_row.size
+        s, c_row = _circulant(s)[:n, :n], _skew_circulant(c_row)
+    return not _violations(s, c_row).size
 
 
 def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
@@ -436,8 +418,8 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
 
     Constructive mode (the authoritative one) searches reordering pairs in
     lexicographic order for recovered first rows with ``s`` nonnegative and
-    the skew row dominated entrywise by the circulant body; the first
-    witness found feeds :func:`niepkit.blocks.build_circ_skew` (equal
+    ``|c|`` dominated by the body row (:func:`_body`); the first witness
+    found feeds :func:`niepkit.blocks.build_circ_skew` (equal
     lengths) or :func:`niepkit.blocks.build_odd` (circulant part longer by
     one).  Formula mode only compares the head against
     :func:`circulant_head_bound` and reports no witness; it still raises
@@ -449,24 +431,24 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
     The rows of both sides are recovered in one batch at even n, one FFT
     call and one realness pass, and in one batch per side for a bordered
     pair, whose parts differ in length.  At even n the skew side holds
-    one ordering per shift class, the first (:func:`_layout_orderings`):
-    half of them for a list of distinct values.  The circulant rows with
-    no entry below the spectrum-scale slack (the live alphas) are joined
-    with those skew rows (:func:`_dominated`) in chunks of at most
-    ``_JOIN_ELEMENTS`` comparisons; both per-row tests run
-    position-major, one vector operation per position across all rows.
-    The join's slack bounds the slack of every pair, so it keeps every
-    pair the builders accept; its passing pairs are then judged in
-    row-major order by the builders' own rule (:func:`_builds`).  The
-    witness is thus the lexicographically first pair (alpha, beta), over
-    live alphas and all betas, that :func:`build_from_witness` accepts: a
-    beta left out has the magnitudes of an earlier one.
+    one ordering per shift class, the first
+    (:func:`niepkit.spectra._search_orderings`): half of them for a list
+    of distinct values.  The body rows of the circulant rows with no entry
+    below the spectrum-scale slack (the live alphas) are joined with those
+    skew rows (:func:`_dominated`, one join for both parities) in chunks
+    of at most ``_JOIN_ELEMENTS`` comparisons.  The join's slack bounds the
+    slack of every pair, so it keeps every pair the builders accept; its
+    passing pairs are then judged in row-major order by the builders' own
+    rule (:func:`_builds`).  The witness is thus the lexicographically
+    first pair (alpha, beta), over live alphas and all betas, that
+    :func:`build_from_witness` accepts: a beta left out has the magnitudes
+    of an earlier one.
     """
     if mode not in ("constructive", "formula"):
         raise ValueError(f"mode must be 'constructive' or 'formula', got {mode!r}")
-    parts = pair._validated()
+    parts = pair._parts
     lam, ups, tol = parts.headed, parts.ups, parts.tol
-    alphas = _layout_orderings(parts.circulant_key, cap)
+    alphas = _search_orderings(parts.circulant_key, cap)
     bound = _head_bound(lam, alphas)
 
     if mode == "formula":
@@ -474,7 +456,7 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
         return ConditionReport(satisfied, "formula", bound, None)
 
     odd = lam.size == ups.size + 1
-    betas = _layout_orderings(parts.skew_key, cap)
+    betas = _search_orderings(parts.skew_key, cap)
     if odd:  # the parts differ in length: one FFT call each
         s_rows = _recover_rows(lam[alphas], len(alphas))
         c_rows = _recover_rows(ups[betas], 0)
@@ -485,12 +467,13 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
     # rows at a time, and the live test one position of all circulant rows
     c_abs = np.abs(c_rows)
     live = np.flatnonzero((s_rows.T >= -tol).all(axis=0))
+    body = _body(s_rows[live]) if odd else s_rows[live]
     # rounding is monotone, so rtol * max(a, b) = max(rtol * a, rtol * b)
     join_tol = max(tol, slack(ROUNDOFF_RTOL, s_rows, floor=float(c_abs.max())))
     step = max(1, _JOIN_ELEMENTS // max(1, c_abs.size))
     for start in range(0, live.size, step):
         block = live[start:start + step]
-        ok = _dominated(s_rows[block], c_abs, odd, join_tol)
+        ok = _dominated(body[start:start + step], c_abs, join_tol)
         while ok.any():
             i, b = divmod(int(np.argmax(ok)), ok.shape[1])
             s_row, c_row = s_rows[block[i]], c_rows[b]
@@ -528,7 +511,7 @@ def skew_row_bound(upsilon, cap=DEFAULT_ENUMERATION_CAP):
     :func:`check_conditions`): the others repeat their magnitudes.
     """
     ups = as_complex_vector(upsilon, "skew spectrum")
-    betas = _layout_orderings(_structure_key(ups, "skew"), cap)
+    betas = _search_orderings(_structure_key(ups, "skew"), cap)
     return max_abs(_recover_rows(ups[betas], 0))
 
 
@@ -567,7 +550,7 @@ def brauer_plan(upsilon, tail, rho, cap=DEFAULT_ENUMERATION_CAP):
         raise ValueError(f"tail must have length {n}, got {tail.size}")
     rho = float(rho)
 
-    betas = _layout_orderings(_structure_key(ups, "skew"), cap)
+    betas = _search_orderings(_structure_key(ups, "skew"), cap)
     c_rows = _recover_rows(ups[betas], 0)
     magnitudes = np.abs(c_rows.T).max(axis=0)
     chi = float(magnitudes.max())
@@ -578,7 +561,7 @@ def brauer_plan(upsilon, tail, rho, cap=DEFAULT_ENUMERATION_CAP):
     head = rho - (n + 1) * chi
     shifted = np.concatenate([[complex(head)], tail])
     tol = slack(ROUNDOFF_RTOL, shifted, floor=1.0)
-    alphas = _layout_orderings(_structure_key(shifted, "circulant"), cap)
+    alphas = _search_orderings(_structure_key(shifted, "circulant"), cap)
     b_rows = _recover_rows(shifted[alphas], len(alphas))
     nonnegative = np.all(b_rows >= -tol, axis=1)
     if not nonnegative.any():

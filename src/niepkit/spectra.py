@@ -24,14 +24,16 @@ shares one structure, so the orderings are generated once per structure
 (and per ``limit``) and kept, as read-only index arrays, in a
 least-recently-used cache of a fixed 64 entries.  Reading them takes two
 steps: the *key* (:func:`_structure_key`: coercion, tolerance and the
-n x n structure, the costly part) and the *lookup* (:func:`_lookup`,
-:func:`_representatives`: the limit and size-cap checks, then the cache).
-A caller that keeps a key, as :class:`niepkit.realize.SpectrumPair` does,
-looks up again without keying again.  The cache has no
-setting; the public functions return a fresh list on every call.  Beside
-it, with the same key, sit the skew orderings that the searches of
-:mod:`niepkit.realize` read at even n: one per class of orderings that a
-roll by n/2 positions maps onto each other (:func:`_shift_representatives`).
+n x n structure, the costly part) and the *lookup* (:func:`_lookup`: the
+limit and size-cap checks, then the cache).  A caller that keeps a key, as
+:class:`niepkit.realize.SpectrumPair` does, looks up again without keying
+again.  The cache has no setting; the public functions return a fresh list
+on every call.  The searches of :mod:`niepkit.realize` read one lookup,
+:func:`_search_orderings`: every ordering, except that at even n the skew
+kind keeps one per class of orderings that a roll by n/2 positions maps
+onto each other (:func:`_shift_representatives`); it raises
+:class:`PairingError` when there is none, and :func:`_has_layout` asks
+only whether there is one.
 
 Three conventions hold throughout:
 
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import ROUNDOFF_RTOL, as_complex_vector, max_abs
-from .errors import EnumerationCapError
+from .errors import EnumerationCapError, PairingError
 
 #: Default size cap for exhaustive enumeration; the candidate sets grow
 #: factorially with n.
@@ -150,8 +152,7 @@ def _structure_key(entries, kind):
     hashable key ``(n, kind, compatible, labels)``: the order, the kind and
     the key bytes of :func:`_structure` at :func:`pairing_tolerance`.
     Exactly what the generator reads, so every list with one key has the
-    same orderings; the lookups (:func:`_lookup`, :func:`_representatives`)
-    take it as is."""
+    same orderings; the lookups take it as is."""
     entries = as_complex_vector(entries)
     return (entries.size, kind, *_structure(entries, pairing_tolerance(entries)))
 
@@ -176,24 +177,30 @@ def _lookup(key, limit, cap):
     return _generate(*key, limit)
 
 
-def _representatives(key, cap):
-    """The skew-layout orderings of the lists with structure ``key`` that
-    represent their shift classes (see :func:`_shift_representatives`),
-    checked and cached as :func:`_lookup` is: at odd n every ordering is
-    its own class, and the array is :func:`_lookup`'s own."""
+def _has_layout(key):
+    """Whether the lists with structure ``key`` admit an ordering of its
+    layout: one limit-1 generation, which the size cap does not bound."""
+    return bool(len(_generate(*key, 1)))
+
+
+def _search_orderings(key, cap):
+    """The orderings that the searches of :mod:`niepkit.realize` read of
+    the lists with structure ``key``, checked and cached as :func:`_lookup`
+    is; raises :class:`PairingError` when there are none.
+
+    The searches read a skew row only through ``|c|``, so the skew kind
+    gives one ordering per shift class at even n, the first
+    (:func:`_shift_representatives`): the first passing representative is
+    the first passing ordering, and the first of tied minima is the first
+    of all.
+    """
+    n, kind, compatible, labels = key
     orderings = _lookup(key, None, cap)
-    n, _, compatible, labels = key
-    return orderings if n % 2 else _shift_representatives(n, compatible, labels)
-
-
-def _orderings(entries, kind, limit, cap):
-    """:func:`_lookup` of the structure of ``entries``."""
-    return _lookup(_structure_key(entries, kind), limit, cap)
-
-
-def _skew_representatives(entries, cap):
-    """:func:`_representatives` of the skew structure of ``entries``."""
-    return _representatives(_structure_key(entries, "skew"), cap)
+    if kind == "skew" and n % 2 == 0:
+        orderings = _shift_representatives(n, compatible, labels)
+    if not len(orderings):
+        raise PairingError(f"list does not admit any {kind}-layout ordering")
+    return orderings
 
 
 @functools.lru_cache(maxsize=64)
@@ -397,11 +404,11 @@ def enumerate_circulant_permutations(entries, limit=None, cap=DEFAULT_ENUMERATIO
     collapsed to the lexicographically first.  Raises
     :class:`EnumerationCapError` for unlimited enumeration above ``cap``.
     """
-    rows = _orderings(entries, "circulant", limit, cap).tolist()
+    rows = _lookup(_structure_key(entries, "circulant"), limit, cap).tolist()
     return [PairingPermutation(tuple(row), "circulant") for row in rows]
 
 
 def enumerate_skew_permutations(entries, limit=None, cap=DEFAULT_ENUMERATION_CAP):
     """All permutations whose reordering keeps the skew pairing layout."""
-    rows = _orderings(entries, "skew", limit, cap).tolist()
+    rows = _lookup(_structure_key(entries, "skew"), limit, cap).tolist()
     return [PairingPermutation(tuple(row), "skew") for row in rows]

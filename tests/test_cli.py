@@ -315,6 +315,20 @@ class TestAugment:
         assert payload["chi"] == pytest.approx(4.0)
         assert payload["circulant_row"] == pytest.approx([4.0, 4.0, 4.0, 4.0])
 
+    def test_checked_in_plan(self, tmp_path):
+        # the README tour's Brauer input: the skew spectrum of (4, -2, 1),
+        # a zero tail and rho = 4*chi
+        data = json.loads((DATA / "plan.json").read_text())
+        ups = np.array([complex(*z) for z in data["skew"]])
+        assert np.array_equal(ups, skew_eigenvalues([4.0, -2.0, 1.0]))
+        chi = realize.skew_row_bound(ups)
+        assert data["tail"] == [[0.0, 0.0]] * 3 and data["rho"] == 4 * chi
+        out = tmp_path / "out.json"
+        assert main(["augment", str(DATA / "plan.json"), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["verified"] is True and payload["chi"] == chi
+        assert payload["matrix"] == brauer_augment(ups, [0, 0, 0], 4 * chi).tolist()
+
     def test_insufficient_rho_exits_2(self, tmp_path):
         ups = skew_eigenvalues(fx.SEVEN_C_ROW)
         inp = write_json(

@@ -587,11 +587,11 @@ def test_bordered_row_test_matches_dense_blocks():
         C[rng.uniform(size=(6, n)) < 0.1] = 0.75 * slack
         body = circulant(np.clip(s, 0.0, None))[:n, :n] + slack
         dense = [bool(np.all(np.abs(skew_circulant(c)) <= body)) for c in C]
-        assert _dominated(s, np.abs(C), True, slack).tolist() == dense
+        assert _dominated(realize._body(s), np.abs(C), slack).tolist() == dense
         # the even case reads the first n entries against the full blocks
         body = circulant(np.clip(s[:n], 0.0, None)) + slack
         dense = [bool(np.all(np.abs(skew_circulant(c)) <= body)) for c in C]
-        assert _dominated(s[:n], np.abs(C), False, slack).tolist() == dense
+        assert _dominated(s[:n], np.abs(C), slack).tolist() == dense
 
 
 def _reference_dominated(s_rows, c_abs, odd, tol):
@@ -603,6 +603,12 @@ def _reference_dominated(s_rows, c_abs, odd, tol):
     if odd:
         ok &= np.all(c_abs[:, 1:] <= body[..., 2:], axis=-1)
     return ok
+
+
+def _reference_body_join(body, c_abs, tol):
+    """``_reference_dominated`` on body rows, as the search passes them at
+    both parities."""
+    return _reference_dominated(body, c_abs, False, tol)
 
 
 @st.composite
@@ -643,9 +649,51 @@ def test_position_major_join_matches_broadcast_reference(block):
     want = _reference_dominated(s, c_abs, odd, tol)
     # row-major (as the tests pass it) and Fortran order (as the search does)
     for layout in (c_abs, np.asfortranarray(c_abs)):
-        got = _dominated(s, layout, odd, tol)
+        got = _dominated(realize._body(s) if odd else s, layout, tol)
         assert got.shape == want.shape
         assert got.tolist() == want.tolist()
+
+
+@st.composite
+def _bordered_join_edges(draw):
+    """Bordered circulant rows (one row or a block) and skew magnitudes with
+    n = 1..12, scaled by 1, 1e300 or 1e-300: some entries of ``s`` are
+    signed zeros or lie within the slack below zero, and some ``|c_k|``
+    sit on the slack edge of the clipped ``s_k`` or (k >= 1) ``s_{k+1}``
+    of some row, on it or one ulp either side."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 12))
+    scale = draw(st.sampled_from([1.0, 1e300, 1e-300]))
+    tol = 1e-12 * scale
+    shape = (n + 1,) if draw(st.booleans()) else (draw(st.integers(1, 6)), n + 1)
+    s = scale * rng.uniform(0.0, 1.0, size=shape)
+    s[rng.uniform(size=shape) < 0.15] = -0.5 * tol
+    s[rng.uniform(size=shape) < 0.15] = -0.0
+    s[rng.uniform(size=shape) < 0.1] = 0.0
+    kc = draw(st.integers(1, 12))
+    c = scale * rng.uniform(0.0, 1.0, size=(kc, n))
+    clipped = np.clip(s, 0.0, None).reshape(-1, n + 1)
+    rows = rng.integers(0, clipped.shape[0], size=(kc, n))
+    positions = np.arange(n) + (rng.uniform(size=(kc, n)) < 0.5) * (np.arange(n) > 0)
+    edge = clipped[rows, positions] + tol
+    on = rng.uniform(size=(kc, n)) < 0.6
+    c[on] = edge[on]
+    for direction in (np.inf, 0.0):
+        moved = on & (rng.uniform(size=(kc, n)) < 0.3)
+        c[moved] = np.nextafter(c[moved], direction)
+    c[rng.uniform(size=(kc, n)) < 0.1] = 0.0
+    return s, c, tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_bordered_join_edges())
+def test_body_row_join_equals_the_two_comparison_join(case):
+    s, c_abs, tol = case
+    want = _reference_dominated(s, c_abs, True, tol)
+    for layout in (c_abs, np.asfortranarray(c_abs)):
+        got = _dominated(realize._body(s), layout, tol)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bordered", [False, True])
@@ -664,7 +712,7 @@ def test_join_chunks_straddle_blocks_as_the_reference(bordered, monkeypatch):
             monkeypatch.setattr(realize, "_JOIN_ELEMENTS", step * c_rows.size)
             assert check_conditions(pair) == want
             with monkeypatch.context() as patched:
-                patched.setattr(realize, "_dominated", _reference_dominated)
+                patched.setattr(realize, "_dominated", _reference_body_join)
                 assert check_conditions(pair) == want
             split += lives > step
         outcomes.add(want.satisfied)
@@ -969,7 +1017,7 @@ def _reference_builds(s_row, c_row, odd):
     s = np.clip(s_row, 0.0, None)
     read = s[:1] if odd and c_row.size == 1 else s
     tol = 1e-12 * max(max_abs(read), max_abs(c_row))
-    return bool(_dominated(s, np.abs(c_row)[None], odd, tol)[0])
+    return bool(_reference_dominated(s, np.abs(c_row)[None], odd, tol)[0])
 
 
 @st.composite
@@ -1053,7 +1101,7 @@ def test_search_over_representatives_matches_reference_at_even_n(pair):
 def _undeduplicated_skew_rows(ups):
     """Every skew-layout ordering of ``ups`` and its recovered row, with no
     ordering left out."""
-    betas = spectra._orderings(ups, "skew", None, 10)
+    betas = spectra._lookup(spectra._structure_key(ups, "skew"), None, 10)
     return betas, recover_kind(ups[betas], "skew")
 
 
@@ -1109,7 +1157,7 @@ def test_join_chunks_straddle_blocks_over_representatives(monkeypatch):
     for pair in pairs:
         want = _reference_check_conditions(pair)
         lam, ups = pair.arrays()
-        reps = spectra._skew_representatives(ups, 10)
+        reps = spectra._search_orderings(spectra._structure_key(ups, "skew"), 10)
         s_rows, _ = _all_rows(pair)
         scale = max(np.max(np.abs(lam)), np.max(np.abs(ups)), 1.0)
         lives = np.sum(np.all(s_rows >= -1e-12 * scale, axis=1))
@@ -1176,19 +1224,34 @@ class TestMultisetParts:
 
     @pytest.mark.parametrize("bordered", [False, True])
     def test_head_rule_margin(self, bordered):
-        # index 0 keeps the head down to 2m*tol below the largest modulus
-        # (m entries, tol the search's slack); one ulp lower, the largest
-        # entry heads.  For n = 2 the head bound is the other entry.
+        # an entry qualifies down to 2m*tol below the largest modulus (m
+        # entries, tol the search's slack); one ulp lower, no entry does,
+        # and index 0 keeps the head.  For n = 2 the head bound is the
+        # modulus of the other entry.
         big = 10.0
         tol = 1e-12 * big
         edge = big - 2 * 2 * tol
         ups = (0.0,) if bordered else (0.0, 0.0)
-        inside = check_conditions(SpectrumPair((edge, big), ups))
+        inside = check_conditions(SpectrumPair((-big, edge), ups))
         assert inside.bound_value == big
         below = float(np.nextafter(edge, 0.0))
-        outside = check_conditions(SpectrumPair((below, big), ups))
+        outside = check_conditions(SpectrumPair((-big, below), ups))
         assert outside.bound_value == below
-        assert outside.satisfied and outside.witness.alpha.mapping == (1, 0)
+        assert not outside.satisfied
+
+    @pytest.mark.parametrize("bordered", [False, True])
+    def test_largest_real_part_heads_in_either_order(self, bordered):
+        # 10 - 4e-11 and 10 both qualify; 10 heads wherever it is listed,
+        # so both orders give one verdict
+        low = 10 - 4e-11
+        ups = (0.0,) if bordered else (0.0, 0.0)
+        for lam, alpha in (((low, 10.0), (1, 0)), ((10.0, low), (0, 1))):
+            pair = SpectrumPair(lam, ups)
+            report = check_conditions(pair)
+            assert report.satisfied and report.bound_value == low
+            assert report.witness.alpha.mapping == alpha
+            assert check_conditions(pair, mode="formula").satisfied
+            _witness_verifies(pair, report)
 
     def test_entry_not_real_never_heads(self):
         # 10 +/- 1e-6j lie within the modulus margin but are not real by the
@@ -1226,7 +1289,7 @@ class TestMultisetParts:
         report = check_conditions(pair)
         assert not report.satisfied and report.witness is None
         assert not check_conditions(pair, mode="formula").satisfied
-        assert pair._validated().order.tolist() == [0, 1, 2]
+        assert pair._parts.order.tolist() == [0, 1, 2]
 
 
 @st.composite
@@ -1264,10 +1327,11 @@ def test_shuffled_parts_stay_satisfied(pair):
 
 def _reference_layout_orderings(values, kind, cap):
     """The orderings the searches read, keyed from ``values``."""
-    if kind == "skew":
-        orderings = spectra._skew_representatives(values, cap)
-    else:
-        orderings = spectra._orderings(values, kind, None, cap)
+    key = spectra._structure_key(values, kind)
+    orderings = spectra._lookup(key, None, cap)
+    n, _, compatible, labels = key
+    if kind == "skew" and n % 2 == 0:
+        orderings = spectra._shift_representatives(n, compatible, labels)
     if not len(orderings):
         raise PairingError(f"list does not admit any {kind}-layout ordering")
     return orderings
@@ -1280,7 +1344,7 @@ def reference_check_conditions(pair, mode="constructive", cap=spectra.DEFAULT_EN
     if mode not in ("constructive", "formula"):
         raise ValueError(f"mode must be 'constructive' or 'formula', got {mode!r}")
     lam, ups = pair.arrays()
-    order = pair._validated().order
+    order = pair._parts.order
     lam = lam[order]
     alphas = _reference_layout_orderings(lam, "circulant", cap)
     bound = realize._head_bound(lam, alphas)
@@ -1297,11 +1361,11 @@ def reference_check_conditions(pair, mode="constructive", cap=spectra.DEFAULT_EN
     step = max(1, realize._JOIN_ELEMENTS // max(1, c_abs.size))
     for start in range(0, live.size, step):
         block = live[start:start + step]
-        ok = _dominated(s_rows[block], c_abs, odd, join_tol)
+        ok = _reference_dominated(s_rows[block], c_abs, odd, join_tol)
         while ok.any():
             i, b = divmod(int(np.argmax(ok)), ok.shape[1])
             s_row, c_row = s_rows[block[i]], c_rows[b]
-            if realize._builds(s_row, c_row, odd):
+            if _reference_builds(s_row, c_row, odd):
                 c_pad = np.concatenate([c_abs[b], [0.0]]) if odd else c_abs[b]
                 witness = ConditionWitness(
                     alpha=realize._permutation(order[alphas], block[i], "circulant"),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from niepkit import spectra
 from niepkit.dft import _recover_rows, _skew_twiddle, skew_eigenvalues
-from niepkit.errors import EnumerationCapError
+from niepkit.errors import EnumerationCapError, PairingError
 from niepkit.spectra import (
     _layout_partners,
     enumerate_circulant_permutations,
@@ -361,8 +361,9 @@ class TestOrderingCache:
 
     def test_cached_arrays_are_read_only_and_lists_fresh(self):
         entries = [15, 2 + 5j, 1, 2 - 5j]
-        first = spectra._orderings(entries, "circulant", None, 10)
-        assert spectra._orderings(entries, "circulant", None, 10) is first
+        key = spectra._structure_key(entries, "circulant")
+        first = spectra._lookup(key, None, 10)
+        assert spectra._lookup(key, None, 10) is first
         assert not first.flags.writeable
         with pytest.raises(ValueError):
             first[0, 0] = 1
@@ -673,6 +674,17 @@ def _skew_structure(entries):
     return orderings, labels, spectra._shift_partners(orderings, labels)
 
 
+def _search_orderings(entries, cap):
+    """The skew orderings a search reads of ``entries``
+    (``spectra._search_orderings``), or the empty ordering array of a
+    list that has none."""
+    key = spectra._structure_key(entries, "skew")
+    try:
+        return spectra._search_orderings(key, cap)
+    except PairingError:
+        return spectra._lookup(key, None, cap)
+
+
 def _reference_representatives(orderings, labels):
     """The first ordering of each shift class, found with a dict of label
     tuples, one row at a time."""
@@ -758,8 +770,8 @@ def test_representatives_match_a_row_by_row_reference(n):
     lists = _structured_lists(n, rng) + [skew_eigenvalues(rng.uniform(-1.0, 1.0, n))]
     checked = 0
     for entries in lists:
-        orderings = spectra._orderings(entries, "skew", None, 10)
-        reps = spectra._skew_representatives(entries, 10)
+        orderings = spectra._lookup(spectra._structure_key(entries, "skew"), None, 10)
+        reps = _search_orderings(entries, 10)
         if n % 2:
             assert reps is orderings
             continue
@@ -781,13 +793,13 @@ def test_representatives_are_read_only_and_equal_on_cold_and_warm_caches():
     for entries in lists:
         spectra._generate.cache_clear()
         spectra._shift_representatives.cache_clear()
-        cold.append(spectra._skew_representatives(entries, 10))
+        cold.append(_search_orderings(entries, 10))
     for entries in lists:
-        spectra._skew_representatives(entries, 10)
+        _search_orderings(entries, 10)
     misses = spectra._shift_representatives.cache_info().misses
     for entries, want in zip(lists, cold):
-        got = spectra._skew_representatives(entries, 10)
-        assert spectra._skew_representatives(entries, 10) is got
+        got = _search_orderings(entries, 10)
+        assert _search_orderings(entries, 10) is got
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert not got.flags.writeable
         if got.size:
@@ -796,7 +808,7 @@ def test_representatives_are_read_only_and_equal_on_cold_and_warm_caches():
     assert spectra._shift_representatives.cache_info().misses == misses
     # the cap is checked before the cache is read
     with pytest.raises(EnumerationCapError):
-        spectra._skew_representatives(lists[-1], 7)
+        _search_orderings(lists[-1], 7)
 
 
 def test_partner_tables_are_read_only_and_bit_equal_to_fresh_ones():
