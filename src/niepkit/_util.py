@@ -31,7 +31,10 @@ def as_float_vector(x, name="vector"):
 
 
 def as_complex_vector(x, name="list"):
-    arr = np.asarray(x, dtype=complex)
+    try:
+        arr = np.asarray(x, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be a complex 1-D sequence") from exc
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D sequence")
     if not np.isfinite(arr).all():

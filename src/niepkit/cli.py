@@ -14,9 +14,7 @@ import argparse
 import functools
 import itertools
 import json
-import logging
 import math
-import os
 import sys
 
 import numpy as np
@@ -43,8 +41,6 @@ from .realize import (
     region_check,
 )
 from .oracle import match_spectra, spectrum
-
-log = logging.getLogger("niepkit")
 
 
 def _fmt(x):
@@ -396,38 +392,17 @@ def _parser():
     return build_parser()
 
 
-def _log_level():
-    """The level named by NIEPKIT_LOG; an unknown name warns and gives WARNING."""
-    name = os.environ.get("NIEPKIT_LOG") or "WARNING"
-    if isinstance(logging.getLevelName(name), int):
-        return name
-    print(
-        f"warning: NIEPKIT_LOG={name!r} is not a logging level; using WARNING",
-        file=sys.stderr,
-    )
-    return "WARNING"
-
-
 def main(argv=None):
-    logging.basicConfig(level=_log_level())
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except RealizabilityError as exc:
-        log.info("condition not met", exc_info=True)
         print(f"condition not met: {exc}", file=sys.stderr)
         return 2
     except (VerificationError, EigensolveError) as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return 4
-    except (
-        ValueError,
-        KeyError,
-        StructureError,
-        EnumerationCapError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ValueError, StructureError, EnumerationCapError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
 

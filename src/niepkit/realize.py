@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._util import ROUNDOFF_RTOL, as_complex_vector, max_abs, slack
-from .blocks import BlockBuildSpec, _violations, build_circ_skew, build_odd
+from .blocks import BlockBuildSpec, _assemble_even, _violations, build_circ_skew, build_odd
 from .dft import _recover_rows
 from .errors import PairingError, RealizabilityError
 from .spectra import (
@@ -107,14 +107,16 @@ def realize_four(values):
 
 
 def _four_matrix(lam1, lam2, lam3):
-    """The closed-form permutative matrix with spectrum
-    {lam1, lam2, lam3, conj(lam3)}, roundoff negatives clipped to zero."""
-    a = (lam1 + lam2 + 2 * lam3.real) / 4.0
-    b = (lam1 + lam2 - 2 * lam3.real) / 4.0
-    c = (lam1 - lam2 + 2 * lam3.imag) / 4.0
-    d = (lam1 - lam2 - 2 * lam3.imag) / 4.0
-    M = np.array([[a, b, c, d], [b, a, d, c], [d, c, a, b], [c, d, b, a]])
-    return np.clip(M, 0.0, None)
+    """The permutative matrix with spectrum {lam1, lam2, lam3, conj(lam3)},
+    roundoff negatives clipped to zero: the n = 2 even block build, with
+    circulant row ``((lam1 + lam2)/2, (lam1 - lam2)/2)`` (spectrum
+    {lam1, lam2}) and skew row ``(Re lam3, Im lam3)`` (spectrum
+    {lam3, conj(lam3)}), assembled by the block builder.  Its entries are
+    ``(lam1 + lam2 +/- 2 Re lam3)/4`` and ``(lam1 - lam2 +/- 2 Im lam3)/4``,
+    bit for bit, unless an intermediate value is subnormal or overflows."""
+    s = np.array([lam1 + lam2, lam1 - lam2]) / 2.0
+    c = np.array([lam3.real, lam3.imag])
+    return np.clip(_assemble_even(_circulant(s), _skew_circulant(c), 1.0), 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -342,8 +344,6 @@ def _head_bound(v, orderings):
     bit-identical to a loop over the orderings.
     """
     n = v.size
-    if n == 1:
-        return 0.0
     j, cos, sin, alternating = _head_tables(n)
     nu = v[orderings]
     extra = np.zeros(n) if n % 2 == 1 else alternating * nu[:, n // 2, None].real
@@ -436,8 +436,10 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
     of distinct values.  The body rows of the circulant rows with no entry
     below the spectrum-scale slack (the live alphas) are joined with those
     skew rows (:func:`_dominated`, one join for both parities) in chunks
-    of at most ``_JOIN_ELEMENTS`` comparisons.  The join's slack bounds the
-    slack of every pair, so it keeps every pair the builders accept; its
+    of at most ``_JOIN_ELEMENTS`` comparisons.  The join's slack is the
+    rows' own scale, the roundoff slack of all circulant and skew rows; it
+    bounds the builders' slack of every pair, whose operands are among
+    those rows, so the join keeps every pair the builders accept; its
     passing pairs are then judged in row-major order by the builders' own
     rule (:func:`_builds`).  The witness is thus the lexicographically
     first pair (alpha, beta), over live alphas and all betas, that
@@ -468,9 +470,8 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
     c_abs = np.abs(c_rows)
     live = np.flatnonzero((s_rows.T >= -tol).all(axis=0))
     body = _body(s_rows[live]) if odd else s_rows[live]
-    # rounding is monotone, so rtol * max(a, b) = max(rtol * a, rtol * b)
-    join_tol = max(tol, slack(ROUNDOFF_RTOL, s_rows, floor=float(c_abs.max())))
-    step = max(1, _JOIN_ELEMENTS // max(1, c_abs.size))
+    join_tol = slack(ROUNDOFF_RTOL, s_rows, c_abs)
+    step = max(1, _JOIN_ELEMENTS // c_abs.size)
     for start in range(0, live.size, step):
         block = live[start:start + step]
         ok = _dominated(body[start:start + step], c_abs, join_tol)

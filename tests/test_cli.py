@@ -625,18 +625,94 @@ class TestReusedParser:
         assert out.read_text() == reference_payload_text(realize_four(values), values)
 
 
-def test_unknown_log_level_warns_and_falls_back(tmp_path):
+def test_main_reads_no_environment_and_adds_no_log_handler(tmp_path):
     # a fresh interpreter: in-process, pytest's own log handlers would keep
-    # logging.basicConfig from ever reading the level
+    # logging.basicConfig from adding one
     inp = write_json(tmp_path / "in.json", [[8, 0], [-6, 0], [-1, 5], [-1, -5]])
+    out = tmp_path / "out.json"
+    code = (
+        "import logging, sys\n"
+        "from niepkit.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, len(logging.getLogger().handlers))"
+    )
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "NIEPKIT_LOG": "bogus", "PYTHONPATH": str(src)}
     proc = subprocess.run(
-        [sys.executable, "-m", "niepkit", "realize4", inp],
+        [sys.executable, "-c", code, "realize4", inp, f"--out={out}"],
         env=env, capture_output=True, text=True, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines() == [
-        "warning: NIEPKIT_LOG='bogus' is not a logging level; using WARNING"
-    ]
-    assert json.loads(proc.stdout)["verified"] is True
+    assert proc.stderr == ""
+    assert proc.stdout == "0 0\n"
+    assert json.loads(out.read_text())["matrix"] == fx.FOUR_A_MATRIX.tolist()
+
+
+class TestVerificationFailureExits4:
+    """The exit-4 paths, reached by an oracle that disagrees with the build
+    (a shifted spectrum) or whose eigensolver fails."""
+
+    @pytest.fixture
+    def shifted(self, monkeypatch):
+        monkeypatch.setattr(cli, "spectrum", lambda M: spectrum(M) + 1.0)
+
+    def test_build(self, shifted, capsys):
+        assert main(["build", str(DATA / "rows.json")]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "internal verification failure: constructed matrix failed spectrum "
+            "verification (max pair distance "
+        )
+
+    def test_region_sweep(self, shifted, capsys):
+        assert main(["region-sweep", "--grid", "r=0:1:2,a=0:0:2,b=0:0:2"]) == 4
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == "r,a,b,in_region,verified"
+        assert len(lines) == 9
+        assert all(line.endswith(",1,0") for line in lines[1:])
+        assert captured.err == (
+            "internal verification failure: 8 in-region points failed verification\n"
+        )
+
+    def test_verify_when_the_eigensolver_fails(self, monkeypatch, capsys):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        assert main(["verify", str(DATA / "claim_16.json")]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "internal verification failure: eigenvalue iteration failed: "
+            "no convergence\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        (
+            "check",
+            {"circulant": [], "skew": [[1.0, 0.0]]},
+            "circulant must be a nonempty JSON array of [re, im] pairs",
+        ),
+        (
+            "build",
+            {"circulant_row": [], "skew_row": [1.0]},
+            "circulant_row must be a nonempty JSON array of numbers",
+        ),
+        (
+            "verify",
+            {"matrix": [], "spectrum": [[1.0, 0.0]]},
+            "matrix must be a nonempty row-major JSON array of arrays",
+        ),
+    ],
+    ids=["check-circulant", "build-circulant_row", "verify-matrix"],
+)
+def test_empty_array_exits_3(tmp_path, capsys, command, payload, message):
+    inp = write_json(tmp_path / "in.json", payload)
+    assert main([command, inp]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"

@@ -15,6 +15,7 @@ from niepkit import oracle
 from niepkit._util import VERIFY_RTOL
 from niepkit.blocks import BlockBuildSpec, build_circ_skew, build_even, build_odd
 from niepkit.dft import circulant_eigenvalues, skew_eigenvalues
+from niepkit.errors import EigensolveError
 from niepkit.oracle import match_spectra, spectrum
 from niepkit.realize import brauer_augment
 from niepkit.structured import circulant, skew_circulant
@@ -45,6 +46,17 @@ class TestSpectrum:
         # a finite matrix whose eigenvalue 2e308 is not a float
         with pytest.raises(ValueError, match="eigenvalues of the matrix overflow"):
             spectrum([[1e308, 1e308], [1e308, 1e308]])
+
+    @pytest.mark.parametrize("order", [4, oracle._SPLIT_ORDER])
+    def test_solver_failure_raises_eigensolve_error(self, order):
+        # dense and split routes alike
+        def fail(matrix):
+            raise np.linalg.LinAlgError("no convergence")
+
+        M = build_circ_skew(np.ones(order // 2), np.zeros(order // 2))
+        with mock.patch.object(np.linalg, "eigvals", fail):
+            with pytest.raises(EigensolveError, match="^eigenvalue iteration failed"):
+                spectrum(M)
 
     def test_eigenvalue_sum_matches_trace(self):
         rng = np.random.default_rng(21)
@@ -85,6 +97,10 @@ class TestMatchSpectra:
     def test_within_tolerance(self):
         assert match_spectra([1 + 1e-9j, 2], [1, 2], 1e-8).matched
         assert not match_spectra([1 + 1e-9j, 2], [1, 2], 1e-10).matched
+
+    def test_truth_is_the_verdict(self):
+        assert bool(match_spectra([1.0, 2.0], [2.0, 1.0], 0.0)) is True
+        assert bool(match_spectra([1.0, 2.0], [2.0, 1.5], 0.1)) is False
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

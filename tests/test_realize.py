@@ -227,6 +227,53 @@ def _reference_region_matrix(point):
     return np.clip(M, 0.0, None)
 
 
+def _reference_four_matrix(lam1, lam2, lam3):
+    """The closed form ``_four_matrix`` wrote out before it assembled
+    through the block builder."""
+    a = (lam1 + lam2 + 2 * lam3.real) / 4.0
+    b = (lam1 + lam2 - 2 * lam3.real) / 4.0
+    c = (lam1 - lam2 + 2 * lam3.imag) / 4.0
+    d = (lam1 - lam2 - 2 * lam3.imag) / 4.0
+    M = np.array([[a, b, c, d], [b, a, d, c], [d, c, a, b], [c, d, b, a]])
+    return np.clip(M, 0.0, None)
+
+
+#: 0, -0 or a magnitude in [1e-150, 1e150] of either sign.
+_FOUR_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(
+        lambda sign, m, e: sign * m * 10.0**e,
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(1.0, 9.999999999999998),
+        st.integers(-150, 149),
+    ),
+)
+
+
+@st.composite
+def _four_lists(draw):
+    """(lam1, lam2, lam3) with entries from ``_FOUR_ENTRIES``, where lam2 may
+    tie or cancel lam1 and Re lam3 or Im lam3 may sit on the boundary
+    (cancelling lam1 +/- lam2 in an entry) or take a sign flip of it."""
+    lam1, lam2 = draw(_FOUR_ENTRIES), draw(_FOUR_ENTRIES)
+    if draw(st.booleans()):
+        lam2 = draw(st.sampled_from([1.0, -1.0])) * lam1
+    re, im = draw(_FOUR_ENTRIES), draw(_FOUR_ENTRIES)
+    if draw(st.booleans()):
+        re = draw(st.sampled_from([1.0, -1.0])) * (lam1 + lam2) / 2.0
+    if draw(st.booleans()):
+        im = draw(st.sampled_from([1.0, -1.0])) * (lam1 - lam2) / 2.0
+    return lam1, lam2, complex(re, im)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(lams=_four_lists())
+def test_four_matrix_is_the_closed_form_bit_for_bit(lams):
+    got = realize._four_matrix(*lams)
+    assert got.dtype == np.float64 and got.shape == (4, 4)
+    assert got.tobytes() == _reference_four_matrix(*lams).tobytes()
+
+
 class TestGammaRegion:
     def test_members_and_nonmembers(self):
         assert in_gamma_region(-1 - 0.5j)
@@ -277,6 +324,12 @@ class TestCheckConditions:
         report = check_conditions(pair)
         assert not report.satisfied
         assert report.witness is None
+
+    @pytest.mark.parametrize("mode", ["constructive", "formula"])
+    def test_truth_is_the_verdict(self, mode):
+        for circulant, want in (((5.0, 1.0), True), ((5.0, -5.5), False)):
+            report = check_conditions(SpectrumPair(circulant, (0.5, 0.5)), mode=mode)
+            assert report.satisfied is want and bool(report) is want
 
     def test_pairing_violation(self):
         with pytest.raises(PairingError):
