@@ -8,6 +8,11 @@ matrices as row-major arrays of arrays.  Exit codes:
 * 2 - a sufficient condition is not met (clean negative)
 * 3 - input error
 * 4 - internal verification failure (oracle mismatch, always a bug signal)
+
+A JSON result is the text of ``json.dumps(result, indent=2)`` plus a newline,
+written by :func:`_json_text` without ``json``'s pure-Python indenting
+encoder; a grid (the matrix, the ``[re, im]`` spectra) formats each distinct
+float once.
 """
 
 import argparse
@@ -52,30 +57,27 @@ def _complex_out(values):
     return np.stack((values.real, values.imag), axis=-1).tolist()
 
 
-def _is_number(v):
-    # JSON true/false load as bool, which is a subclass of int
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _numbers(values):
+    """Whether every value is a JSON number, judged by exact type at C level:
+    JSON true/false load as bool, a subclass of int, and are refused."""
+    return set(map(type, values)) <= {int, float}
 
 
 def _parse_complex_list(data, name):
     if not isinstance(data, list) or not data:
         raise ValueError(f"{name} must be a nonempty JSON array of [re, im] pairs")
-    out = []
-    for item in data:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(_is_number(v) for v in item)
-        ):
-            raise ValueError(f"{name} entries must be [re, im] number pairs")
-        out.append(complex(item[0], item[1]))
-    return np.asarray(out, complex)
+    if set(map(type, data)) != {list} or set(map(len, data)) != {2} or not _numbers(
+        itertools.chain.from_iterable(data)
+    ):
+        raise ValueError(f"{name} entries must be [re, im] number pairs")
+    # the two float64s of each pair are the parts of one complex128
+    return np.asarray(data, float).view(complex)[:, 0]
 
 
 def _parse_real_vector(data, name):
     if not isinstance(data, list) or not data:
         raise ValueError(f"{name} must be a nonempty JSON array of numbers")
-    if not all(_is_number(v) for v in data):
+    if not _numbers(data):
         raise ValueError(f"{name} entries must be numbers")
     return np.asarray(data, float)
 
@@ -84,7 +86,7 @@ def _parse_matrix(data, name):
     if not isinstance(data, list) or not data:
         raise ValueError(f"{name} must be a nonempty row-major JSON array of arrays")
     rows = [row if isinstance(row, list) else [row] for row in data]
-    if not all(_is_number(v) for row in rows for v in row):
+    if not _numbers(itertools.chain.from_iterable(rows)):
         raise ValueError(f"{name} entries must be numbers")
     return np.asarray(data, float)
 
@@ -109,11 +111,51 @@ def _required(data, key, command):
     return data[key]
 
 
+def _block(items, pad, ends="[]"):
+    """A JSON array (or object) of already formatted ``items``, nested at ``pad``."""
+    inner = pad + "  "
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
+
+
+def _grid_texts(value):
+    """The entry texts of a grid, a nonempty list of equal-length nonempty
+    lists of finite floats, by row; ``None`` for any other value."""
+    if not (set(map(type, value)) == {list} and len(set(map(len, value))) == 1
+            and set(map(type, itertools.chain.from_iterable(value))) == {float}):
+        return None
+    grid = np.array(value, float)
+    if not np.isfinite(grid).all():
+        return None
+    bits, where = np.unique(grid.view(np.uint64), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, bits.view(float).tolist())), object)
+    return texts[where.reshape(grid.shape)].tolist()
+
+
+def _json_text(value, pad=""):
+    """``json.dumps(value, indent=2)`` nested at ``pad``: dicts and lists item
+    by item, each distinct float (by bit pattern) of a grid formatted once,
+    and the rest by ``json.dumps`` (JSON strings hold no raw newline)."""
+    inner = pad + "  "
+    if type(value) is dict and value and all(type(key) is str for key in value):
+        items = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        return _block(items, pad, "{}")
+    if type(value) is list and value:
+        if _numbers(value):  # one C-encoder call; a number's text holds no ", "
+            return _block(json.dumps(value)[1:-1].split(", "), pad)
+        rows = _grid_texts(value)
+        if rows is None:
+            return _block([_json_text(v, inner) for v in value], pad)
+        return _block([_block(row, inner) for row in rows], pad)
+    if type(value) in (str, int, float, bool, type(None)):
+        return json.dumps(value)  # the C encoder; indenting changes no scalar
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
 def _write_output(args, payload, matrix=None):
     if getattr(args, "format", "json") == "csv":
         text = "\n".join(",".join(_fmt(v) for v in row) for row in matrix) + "\n"
     else:
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload) + "\n"
     _emit(args, text)
 
 
@@ -210,7 +252,7 @@ def _build_spec(args):
     if args.split is not None:
         data = json.loads(args.split)
         if not isinstance(data, list) or not all(
-            isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))
+            isinstance(pair, list) and len(pair) == 2 and _numbers(pair)
             for pair in data
         ):
             raise ValueError("--split must be a JSON array of [left, right] numbers")
@@ -284,7 +326,7 @@ def _cmd_augment(args):
     ups = _parse_complex_list(_required(data, "skew", "augment"), "skew")
     tail = _parse_complex_list(_required(data, "tail", "augment"), "tail")
     rho = _required(data, "rho", "augment")
-    if not _is_number(rho):
+    if not _numbers([rho]):
         raise ValueError("rho must be a number")
     sign = 1 if args.sign == "plus" else -1
     plan = brauer_plan(ups, tail, float(rho))

@@ -88,14 +88,15 @@ def realize_four(values):
 
     Requires lam1, lam2 real with sum(spectrum) >= 0,
     lam1 + lam2 >= 2*Re(lam3) and lam1 - lam2 >= 2*|Im(lam3)|; raises
-    :class:`RealizabilityError` naming the first violated inequality.
+    :class:`RealizabilityError` naming the first violated inequality, judged
+    at the list's own scale (only the pairing's slack has a floor of 1).
     """
     v = as_complex_vector(values, "spectrum")
     if v.size != 4:
         raise ValueError("realize_four needs exactly 4 values")
-    tol = slack(ROUNDOFF_RTOL, v, floor=1.0)
+    tol = slack(ROUNDOFF_RTOL, v)
     failed = None
-    for lam1, lam2, lam3 in _canonical_four(v, tol):
+    for lam1, lam2, lam3 in _canonical_four(v, slack(ROUNDOFF_RTOL, v, floor=1.0)):
         name = _four_conditions(lam1, lam2, lam3, tol)
         if name is None:
             break
@@ -146,7 +147,7 @@ def region_check(point):
     The inequalities are those of :func:`realize_four`, with its slack, so
     a point passes exactly when ``realize_four(point.spectrum)`` succeeds.
     """
-    tol = slack(ROUNDOFF_RTOL, point.spectrum, floor=1.0)
+    tol = slack(ROUNDOFF_RTOL, point.spectrum)
     return _four_conditions(1.0, point.r, complex(point.a, point.b), tol) is None
 
 

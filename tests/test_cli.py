@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fixtures as fx
 from niepkit import cli, realize
@@ -55,6 +58,13 @@ class TestRealize4:
         inp = write_json(tmp_path / "in.json", [[1, 0], [2, 0], [0, 1], [0, -1]])
         assert main(["realize4", inp]) == 2
         assert "condition not met" in capsys.readouterr().err
+
+    def test_small_scale_violation_exits_2(self, tmp_path, capsys):
+        # violated by 8e-13 at scale 1e-9: the inequalities carry no floor
+        im = 5e-10 + 4e-13
+        inp = write_json(tmp_path / "in.json", [[1e-9, 0], [0, 0], [2e-10, im], [2e-10, -im]])
+        assert main(["realize4", inp]) == 2
+        assert "lam1 - lam2 >= 2*|Im(lam3)|" in capsys.readouterr().err
 
     def test_malformed_json_exits_3(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -520,6 +530,26 @@ class TestNonNumericInput:
         assert main(["verify", inp]) == 3
         assert "entries must be numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [True, "3", [3.0], None], ids=["bool", "str", "list", "null"])
+    @pytest.mark.parametrize(
+        "command, payload, name",
+        [
+            ("build", {"circulant_row": [1.0, "x"], "skew_row": [0.5, 0.0]}, "circulant_row"),
+            ("build", {"S": [[2.0, 0], [0, "x"]], "skew_row": [0.5]}, "S"),
+            ("verify", {"matrix": [["x", 0.0], [0.0, 1.0]], "spectrum": [[1.0, 0.0]]}, "matrix"),
+        ],
+        ids=["build-vector", "build-matrix", "verify-matrix"],
+    )
+    def test_entry_types_refused_with_the_same_message(
+        self, tmp_path, capsys, bad, command, payload, name
+    ):
+        # "x" marks the entry replaced by each bad JSON value in turn
+        text = json.dumps(payload).replace('"x"', json.dumps(bad))
+        inp = tmp_path / "in.json"
+        inp.write_text(text, encoding="utf-8")
+        assert main([command, str(inp)]) == 3
+        assert capsys.readouterr().err == f"input error: {name} entries must be numbers\n"
+
     @pytest.mark.parametrize(
         "split", ["[1]", "[[3, 3], [3, 0], 1]", "[[3, 3, 0]]", '[["3", 3]]', "{}"]
     )
@@ -574,6 +604,60 @@ def test_payload_writers_give_the_bytes_of_per_entry_floats():
     got = cli._matrix_payload(M, values)
     assert json.dumps(got, indent=2) == json.dumps(old, indent=2)
     assert "-0.0" in json.dumps(got) and "1e-300" in json.dumps(got)
+
+
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+    math.inf, -math.inf, math.nan, 0.1, 1.0,
+]
+_JSON_FLOATS = st.floats() | st.sampled_from(_EDGE_FLOATS)
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | _JSON_FLOATS | st.text()
+    | st.sampled_from(['say "hi"', "a\nb", "\\", "é€\U0001f600", "\x00\t"])
+)
+
+
+@st.composite
+def _grids(draw):
+    """Grids drawn from a pool of at most four floats, so most entries
+    repeat and signed zeros meet; a nonfinite pool member is drawn too."""
+    pool = draw(st.lists(_JSON_FLOATS, min_size=1, max_size=4))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.sampled_from(pool)
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+# ragged, empty and mixed int/float lists of lists: not grids
+_NEAR_GRIDS = st.lists(
+    st.lists(st.integers() | _JSON_FLOATS, max_size=4), min_size=1, max_size=4
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS | _grids() | _NEAR_GRIDS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=_JSON_VALUES)
+@example(value={"matrix": [[0.0, -0.0], [-0.0, 0.0]], "witness": {"alpha": [0, 1]}})
+@example(value={"a": {1: [[1.0]], "b": {}}, "c": [], "d": [[]]})
+@example(value=[[1.0, 2], [3.0, 4.0]])
+def test_writer_gives_the_bytes_of_json_dumps(value):
+    # json.dumps(value, indent=2) is the writer's test-only reference
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_order_64_build_bytes(tmp_path):
+    rows = json.loads((DATA / "rows_32.json").read_text())
+    s, c = np.asarray(rows["circulant_row"]), np.asarray(rows["skew_row"])
+    expected = np.concatenate([circulant_eigenvalues(s), skew_eigenvalues(c)])
+    out = tmp_path / "out.json"
+    assert main(["build", str(DATA / "rows_32.json"), f"--out={out}"]) == 0
+    text = out.read_text()
+    assert text == reference_payload_text(build_circ_skew(s, c), expected)
+    # a permutative build: its 4,096 entries hold at most 64 distinct floats
+    assert len(np.unique(json.loads(text)["matrix"])) <= 64
 
 
 def rows_reference_text(gamma=1.0, sign=1):

@@ -89,6 +89,20 @@ class TestRealizeFour:
         with pytest.raises(RealizabilityError, match=r"lam1 \+ lam2 >= 2\*Re\(lam3\)"):
             realize_four([4, -1, 3 + 0.1j, 3 - 0.1j])
 
+    def test_inequalities_judged_at_the_list_scale(self):
+        # lam1 - lam2 - 2|Im lam3| = -8e-13: inside a slack floored at 1
+        # (1e-12), outside the list's own (1e-21); the builders' rule refuses
+        # the same rows, circulant (5e-10, 5e-10) and skew (2e-10, 5.004e-10)
+        z = complex(2e-10, 5e-10 + 4e-13)
+        with pytest.raises(RealizabilityError, match=r"lam1 - lam2 >= 2\*\|Im\(lam3\)\|"):
+            realize_four([1e-9, 0.0, z, z.conjugate()])
+        with pytest.raises(RealizabilityError):
+            build_circ_skew(np.array([5e-10, 5e-10]), np.array([z.real, z.imag]))
+        # on the boundary at the same scale the list still builds
+        M = realize_four([1e-9, 0.0, 5e-10j, -5e-10j])
+        assert M.min() >= 0.0
+        assert match_spectra(spectrum(M), [1e-9, 0.0, 5e-10j, -5e-10j], 1e-18).matched
+
     def test_not_conjugate_closed(self):
         with pytest.raises(PairingError):
             realize_four([5, 1, 1j, 2j])
