@@ -170,6 +170,7 @@ class TestBuild:
         M = np.asarray(payload["matrix"])
         assert M.shape == (64, 64)
         assert payload["computed_spectrum"] == cli._complex_out(spectrum(M))
+        assert out.read_text() == rows_reference_text("rows_32.json")
 
     def test_rows_build_matches_fixture(self, tmp_path):
         inp = write_json(
@@ -648,20 +649,8 @@ def test_writer_gives_the_bytes_of_json_dumps(value):
     assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
-def test_order_64_build_bytes(tmp_path):
-    rows = json.loads((DATA / "rows_32.json").read_text())
-    s, c = np.asarray(rows["circulant_row"]), np.asarray(rows["skew_row"])
-    expected = np.concatenate([circulant_eigenvalues(s), skew_eigenvalues(c)])
-    out = tmp_path / "out.json"
-    assert main(["build", str(DATA / "rows_32.json"), f"--out={out}"]) == 0
-    text = out.read_text()
-    assert text == reference_payload_text(build_circ_skew(s, c), expected)
-    # a permutative build: its 4,096 entries hold at most 64 distinct floats
-    assert len(np.unique(json.loads(text)["matrix"])) <= 64
-
-
-def rows_reference_text(gamma=1.0, sign=1):
-    rows = json.loads((DATA / "rows.json").read_text())
+def rows_reference_text(name="rows.json", gamma=1.0, sign=1):
+    rows = json.loads((DATA / name).read_text())
     s, c = np.asarray(rows["circulant_row"]), np.asarray(rows["skew_row"])
     spec = BlockBuildSpec(gamma=gamma, sign=sign)
     expected = np.concatenate(
