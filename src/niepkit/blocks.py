@@ -51,16 +51,17 @@ class BlockBuildSpec:
 
 
 def _violations(S, C):
-    """Positions where ``|C| <= S`` fails by more than the roundoff slack of
-    both operands: the one majorization rule of every build, on rows or
-    matrices alike."""
-    return np.argwhere(np.abs(C) > S + slack(ROUNDOFF_RTOL, S, C))
+    """Where ``|C| <= S`` fails by more than the roundoff slack of both
+    operands, as a boolean mask: the one majorization rule of every build,
+    on rows or matrices alike.  Only a refusal lists the positions."""
+    return np.abs(C) > S + slack(ROUNDOFF_RTOL, S, C)
 
 
 def _check_majorization(S, C):
     """Raise unless |C| <= S entrywise (see :func:`_violations`)."""
     bad = _violations(S, C)
-    if bad.size:
+    if bad.any():
+        bad = np.argwhere(bad)
         listed = ", ".join(f"({i}, {j})" for i, j in bad[:8])
         raise MajorizationError(
             f"|c_ij| <= s_ij fails at {listed}"
@@ -173,8 +174,9 @@ def build_circ_skew(s_row, c_row, spec=BlockBuildSpec()):
     c_row = as_float_vector(c_row, "c_row")
     if s_row.size != c_row.size:
         raise ValueError("rows must have equal length")
-    bad = _violations(s_row, c_row)[:, 0]
-    if bad.size:
+    bad = _violations(s_row, c_row)
+    if bad.any():
+        bad = np.argwhere(bad)[:, 0]
         raise MajorizationError(
             f"|c_k| <= s_k fails at k = {', '.join(map(str, bad.tolist()))}",
             positions=[(0, int(k)) for k in bad],

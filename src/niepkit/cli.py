@@ -11,8 +11,8 @@ matrices as row-major arrays of arrays.  Exit codes:
 
 A JSON result is the text of ``json.dumps(result, indent=2)`` plus a newline,
 written by :func:`_json_text` without ``json``'s pure-Python indenting
-encoder; a grid (the matrix, the ``[re, im]`` spectra) formats each distinct
-float once.
+encoder; a grid of six rows or more (the matrix, the ``[re, im]`` spectra)
+formats each distinct float once.
 """
 
 import argparse
@@ -117,10 +117,19 @@ def _block(items, pad, ends="[]"):
     return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
 
 
+#: Fewest rows a grid needs to be written by :func:`_grid_texts`; chosen by
+#: timing: below it, the fixed cost of its ``np.unique`` and gather (~9 us)
+#: exceeds what formatting each distinct float once saves, and the grid is
+#: written row by row.
+_GRID_ROWS = 6
+
+
 def _grid_texts(value):
-    """The entry texts of a grid, a nonempty list of equal-length nonempty
-    lists of finite floats, by row; ``None`` for any other value."""
-    if not (set(map(type, value)) == {list} and len(set(map(len, value))) == 1
+    """The entry texts of a grid, a nonempty list of at least
+    :data:`_GRID_ROWS` equal-length nonempty lists of finite floats, by row;
+    ``None`` for any other value."""
+    if not (len(value) >= _GRID_ROWS and set(map(type, value)) == {list}
+            and len(set(map(len, value))) == 1
             and set(map(type, itertools.chain.from_iterable(value))) == {float}):
         return None
     grid = np.array(value, float)
@@ -133,8 +142,9 @@ def _grid_texts(value):
 
 def _json_text(value, pad=""):
     """``json.dumps(value, indent=2)`` nested at ``pad``: dicts and lists item
-    by item, each distinct float (by bit pattern) of a grid formatted once,
-    and the rest by ``json.dumps`` (JSON strings hold no raw newline)."""
+    by item, each distinct float (by bit pattern) of a grid of at least
+    :data:`_GRID_ROWS` rows formatted once, and the rest by ``json.dumps``
+    (JSON strings hold no raw newline)."""
     inner = pad + "  "
     if type(value) is dict and value and all(type(key) is str for key in value):
         items = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in value.items()]

@@ -88,15 +88,16 @@ def realize_four(values):
 
     Requires lam1, lam2 real with sum(spectrum) >= 0,
     lam1 + lam2 >= 2*Re(lam3) and lam1 - lam2 >= 2*|Im(lam3)|; raises
-    :class:`RealizabilityError` naming the first violated inequality, judged
-    at the list's own scale (only the pairing's slack has a floor of 1).
+    :class:`RealizabilityError` naming the first violated inequality.  The
+    pairing of conjugates and repeats and the inequalities are judged at
+    the list's own scale, with no floor.
     """
     v = as_complex_vector(values, "spectrum")
     if v.size != 4:
         raise ValueError("realize_four needs exactly 4 values")
     tol = slack(ROUNDOFF_RTOL, v)
     failed = None
-    for lam1, lam2, lam3 in _canonical_four(v, slack(ROUNDOFF_RTOL, v, floor=1.0)):
+    for lam1, lam2, lam3 in _canonical_four(v, tol):
         name = _four_conditions(lam1, lam2, lam3, tol)
         if name is None:
             break
@@ -405,7 +406,7 @@ def _builds(s_row, c_row, odd):
     if odd:
         n = c_row.size
         s, c_row = _circulant(s)[:n, :n], _skew_circulant(c_row)
-    return not _violations(s, c_row).size
+    return not _violations(s, c_row).any()
 
 
 def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):

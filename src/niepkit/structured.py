@@ -1,8 +1,7 @@
 """Dense materialization and recognition of the structured matrix classes."""
 
 import functools
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -95,19 +94,65 @@ def abs_circulant(ac):
     return out + 0.0  # normalize -0.0 produced by sign * 0
 
 
-@dataclass(frozen=True)
 class PermutativityReport:
     """Outcome of :func:`is_permutative` with one witness permutation per row.
 
     ``row_permutations[i]`` is a tuple ``p`` with ``M[i, k] == M[0, p[k]]``
-    for every k (within tolerance); ``None`` when not permutative.
+    for every k (within tolerance); ``None`` when not permutative.  A report
+    from :func:`is_permutative` derives the witness on its first read, from
+    its own copy of the matrix, and keeps it.  Reports are immutable and
+    compare by verdict and witness.
     """
 
-    permutative: bool
-    row_permutations: Optional[tuple]
+    __slots__ = ("permutative", "_witness", "_pending")
+
+    def __init__(self, permutative, row_permutations):
+        object.__setattr__(self, "permutative", permutative)
+        object.__setattr__(self, "_witness", row_permutations)
+        object.__setattr__(self, "_pending", None)
+
+    @property
+    def row_permutations(self):
+        if self._pending is not None:
+            object.__setattr__(self, "_witness", _row_permutations(*self._pending))
+            object.__setattr__(self, "_pending", None)
+        return self._witness
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not PermutativityReport:
+            return NotImplemented
+        return (self.permutative, self.row_permutations) == (
+            other.permutative,
+            other.row_permutations,
+        )
+
+    def __hash__(self):
+        return hash((self.permutative, self.row_permutations))
+
+    def __repr__(self):
+        return (
+            f"PermutativityReport(permutative={self.permutative!r}, "
+            f"row_permutations={self.row_permutations!r})"
+        )
 
     def __bool__(self):
         return self.permutative
+
+
+def _row_permutations(matrix, ranked):
+    """The witness of a permutative ``matrix`` whose rows sort to ``ranked``
+    (see :func:`is_permutative`)."""
+    distinct = (ranked[:, 1:] > ranked[:, :-1]).all()
+    order = np.argsort(matrix, axis=1, kind=None if distinct else "stable")
+    perm = np.empty_like(order)
+    perm[np.arange(matrix.shape[0])[:, None], order] = order[0]
+    return tuple(map(tuple, perm.tolist()))
 
 
 def is_permutative(matrix, tol=None):
@@ -117,6 +162,10 @@ def is_permutative(matrix, tol=None):
     rows are compared entrywise with the sorted first row; the matrix is
     permutative when no difference exceeds ``tol`` (default ``1e-9`` times
     the largest magnitude; a given ``tol`` must be finite and nonnegative).
+    That sort is the verdict's whole cost: the witness is derived when
+    ``row_permutations`` is first read, from a copy of the matrix taken
+    here, so changing the matrix afterwards does not change it.
+
     The witness for row ``i``, scattered for all rows at once, sends the
     position of the k-th smallest entry of row ``i`` to that of the k-th
     smallest entry of row 0, ties taken in index order: the witness a
@@ -133,8 +182,6 @@ def is_permutative(matrix, tol=None):
     ranked = np.sort(matrix, axis=1)
     if np.max(np.abs(ranked - ranked[0])) > tol:
         return PermutativityReport(False, None)
-    distinct = (ranked[:, 1:] > ranked[:, :-1]).all()
-    order = np.argsort(matrix, axis=1, kind=None if distinct else "stable")
-    perm = np.empty_like(order)
-    perm[np.arange(matrix.shape[0])[:, None], order] = order[0]
-    return PermutativityReport(True, tuple(map(tuple, perm.tolist())))
+    report = PermutativityReport(True, None)
+    object.__setattr__(report, "_pending", (matrix.copy(), ranked))
+    return report

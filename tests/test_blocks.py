@@ -382,3 +382,69 @@ class TestBuildOdd:
             M = build_odd(S, c, spec)
             expected = np.concatenate([spectrum(S), g * skew_eigenvalues(c)])
             assert match_spectra(spectrum(M), expected, 1e-7).matched
+
+
+def _even_fifteen():
+    S, C = np.ones((4, 4)), np.full((4, 4), -2.0)
+    C[0, 1] = 0.5
+    return build_even, (S, C)
+
+
+@pytest.mark.parametrize(
+    "case, message, positions, kind",
+    [
+        (
+            lambda: (build_even, (np.ones((2, 2)), np.array([[1.0, 1.0], [2.0, 1.0]]))),
+            "|c_ij| <= s_ij fails at (1, 0)",
+            [(1, 0)],
+            np.intp,
+        ),
+        (
+            _even_fifteen,
+            "|c_ij| <= s_ij fails at (0, 0), (0, 2), (0, 3), (1, 0), (1, 1), "
+            "(1, 2), (1, 3), (2, 0) and 7 more",
+            [(0, 0), (0, 2), (0, 3)] + [(i, j) for i in (1, 2, 3) for j in range(4)],
+            np.intp,
+        ),
+        (
+            lambda: (build_odd, (np.ones((3, 3)), [0.5, 1.5])),
+            "|c_ij| <= s_ij fails at (0, 1), (1, 0)",
+            [(0, 1), (1, 0)],
+            np.intp,
+        ),
+        (
+            lambda: (build_odd, (np.ones((4, 4)), [2.0, 0.5, -3.0])),
+            "|c_ij| <= s_ij fails at (0, 0), (0, 2), (1, 0), (1, 1), (2, 1), (2, 2)",
+            [(0, 0), (0, 2), (1, 0), (1, 1), (2, 1), (2, 2)],
+            np.intp,
+        ),
+        (
+            lambda: (build_odd, (np.ones((5, 5)), [3.0, -3.0, 3.0, -3.0])),
+            "|c_ij| <= s_ij fails at (0, 0), (0, 1), (0, 2), (0, 3), (1, 0), "
+            "(1, 1), (1, 2), (1, 3) and 8 more",
+            [(i, j) for i in range(4) for j in range(4)],
+            np.intp,
+        ),
+        (
+            lambda: (build_circ_skew, ([1.0, 1.0, 1.0], [0.5, -1.5, 2.0])),
+            "|c_k| <= s_k fails at k = 1, 2",
+            [(0, 1), (0, 2)],
+            int,
+        ),
+        (
+            # every violation is listed, with no "and N more"
+            lambda: (build_circ_skew, (np.ones(12), np.r_[0.5, np.full(10, -2.0), 1.0])),
+            "|c_k| <= s_k fails at k = 1, 2, 3, 4, 5, 6, 7, 8, 9, 10",
+            [(0, k) for k in range(1, 11)],
+            int,
+        ),
+    ],
+)
+def test_majorization_error_message_and_positions(case, message, positions, kind):
+    build, args = case()
+    with pytest.raises(MajorizationError) as err:
+        build(*args)
+    assert str(err.value) == message
+    assert err.value.positions == tuple(positions)
+    assert {type(v) for p in err.value.positions for v in p} == {kind}
+    assert all(type(p) is tuple for p in err.value.positions)

@@ -66,6 +66,22 @@ class TestRealize4:
         assert main(["realize4", inp]) == 2
         assert "lam1 - lam2 >= 2*|Im(lam3)|" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [[1e-9, 0], [3e-13, 0], [0, 0], [0, 0]],
+            [[1e-9, 0], [0, 0], [2e-10, 5e-13], [2e-10, -5e-13]],
+        ],
+    )
+    def test_small_scale_pairing_matches_the_list(self, tmp_path, pairs):
+        # paired at the list's own scale, not within an absolute 1e-12
+        out = tmp_path / "out.json"
+        assert main(["realize4", write_json(tmp_path / "in.json", pairs), "--out", str(out)]) == 0
+        computed = json.loads(out.read_text())["computed_spectrum"]
+        expected = np.array(pairs, float).view(complex)[:, 0]
+        tol = 1e-7 * max_abs(expected)
+        assert match_spectra(np.array(computed).view(complex)[:, 0], expected, tol).matched
+
     def test_malformed_json_exits_3(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -621,9 +637,11 @@ _JSON_SCALARS = (
 @st.composite
 def _grids(draw):
     """Grids drawn from a pool of at most four floats, so most entries
-    repeat and signed zeros meet; a nonfinite pool member is drawn too."""
+    repeat and signed zeros meet; a nonfinite pool member is drawn too.
+    Their rows fall on both sides of the writer's crossover."""
     pool = draw(st.lists(_JSON_FLOATS, min_size=1, max_size=4))
-    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = draw(st.integers(1, 2 * cli._GRID_ROWS))
+    cols = draw(st.integers(1, 6))
     entry = st.sampled_from(pool)
     return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
 
@@ -647,6 +665,17 @@ _JSON_VALUES = st.recursive(
 def test_writer_gives_the_bytes_of_json_dumps(value):
     # json.dumps(value, indent=2) is the writer's test-only reference
     assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("rows", [1, cli._GRID_ROWS - 1, cli._GRID_ROWS, 64])
+def test_grids_below_the_crossover_are_written_row_by_row(rows, monkeypatch):
+    texts = []
+    grid_texts = cli._grid_texts
+    monkeypatch.setattr(cli, "_grid_texts", lambda v: texts.append(grid_texts(v)) or texts[-1])
+    grid = ([[-0.0, 0.0, 0.1], [0.1, 1e-300, -0.0]] * rows)[:rows]
+    payload = {"matrix": grid, "spectrum": [[x, -x] for x, _, _ in grid]}
+    assert cli._json_text(payload) == json.dumps(payload, indent=2)
+    assert [t is not None for t in texts] == [rows >= cli._GRID_ROWS] * 2
 
 
 def rows_reference_text(name="rows.json", gamma=1.0, sign=1):

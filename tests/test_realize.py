@@ -103,6 +103,21 @@ class TestRealizeFour:
         assert M.min() >= 0.0
         assert match_spectra(spectrum(M), [1e-9, 0.0, 5e-10j, -5e-10j], 1e-18).matched
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # 3e-13 is not a repeat of 0 at scale 1e-9: the repeat is 0, 0
+            [1e-9, 3e-13, 0.0, 0.0],
+            # an imaginary part of 5e-13 is a conjugate pair at scale 1e-9
+            [1e-9, 0.0, complex(2e-10, 5e-13), complex(2e-10, -5e-13)],
+        ],
+    )
+    def test_pairing_at_the_list_scale(self, values):
+        M = realize_four(values)
+        assert M.min() >= 0.0
+        scale = max_abs(np.asarray(values, complex))
+        assert match_spectra(spectrum(M), values, 1e-7 * scale).matched
+
     def test_not_conjugate_closed(self):
         with pytest.raises(PairingError):
             realize_four([5, 1, 1j, 2j])

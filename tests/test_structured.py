@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,8 +211,9 @@ _BASES = {
 }
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 64])
-def test_ties_and_moved_entries_at_the_tolerance(n, monkeypatch):
+@pytest.fixture
+def argsort_kinds(monkeypatch):
+    """The ``kind`` of every ``np.argsort`` call, in call order."""
     kinds = []
     argsort = np.argsort
 
@@ -219,6 +222,11 @@ def test_ties_and_moved_entries_at_the_tolerance(n, monkeypatch):
         return argsort(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "argsort", spy)
+    return kinds
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_ties_and_moved_entries_at_the_tolerance(n, argsort_kinds):
     rng = np.random.default_rng(30 + n)
     for base, draw in _BASES.items():
         row = draw(rng, n)
@@ -231,15 +239,70 @@ def test_ties_and_moved_entries_at_the_tolerance(n, monkeypatch):
             moved = M.copy()
             if factor is not None:
                 moved[n // 2, n - 1] += factor * tol
-            kinds.clear()
-            report = _assert_same_report(moved, None if factor is None else tol)
+            checked = None if factor is None else tol
+            argsort_kinds.clear()
+            report = is_permutative(moved, checked)
+            # the verdict sorts; it does not rank
+            assert argsort_kinds == [], base
             assert report.permutative == (inside or n == 1), (base, factor)
+            witness = report.row_permutations
             if report.permutative:
-                # the check's own argsort, then the reference's stable ones
-                assert kinds[0] == (None if distinct else "stable"), base
+                # the first read ranks once, with the kind the sorted rows call for
+                assert argsort_kinds == [None if distinct else "stable"], base
+            else:
+                assert witness is None and argsort_kinds == []
+            assert report.row_permutations is witness
+            assert len(argsort_kinds) == (1 if report.permutative else 0)
+            assert report == reference_is_permutative(moved, checked), (base, factor)
+            _assert_same_report(moved, checked)
             if factor is None:
-                for i, perm in enumerate(report.row_permutations):
+                for i, perm in enumerate(witness):
                     assert np.array_equal(M[i], M[0][list(perm)])
+
+
+@pytest.mark.parametrize("n", [2, 7, 64])
+def test_witness_ignores_changes_to_the_matrix_after_the_call(n):
+    rng = np.random.default_rng(40 + n)
+    for draw in _BASES.values():
+        row = draw(rng, n)
+        M = np.array([rng.permutation(row) for _ in range(n)])
+        want = reference_is_permutative(M.copy())
+        read_late = is_permutative(M)
+        read_early = is_permutative(M)
+        assert read_early.row_permutations == want.row_permutations
+        M[0] = M[0][::-1].copy()
+        M[n // 2, 0] += 1.0
+        M[:, -1] = np.nan
+        assert read_late.row_permutations == want.row_permutations
+        assert read_early == read_late == want
+
+
+def test_eager_and_deferred_reports_agree():
+    M = np.array([[0.0, 1.0, 2.0], [2.0, 0.0, 1.0], [1.0, 2.0, 0.0]])
+    rows = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
+    eager = PermutativityReport(True, rows)
+    assert is_permutative(M) == eager
+    assert eager == is_permutative(M)
+    assert hash(is_permutative(M)) == hash(eager)
+    assert repr(is_permutative(M)) == repr(eager) == (
+        "PermutativityReport(permutative=True, "
+        "row_permutations=((0, 1, 2), (2, 0, 1), (1, 2, 0)))"
+    )
+    assert is_permutative(M) != PermutativityReport(True, rows[::-1])
+    assert is_permutative(M) != PermutativityReport(False, None)
+    assert is_permutative(M) != (True, rows)
+    refused = is_permutative([[1.0, 2.0], [3.0, 4.0]])
+    assert refused == PermutativityReport(False, None)
+    assert repr(refused) == "PermutativityReport(permutative=False, row_permutations=None)"
+    assert bool(is_permutative(M)) and not refused
+    assert PermutativityReport(permutative=True, row_permutations=rows) == eager
+    for report in (is_permutative(M), eager):
+        for name in ("permutative", "row_permutations"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(report, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(report, name)
+        assert report.row_permutations == rows
 
 
 def _reference_skew_circulant(row):
