@@ -10,9 +10,10 @@ matrices as row-major arrays of arrays.  Exit codes:
 * 4 - internal verification failure (oracle mismatch, always a bug signal)
 
 A JSON result is the text of ``json.dumps(result, indent=2)`` plus a newline,
-written by :func:`_json_text` without ``json``'s pure-Python indenting
-encoder; a grid of six rows or more (the matrix, the ``[re, im]`` spectra)
-formats each distinct float once.
+with every numpy array in ``result`` read as its ``tolist()``.  It is written
+by :func:`_json_text` without ``json``'s pure-Python indenting encoder: a
+matrix or ``[re, im]`` spectrum stays an array, and each distinct float in it
+is formatted once.
 """
 
 import argparse
@@ -53,8 +54,9 @@ def _fmt(x):
 
 
 def _complex_out(values):
+    """The ``(n, 2)`` float array of the ``[re, im]`` pairs of ``values``."""
     values = np.asarray(values, complex)
-    return np.stack((values.real, values.imag), axis=-1).tolist()
+    return np.stack((values.real, values.imag), axis=-1)
 
 
 def _numbers(values):
@@ -117,53 +119,39 @@ def _block(items, pad, ends="[]"):
     return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
 
 
-#: Fewest rows a grid needs to be written by :func:`_grid_texts`; chosen by
-#: timing: below it, the fixed cost of its ``np.unique`` and gather (~9 us)
-#: exceeds what formatting each distinct float once saves, and the grid is
-#: written row by row.
-_GRID_ROWS = 6
-
-
-def _grid_texts(value):
-    """The entry texts of a grid, a nonempty list of at least
-    :data:`_GRID_ROWS` equal-length nonempty lists of finite floats, by row;
-    ``None`` for any other value."""
-    if not (len(value) >= _GRID_ROWS and set(map(type, value)) == {list}
-            and len(set(map(len, value))) == 1
-            and set(map(type, itertools.chain.from_iterable(value))) == {float}):
-        return None
-    grid = np.array(value, float)
-    if not np.isfinite(grid).all():
-        return None
-    bits, where = np.unique(grid.view(np.uint64), return_inverse=True)
-    texts = np.array(list(map(float.__repr__, bits.view(float).tolist())), object)
-    return texts[where.reshape(grid.shape)].tolist()
-
-
 def _json_text(value, pad=""):
-    """``json.dumps(value, indent=2)`` nested at ``pad``: dicts and lists item
-    by item, each distinct float (by bit pattern) of a grid of at least
-    :data:`_GRID_ROWS` rows formatted once, and the rest by ``json.dumps``
-    (JSON strings hold no raw newline)."""
+    """``json.dumps(value, indent=2)``, every ndarray read as its ``tolist()``,
+    nested at ``pad``: a dict item by item; a nonempty 1-D or 2-D float64
+    array of finite entries with each distinct entry (by bit pattern)
+    formatted once, any other array as its ``tolist()``; a list of numbers
+    and a scalar by the C encoder; the rest by ``json.dumps`` (JSON strings
+    hold no raw newline)."""
     inner = pad + "  "
     if type(value) is dict and value and all(type(key) is str for key in value):
         items = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in value.items()]
         return _block(items, pad, "{}")
-    if type(value) is list and value:
-        if _numbers(value):  # one C-encoder call; a number's text holds no ", "
-            return _block(json.dumps(value)[1:-1].split(", "), pad)
-        rows = _grid_texts(value)
-        if rows is None:
-            return _block([_json_text(v, inner) for v in value], pad)
-        return _block([_block(row, inner) for row in rows], pad)
+    if type(value) is np.ndarray:
+        if (value.dtype == np.float64 and value.ndim in (1, 2) and value.size
+                and np.isfinite(value).all()):
+            bits, where = np.unique(value.view(np.uint64), return_inverse=True)
+            texts = np.array(list(map(float.__repr__, bits.view(float).tolist())), object)
+            rows = texts[where.reshape(value.shape)].tolist()
+            if value.ndim == 2:
+                rows = [_block(row, inner) for row in rows]
+            return _block(rows, pad)
+        value = value.tolist()
+    if type(value) is list and value and _numbers(value):
+        # one C-encoder call; a number's text holds no ", "
+        return _block(json.dumps(value)[1:-1].split(", "), pad)
     if type(value) in (str, int, float, bool, type(None)):
         return json.dumps(value)  # the C encoder; indenting changes no scalar
     return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
-def _write_output(args, payload, matrix=None):
+def _write_output(args, payload):
     if getattr(args, "format", "json") == "csv":
-        text = "\n".join(",".join(_fmt(v) for v in row) for row in matrix) + "\n"
+        rows = payload["matrix"]
+        text = "\n".join(",".join(_fmt(v) for v in row) for row in rows) + "\n"
     else:
         text = _json_text(payload) + "\n"
     _emit(args, text)
@@ -178,14 +166,22 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
+def _judge(matrix, expected, rtol, tol=None):
+    """The oracle's judgement of ``matrix`` against ``expected``: the computed
+    spectrum, the match report and the tolerance, which is ``tol`` when given
+    and ``slack(rtol, expected, floor=1.0)`` otherwise."""
+    if tol is None:
+        tol = slack(rtol, expected, floor=1.0)
+    computed = spectrum(matrix)
+    return computed, match_spectra(computed, expected, tol), tol
+
+
 def _verify_matrix(matrix, expected):
     """Oracle check every success path must pass before exiting 0.
 
     Returns the computed spectrum and the match report.
     """
-    tol = slack(VERIFY_RTOL, expected, floor=1.0)
-    computed = spectrum(matrix)
-    report = match_spectra(computed, expected, tol)
+    computed, report, tol = _judge(matrix, expected, VERIFY_RTOL)
     if not report.matched:
         raise VerificationError(
             f"constructed matrix failed spectrum verification "
@@ -198,7 +194,7 @@ def _matrix_payload(matrix, expected):
     """The verified JSON payload of a constructed matrix; the oracle runs once."""
     computed, report = _verify_matrix(matrix, expected)
     return {
-        "matrix": matrix.tolist(),
+        "matrix": matrix,
         "expected_spectrum": _complex_out(expected),
         "computed_spectrum": _complex_out(computed),
         "max_pair_distance": report.max_pair_distance,
@@ -209,14 +205,14 @@ def _matrix_payload(matrix, expected):
 def _cmd_realize4(args):
     values = _parse_complex_list(_load_json(args.input), "spectrum")
     M = realize_four(values)
-    _write_output(args, _matrix_payload(M, values), matrix=M)
+    _write_output(args, _matrix_payload(M, values))
     return 0
 
 
 def _cmd_realize_region(args):
     point = RegionPoint(r=args.r, a=args.a, b=args.b)
     M = realize_region(point)
-    _write_output(args, _matrix_payload(M, point.spectrum), matrix=M)
+    _write_output(args, _matrix_payload(M, point.spectrum))
     return 0
 
 
@@ -244,9 +240,7 @@ def _cmd_region_sweep(args):
         inside = region_check(point)
         verified = 0
         if inside:
-            expected = point.spectrum
-            tol = slack(SWEEP_RTOL, expected, floor=1.0)
-            report = match_spectra(spectrum(realize_region(point)), expected, tol)
+            _, report, _ = _judge(realize_region(point), point.spectrum, SWEEP_RTOL)
             verified = int(report.matched)
             failures += 1 - verified
         row = f"{_fmt(point.r)},{_fmt(point.a)},{_fmt(point.b)}"
@@ -297,7 +291,7 @@ def _cmd_build(args):
         raise ValueError(
             "build input must provide circulant_row+skew_row, S+skew_row or S+C"
         )
-    _write_output(args, _matrix_payload(M, expected), matrix=M)
+    _write_output(args, _matrix_payload(M, expected))
     return 0
 
 
@@ -346,7 +340,7 @@ def _cmd_augment(args):
     payload["chi"] = plan.chi
     payload["circulant_row"] = list(plan.circulant_row)
     payload["skew_row"] = list(plan.skew_row)
-    _write_output(args, payload, matrix=M)
+    _write_output(args, payload)
     return 0
 
 
@@ -356,8 +350,7 @@ def _cmd_verify(args):
     data = _load_object(args.input, "verify")
     M = _parse_matrix(_required(data, "matrix", "verify"), "matrix")
     expected = _parse_complex_list(_required(data, "spectrum", "verify"), "spectrum")
-    tol = args.tol if args.tol is not None else slack(SWEEP_RTOL, expected, floor=1.0)
-    report = match_spectra(spectrum(M), expected, tol)
+    _, report, tol = _judge(M, expected, SWEEP_RTOL, args.tol)
     _write_output(
         args,
         {

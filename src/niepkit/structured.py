@@ -114,7 +114,7 @@ class PermutativityReport:
     @property
     def row_permutations(self):
         if self._pending is not None:
-            object.__setattr__(self, "_witness", _row_permutations(*self._pending))
+            object.__setattr__(self, "_witness", _row_permutations(self._pending))
             object.__setattr__(self, "_pending", None)
         return self._witness
 
@@ -145,11 +145,9 @@ class PermutativityReport:
         return self.permutative
 
 
-def _row_permutations(matrix, ranked):
-    """The witness of a permutative ``matrix`` whose rows sort to ``ranked``
-    (see :func:`is_permutative`)."""
-    distinct = (ranked[:, 1:] > ranked[:, :-1]).all()
-    order = np.argsort(matrix, axis=1, kind=None if distinct else "stable")
+def _row_permutations(matrix):
+    """The witness of a permutative ``matrix`` (see :func:`is_permutative`)."""
+    order = np.argsort(matrix, axis=1, kind="stable")
     perm = np.empty_like(order)
     perm[np.arange(matrix.shape[0])[:, None], order] = order[0]
     return tuple(map(tuple, perm.tolist()))
@@ -169,10 +167,7 @@ def is_permutative(matrix, tol=None):
     The witness for row ``i``, scattered for all rows at once, sends the
     position of the k-th smallest entry of row ``i`` to that of the k-th
     smallest entry of row 0, ties taken in index order: the witness a
-    row-by-row stable sort gives.  Its ``argsort`` is the default kind when
-    every sorted row strictly increases (distinct entries have one order
-    under any sort; ``-0.0`` and ``0.0`` count as a tie), and the stable
-    kind otherwise.
+    row-by-row stable sort gives (``-0.0`` and ``0.0`` count as a tie).
     """
     matrix = as_float_matrix(matrix, "matrix")
     if tol is None:
@@ -183,5 +178,5 @@ def is_permutative(matrix, tol=None):
     if np.max(np.abs(ranked - ranked[0])) > tol:
         return PermutativityReport(False, None)
     report = PermutativityReport(True, None)
-    object.__setattr__(report, "_pending", (matrix.copy(), ranked))
+    object.__setattr__(report, "_pending", matrix.copy())
     return report

@@ -53,6 +53,7 @@ class TestRealize4:
         assert main(["realize4", inp, "--out", str(out), "--format", "csv"]) == 0
         rows = [line.split(",") for line in out.read_text().strip().splitlines()]
         assert np.array_equal(np.asarray(rows, float), fx.FOUR_A_MATRIX)
+        assert out.read_text() == "0,1,6,1\n1,0,1,6\n1,6,0,1\n6,1,1,0\n"
 
     def test_condition_not_met_exits_2(self, tmp_path, capsys):
         inp = write_json(tmp_path / "in.json", [[1, 0], [2, 0], [0, 1], [0, -1]])
@@ -101,6 +102,17 @@ class TestRealizeRegion:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["verified"] is True
+
+    def test_csv_output_is_the_17_digit_text_of_the_json_matrix(self, tmp_path):
+        argv = ["realize-region", "--r=0.5", "--a=-0.7", "--b=0.2"]
+        out_json, out_csv = tmp_path / "out.json", tmp_path / "out.csv"
+        assert main([*argv, f"--out={out_json}"]) == 0
+        assert main([*argv, f"--out={out_csv}", "--format=csv"]) == 0
+        matrix = json.loads(out_json.read_text())["matrix"]
+        want = "".join(",".join("%.17g" % v for v in row) + "\n" for row in matrix)
+        assert out_csv.read_text() == want
+        # entries that need all 17 digits
+        assert any(len(v) > 15 for v in want.replace("\n", ",").split(","))
 
     def test_outside_point_exits_2(self):
         assert main(["realize-region", "--r", "0", "--a", "0.9", "--b", "0"]) == 2
@@ -185,7 +197,7 @@ class TestBuild:
         assert payload["verified"] is True
         M = np.asarray(payload["matrix"])
         assert M.shape == (64, 64)
-        assert payload["computed_spectrum"] == cli._complex_out(spectrum(M))
+        assert payload["computed_spectrum"] == pairs(spectrum(M))
         assert out.read_text() == rows_reference_text("rows_32.json")
 
     def test_rows_build_matches_fixture(self, tmp_path):
@@ -200,6 +212,20 @@ class TestBuild:
         assert main(["build", inp, "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["matrix"] == fx.EIGHT_MATRIX.tolist()
+
+    def test_csv_output(self, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(["build", str(DATA / "rows.json"), f"--out={out}", "--format=csv"]) == 0
+        assert out.read_text() == (
+            "0.5,1.5,2.5,1.5,0,0,1.5,0.5\n"
+            "1.5,0.5,1.5,2.5,0,0,0.5,1.5\n"
+            "0.5,1.5,0.5,1.5,2.5,1.5,0,0\n"
+            "1.5,0.5,1.5,0.5,1.5,2.5,0,0\n"
+            "0,0,0.5,1.5,0.5,1.5,2.5,1.5\n"
+            "0,0,1.5,0.5,1.5,0.5,1.5,2.5\n"
+            "1.5,2.5,0,0,0.5,1.5,0.5,1.5\n"
+            "2.5,1.5,0,0,1.5,0.5,1.5,0.5\n"
+        )
 
     def test_bordered_build_with_split(self, tmp_path):
         inp = write_json(
@@ -584,8 +610,8 @@ def reference_payload_text(matrix, expected):
     assert report.matched
     payload = {
         "matrix": [[float(v) for v in row] for row in matrix],
-        "expected_spectrum": cli._complex_out(expected),
-        "computed_spectrum": cli._complex_out(spectrum(matrix)),
+        "expected_spectrum": pairs(expected),
+        "computed_spectrum": pairs(spectrum(matrix)),
         "max_pair_distance": report.max_pair_distance,
         "verified": True,
     }
@@ -593,8 +619,8 @@ def reference_payload_text(matrix, expected):
 
 
 def test_payload_writers_give_the_bytes_of_per_entry_floats():
-    # tolist gives the Python floats that converting entry by entry gave,
-    # signed zeros and extreme magnitudes included, so the JSON is unchanged
+    # the payload's arrays are written as the Python floats that converting
+    # entry by entry gave, signed zeros and extreme magnitudes included
     values = np.array([1e300, 1.0, 1e-300, -0.0, 0.0])
     M = np.diag(values)
     M[1, 2] = -0.0
@@ -606,8 +632,8 @@ def test_payload_writers_give_the_bytes_of_per_entry_floats():
     def old_complex_out(z):
         return [[float(v.real), float(v.imag)] for v in np.asarray(z, complex)]
 
-    assert json.dumps(cli._complex_out(expected)) == json.dumps(
-        old_complex_out(expected)
+    assert cli._json_text(cli._complex_out(expected)) == json.dumps(
+        old_complex_out(expected), indent=2
     )
     tol = VERIFY_RTOL * max(1.0, max_abs(values))
     report = match_spectra(spectrum(M), values, tol)
@@ -618,9 +644,9 @@ def test_payload_writers_give_the_bytes_of_per_entry_floats():
         "max_pair_distance": report.max_pair_distance,
         "verified": True,
     }
-    got = cli._matrix_payload(M, values)
-    assert json.dumps(got, indent=2) == json.dumps(old, indent=2)
-    assert "-0.0" in json.dumps(got) and "1e-300" in json.dumps(got)
+    got = cli._json_text(cli._matrix_payload(M, values))
+    assert got == json.dumps(old, indent=2)
+    assert "-0.0" in got and "1e-300" in got
 
 
 _EDGE_FLOATS = [
@@ -637,10 +663,9 @@ _JSON_SCALARS = (
 @st.composite
 def _grids(draw):
     """Grids drawn from a pool of at most four floats, so most entries
-    repeat and signed zeros meet; a nonfinite pool member is drawn too.
-    Their rows fall on both sides of the writer's crossover."""
+    repeat and signed zeros meet; a nonfinite pool member is drawn too."""
     pool = draw(st.lists(_JSON_FLOATS, min_size=1, max_size=4))
-    rows = draw(st.integers(1, 2 * cli._GRID_ROWS))
+    rows = draw(st.integers(1, 12))
     cols = draw(st.integers(1, 6))
     entry = st.sampled_from(pool)
     return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
@@ -667,15 +692,41 @@ def test_writer_gives_the_bytes_of_json_dumps(value):
     assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
-@pytest.mark.parametrize("rows", [1, cli._GRID_ROWS - 1, cli._GRID_ROWS, 64])
-def test_grids_below_the_crossover_are_written_row_by_row(rows, monkeypatch):
-    texts = []
-    grid_texts = cli._grid_texts
-    monkeypatch.setattr(cli, "_grid_texts", lambda v: texts.append(grid_texts(v)) or texts[-1])
-    grid = ([[-0.0, 0.0, 0.1], [0.1, 1e-300, -0.0]] * rows)[:rows]
-    payload = {"matrix": grid, "spectrum": [[x, -x] for x, _, _ in grid]}
-    assert cli._json_text(payload) == json.dumps(payload, indent=2)
-    assert [t is not None for t in texts] == [rows >= cli._GRID_ROWS] * 2
+_ARRAY_FLOATS = st.sampled_from([x for x in _EDGE_FLOATS if math.isfinite(x)]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def _arrays(draw):
+    """1-D and 2-D float arrays of 1 to 64 rows from a pool of at most four
+    floats, so entries repeat; some pools hold a nonfinite float."""
+    pool = draw(st.lists(_ARRAY_FLOATS, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        pool.append(draw(st.sampled_from([math.inf, -math.inf, math.nan])))
+    shape = (draw(st.integers(1, 64)),) + draw(st.sampled_from([(), (1,), (2,), (5,)]))
+    return np.asarray(pool)[draw(st.lists(
+        st.integers(0, len(pool) - 1), min_size=math.prod(shape), max_size=math.prod(shape)
+    ))].reshape(shape)
+
+
+_PAYLOADS = st.dictionaries(
+    st.text(max_size=8),
+    _arrays() | st.lists(_ARRAY_FLOATS | st.integers(), min_size=1, max_size=6)
+    | _JSON_SCALARS,
+    min_size=1, max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_arrays() | _PAYLOADS)
+@example(value=np.array([[0.0, -0.0], [-0.0, 0.0]]))
+@example(value=np.array([[math.nan, 1.0]]))
+@example(value={"m": np.zeros((3, 0)), "v": np.arange(3), "f": np.array(0.5), "s": "x"})
+def test_writer_reads_arrays_as_their_tolist(value):
+    # the reference reads each array, which json cannot write, as its tolist()
+    want = json.dumps(value, indent=2, default=lambda a: a.tolist())
+    assert cli._json_text(value) == want
 
 
 def rows_reference_text(name="rows.json", gamma=1.0, sign=1):

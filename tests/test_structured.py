@@ -201,7 +201,7 @@ def test_batched_check_matches_row_loop(M):
 
 
 _BASES = {
-    # each row sorts to a strictly increasing one: the default-kind argsort
+    # each row sorts to a strictly increasing one: no ties
     "distinct": lambda rng, n: rng.permutation(n) + rng.uniform(0.0, 0.5, size=n),
     # the last entry repeats the first
     "ties": lambda rng, n: np.resize(rng.integers(0, 3, size=max(n - 1, 1)), n) * 1.0,
@@ -247,8 +247,8 @@ def test_ties_and_moved_entries_at_the_tolerance(n, argsort_kinds):
             assert report.permutative == (inside or n == 1), (base, factor)
             witness = report.row_permutations
             if report.permutative:
-                # the first read ranks once, with the kind the sorted rows call for
-                assert argsort_kinds == [None if distinct else "stable"], base
+                # the first read ranks once, stably
+                assert argsort_kinds == ["stable"], base
             else:
                 assert witness is None and argsort_kinds == []
             assert report.row_permutations is witness
