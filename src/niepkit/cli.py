@@ -6,7 +6,7 @@ matrices as row-major arrays of arrays.  Exit codes:
 * 0 - success (constructions are re-verified against the eigenvalue oracle
   before this is returned)
 * 2 - a sufficient condition is not met (clean negative)
-* 3 - input error
+* 3 - input error, a malformed command line included
 * 4 - internal verification failure (oracle mismatch, always a bug signal)
 
 A JSON result is the text of ``json.dumps(result, indent=2)`` plus a newline,
@@ -302,10 +302,9 @@ def _cmd_check(args):
     pair = SpectrumPair(
         circulant_part=tuple(lam), skew_part=tuple(ups), gamma=args.gamma
     )
-    report = check_conditions(pair, mode=args.mode)
+    report = check_conditions(pair)
     payload = {
         "satisfied": report.satisfied,
-        "mode": report.mode,
         "bound_value": report.bound_value,
         "witness": None,
     }
@@ -370,9 +369,17 @@ def _add_common(p, fmt=True):
         )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, its subparsers too, whose usage errors exit 3."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
     """A new argument parser for the ``niepkit`` command line."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="niepkit",
         description="Construct and verify nonnegative matrices with prescribed spectra.",
     )
@@ -410,7 +417,6 @@ def build_parser():
     p = sub.add_parser("check", help="sufficient-condition check over reorderings")
     p.add_argument("input", help="JSON object with circulant and skew spectra")
     p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--mode", choices=["constructive", "formula"], default="constructive")
     _add_common(p, fmt=False)
     p.set_defaults(func=_cmd_check)
 

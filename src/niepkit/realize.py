@@ -68,6 +68,8 @@ def _canonical_four(v, tol):
             )
         # deterministic preference: larger pair value first, each once
         return list(dict.fromkeys(sorted(candidates, key=lambda c: -c[2].real)))
+    if len(nonreal) == 4:
+        raise PairingError("a 4-list needs two real entries, its Perron root among them")
     raise PairingError("spectrum is not closed under conjugation")
 
 
@@ -290,14 +292,13 @@ class ConditionWitness:
 class ConditionReport:
     """Outcome of :func:`check_conditions`.
 
-    ``bound_value`` is the smallest admissible head value for the circulant
-    part alone (see :func:`circulant_head_bound`); in formula mode
-    ``satisfied`` compares the head against it, in constructive mode
-    ``satisfied`` certifies an explicit witness build.
+    ``satisfied`` certifies ``witness``, a pair whose rows
+    :func:`build_from_witness` accepts.  ``bound_value`` is the least head
+    at which the circulant part alone has a nonnegative row
+    (:func:`circulant_head_bound`); no verdict rests on it.
     """
 
     satisfied: bool
-    mode: str
     bound_value: float
     witness: Optional[ConditionWitness]
 
@@ -409,7 +410,7 @@ def _builds(s_row, c_row, odd):
     return not _violations(s, c_row).any()
 
 
-def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
+def check_conditions(pair, cap=DEFAULT_ENUMERATION_CAP):
     """Sufficient-condition check for realizing Lambda union (+/-gamma)*Upsilon.
 
     Both parts may come in any order.  The circulant part is read with its
@@ -418,14 +419,12 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
     first entry the head.  The other entries keep their order when the head
     moves, so the alphas stay in lexicographic order of their image tuples.
 
-    Constructive mode (the authoritative one) searches reordering pairs in
-    lexicographic order for recovered first rows with ``s`` nonnegative and
-    ``|c|`` dominated by the body row (:func:`_body`); the first witness
-    found feeds :func:`niepkit.blocks.build_circ_skew` (equal
-    lengths) or :func:`niepkit.blocks.build_odd` (circulant part longer by
-    one).  Formula mode only compares the head against
-    :func:`circulant_head_bound` and reports no witness; it still raises
-    :class:`PairingError` for a part with no layout ordering.
+    The check searches reordering pairs in lexicographic order for
+    recovered first rows with ``s`` nonnegative and ``|c|`` dominated by
+    the body row (:func:`_body`); the first witness found feeds
+    :func:`niepkit.blocks.build_circ_skew` (equal lengths) or
+    :func:`niepkit.blocks.build_odd` (circulant part longer by one).  A
+    pair is satisfied only by such a witness.
 
     Each part is keyed once per pair (:class:`SpectrumPair` keeps its
     structure keys and the slack), so a check only looks its orderings
@@ -448,17 +447,10 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
     :func:`build_from_witness` accepts: a beta left out has the magnitudes
     of an earlier one.
     """
-    if mode not in ("constructive", "formula"):
-        raise ValueError(f"mode must be 'constructive' or 'formula', got {mode!r}")
     parts = pair._parts
     lam, ups, tol = parts.headed, parts.ups, parts.tol
     alphas = _search_orderings(parts.circulant_key, cap)
     bound = _head_bound(lam, alphas)
-
-    if mode == "formula":
-        satisfied = bool(lam[0].real >= bound - tol)
-        return ConditionReport(satisfied, "formula", bound, None)
-
     odd = lam.size == ups.size + 1
     betas = _search_orderings(parts.skew_key, cap)
     if odd:  # the parts differ in length: one FFT call each
@@ -489,9 +481,9 @@ def check_conditions(pair, mode="constructive", cap=DEFAULT_ENUMERATION_CAP):
                     skew_row=tuple(c_row.tolist()),
                     margins=tuple((s_row - c_pad).tolist()),
                 )
-                return ConditionReport(True, "constructive", bound, witness)
+                return ConditionReport(True, bound, witness)
             ok[i, b] = False
-    return ConditionReport(False, "constructive", bound, None)
+    return ConditionReport(False, bound, None)
 
 
 def build_from_witness(pair, witness):

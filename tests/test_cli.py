@@ -120,6 +120,12 @@ class TestRealizeRegion:
     def test_bad_r_exits_3(self):
         assert main(["realize-region", "--r", "2", "--a", "0", "--b", "0"]) == 3
 
+    def test_r_that_is_not_a_number_exits_3(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["realize-region", "--r", "x", "--a", "0", "--b", "0"])
+        assert exc.value.code == 3
+        assert "invalid float value: 'x'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("a, b", [("nan", "0"), ("0", "nan"), ("-inf", "0")])
     def test_non_finite_exits_3(self, a, b, capsys):
         assert main(["realize-region", "--r=0.5", f"--a={a}", f"--b={b}"]) == 3
@@ -337,22 +343,27 @@ class TestCheck:
         }
         report = {
             "satisfied": True,
-            "mode": "constructive",
             "bound_value": 2.2499999999999982,
             "witness": witness,
         }
         assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
 
-    def test_formula_mode(self, tmp_path):
+    def test_list_with_negative_trace_exits_2(self, tmp_path, capsys):
+        # the head 10 sits above the circulant part's head bound, 0, but the
+        # trace of {10, 0, -9, -9} is -8: no nonnegative matrix has it
         inp = write_json(
-            tmp_path / "in.json",
-            {"circulant": pairs([8, 2 + 2j, -4, 2 - 2j]), "skew": pairs([0, 0, 0, 0])},
+            tmp_path / "in.json", {"circulant": [[10, 0], [0, 0]], "skew": [[-9, 0], [-9, 0]]}
         )
-        out = tmp_path / "report.json"
-        assert main(["check", inp, "--mode", "formula", "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
-        assert report["mode"] == "formula"
-        assert report["witness"] is None
+        assert main(["check", inp]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "satisfied": False, "bound_value": 0.0, "witness": None,
+        }
+
+    def test_mode_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(DATA / "even_pair.json"), "--mode", "formula"])
+        assert exc.value.code == 3
+        assert "unrecognized arguments: --mode formula" in capsys.readouterr().err
 
 
 class TestAugment:
@@ -747,16 +758,27 @@ class TestReusedParser:
         assert cli.build_parser() is not cli.build_parser()
 
     def test_bad_arguments_then_good_call(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
-            main(["build", self.ROWS, "--sign", "sideways"])
-        with pytest.raises(SystemExit):
-            main(["no-such-command"])
-        with pytest.raises(SystemExit):
-            main(["build", self.ROWS, "--gamma"])
+        # a malformed command line is an input error: exit 3
+        for argv in (
+            ["build", self.ROWS, "--sign", "sideways"],
+            ["no-such-command"],
+            ["build", self.ROWS, "--gamma"],
+            ["build"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 3
         capsys.readouterr()
         out = tmp_path / "out.json"
         assert main(["build", self.ROWS, "--out", str(out)]) == 0
         assert out.read_text() == rows_reference_text()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: niepkit")
 
     def test_no_options_leak_between_calls(self, tmp_path, capsys):
         out = tmp_path / "out.json"

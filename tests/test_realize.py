@@ -126,6 +126,11 @@ class TestRealizeFour:
         with pytest.raises(PairingError, match="^spectrum is not closed under conjugation$"):
             realize_four([5, 1, 1j, 1])
 
+    def test_no_real_entry(self):
+        # closed under conjugation, but the Perron root must be real
+        with pytest.raises(PairingError, match="^a 4-list needs two real entries"):
+            realize_four([1 + 1j, 1 - 1j, 2 + 1j, 2 - 1j])
+
     def test_trace_equals_spectrum_sum(self):
         for sigma in (fx.FOUR_A_SPECTRUM, fx.FOUR_B_SPECTRUM):
             M = realize_four(sigma)
@@ -348,16 +353,22 @@ class TestCheckConditions:
         pair = SpectrumPair(tuple(lam), (0.0, 0.0, 0.0, 0.0))
         assert check_conditions(pair).satisfied
 
+    def test_list_with_negative_trace_is_unsatisfied(self):
+        # {10, 0, -9, -9} has trace -8, so no nonnegative matrix has it,
+        # though the head 10 sits above the circulant part's head bound
+        report = check_conditions(SpectrumPair((10, 0), (-9, -9)))
+        assert not report.satisfied and report.witness is None
+        assert report.bound_value == 0.0
+
     def test_unsatisfied_reports_no_witness(self):
         pair = SpectrumPair((5.0, -5.5), (0.0, 0.0))
         report = check_conditions(pair)
         assert not report.satisfied
         assert report.witness is None
 
-    @pytest.mark.parametrize("mode", ["constructive", "formula"])
-    def test_truth_is_the_verdict(self, mode):
+    def test_truth_is_the_verdict(self):
         for circulant, want in (((5.0, 1.0), True), ((5.0, -5.5), False)):
-            report = check_conditions(SpectrumPair(circulant, (0.5, 0.5)), mode=mode)
+            report = check_conditions(SpectrumPair(circulant, (0.5, 0.5)))
             assert report.satisfied is want and bool(report) is want
 
     def test_pairing_violation(self):
@@ -457,23 +468,14 @@ class TestCheckConditions:
             expected = np.concatenate([lam, ups])
             assert match_spectra(spectrum(M), expected, 1e-7).matched
 
-    def test_formula_mode_matches_head_bound(self):
+    def test_head_sits_at_the_bound(self):
         pair = SpectrumPair(
             circulant_part=(8, 2 + 2j, -4, 2 - 2j),
             skew_part=tuple(upsilon_eight()),
         )
-        report = check_conditions(pair, mode="formula")
-        assert report.mode == "formula"
-        assert report.witness is None
+        report = check_conditions(pair)
         # head 8 sits exactly at the bound (the recovered row has a zero)
-        assert report.satisfied
         assert abs(report.bound_value - 8.0) <= 1e-10
-
-    def test_slack_scales_with_both_parts(self):
-        # the head -5e-12 lies inside the slack at the skew part's scale
-        # (1e-12 * 10), outside it at the floor's (1e-12 * 1)
-        assert check_conditions(SpectrumPair((-5e-12,), (10.0,)), mode="formula").satisfied
-        assert not check_conditions(SpectrumPair((-5e-12,), (0.5,)), mode="formula").satisfied
 
     def test_formula_implies_constructive_for_circulant_part(self):
         rng = np.random.default_rng(33)
@@ -487,18 +489,13 @@ class TestCheckConditions:
             lam = np.asarray(lam)
             bound = circulant_head_bound(lam)
             pair = SpectrumPair(tuple(lam), tuple(np.zeros(n)))
-            formula = check_conditions(pair, mode="formula")
-            constructive = check_conditions(pair, mode="constructive")
-            assert formula.satisfied == (lam[0].real >= bound - 1e-12)
+            constructive = check_conditions(pair)
+            assert constructive.bound_value == bound
+            # away from the bound, the head bound and the witness search agree
             if lam[0].real >= bound + 1e-9:
                 assert constructive.satisfied
             if lam[0].real <= bound - 1e-9:
                 assert not constructive.satisfied
-
-    def test_invalid_mode(self):
-        pair = SpectrumPair((1.0,), (0.0,))
-        with pytest.raises(ValueError):
-            check_conditions(pair, mode="magic")
 
 
 def _reference_head_bound(v):
@@ -555,8 +552,8 @@ def _reference_check_conditions(pair):
                 build_from_witness(pair, witness)
             except MajorizationError:
                 continue
-            return ConditionReport(True, "constructive", bound, witness)
-    return ConditionReport(False, "constructive", bound, None)
+            return ConditionReport(True, bound, witness)
+    return ConditionReport(False, bound, None)
 
 
 def _edge_pair():
@@ -809,7 +806,6 @@ def test_pair_search_matches_reference_loop(bordered):
         report = check_conditions(pair)
         assert report == _reference_check_conditions(pair)
         assert circulant_head_bound(pair.circulant_part) == report.bound_value
-        assert check_conditions(pair, mode="formula").bound_value == report.bound_value
         outcomes.add(report.satisfied)
     assert outcomes == {True, False}
 
@@ -1284,7 +1280,7 @@ class TestMultisetParts:
         report = check_conditions(pair)
         assert report.satisfied
         assert report.witness.alpha.mapping == alpha
-        assert check_conditions(pair, mode="formula").satisfied
+        assert lam[alpha[0]] >= report.bound_value
         _witness_verifies(pair, report)
 
     def test_bordered_pair_in_any_order(self):
@@ -1332,7 +1328,7 @@ class TestMultisetParts:
             report = check_conditions(pair)
             assert report.satisfied and report.bound_value == low
             assert report.witness.alpha.mapping == alpha
-            assert check_conditions(pair, mode="formula").satisfied
+            assert lam[alpha[0]] == 10.0
             _witness_verifies(pair, report)
 
     def test_entry_not_real_never_heads(self):
@@ -1349,10 +1345,11 @@ class TestMultisetParts:
             (((1.0, 2j), (0.0, 0.0)), "circulant part violates its pairing layout"),
             (((1.0, 0.0), (1j, 2.0)), "skew part violates its pairing layout"),
         ],
+        ids=["circulant", "skew"],
     )
-    def test_formula_mode_still_needs_a_layout(self, parts, message):
+    def test_a_part_with_no_layout_raises(self, parts, message):
         with pytest.raises(PairingError, match=f"^{message}$"):
-            check_conditions(SpectrumPair(*parts), mode="formula")
+            check_conditions(SpectrumPair(*parts))
 
     def test_head_that_leaves_no_layout_is_passed_over(self):
         # index 0 lies inside the margin (2*3*1e-11 below 10) but, heading,
@@ -1370,7 +1367,7 @@ class TestMultisetParts:
         pair = SpectrumPair((1.0, 10 + 1e-13j, 10 - 1e-13j), (0.0,) * 3)
         report = check_conditions(pair)
         assert not report.satisfied and report.witness is None
-        assert not check_conditions(pair, mode="formula").satisfied
+        assert report.bound_value > 1.0
         assert pair._parts.order.tolist() == [0, 1, 2]
 
 
@@ -1419,20 +1416,16 @@ def _reference_layout_orderings(values, kind, cap):
     return orderings
 
 
-def reference_check_conditions(pair, mode="constructive", cap=spectra.DEFAULT_ENUMERATION_CAP):
+def reference_check_conditions(pair, cap=spectra.DEFAULT_ENUMERATION_CAP):
     """:func:`check_conditions` as it read before the pair kept its keys:
     both parts keyed again on every call, the slack computed again, and
     one row recovery per side."""
-    if mode not in ("constructive", "formula"):
-        raise ValueError(f"mode must be 'constructive' or 'formula', got {mode!r}")
     lam, ups = pair.arrays()
     order = pair._parts.order
     lam = lam[order]
     alphas = _reference_layout_orderings(lam, "circulant", cap)
     bound = realize._head_bound(lam, alphas)
     tol = 1e-12 * max(max_abs(lam), max_abs(ups), 1.0)
-    if mode == "formula":
-        return ConditionReport(bool(lam[0].real >= bound - tol), "formula", bound, None)
     odd = lam.size == ups.size + 1
     s_rows = recover_kind(lam[alphas], "circulant")
     betas = _reference_layout_orderings(ups, "skew", cap)
@@ -1456,9 +1449,9 @@ def reference_check_conditions(pair, mode="constructive", cap=spectra.DEFAULT_EN
                     skew_row=tuple(c_row.tolist()),
                     margins=tuple((s_row - c_pad).tolist()),
                 )
-                return ConditionReport(True, "constructive", bound, witness)
+                return ConditionReport(True, bound, witness)
             ok[i, b] = False
-    return ConditionReport(False, "constructive", bound, None)
+    return ConditionReport(False, bound, None)
 
 
 @st.composite
@@ -1468,7 +1461,7 @@ def _reference_cases(draw):
     (repeated values and ties); at even order the head may be exactly equal
     to lam_{n/2}.  Zero parts may carry signed zeros, both parts may be
     scaled by 1e+-300, shuffled, or given an entry that breaks the layout.
-    Also a mode and a cap."""
+    Also a cap."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     bordered = draw(st.booleans())
     n = int(rng.integers(1, 8 if bordered else 9))
@@ -1501,15 +1494,14 @@ def _reference_cases(draw):
     if broken:
         part = lam if broken == "circulant" else ups
         part[int(rng.integers(part.size))] += 3j * scale
-    mode = draw(st.sampled_from(["constructive", "constructive", "formula"]))
     cap = draw(st.sampled_from([10, 10, 10, 3, 5, 7]))
-    return SpectrumPair(tuple(lam), tuple(ups)), mode, cap
+    return SpectrumPair(tuple(lam), tuple(ups)), cap
 
 
-def _outcome(check, pair, mode, cap):
+def _outcome(check, pair, cap):
     """The report of ``check``, or the type and message of its error."""
     try:
-        return check(pair, mode=mode, cap=cap)
+        return check(pair, cap=cap)
     except (PairingError, EnumerationCapError) as exc:
         return type(exc), str(exc)
 
@@ -1520,10 +1512,10 @@ def _outcome(check, pair, mode, cap):
 def test_check_conditions_equals_the_rekeying_reference(case):
     # repr tells -0.0 from 0.0 and is the shortest round trip of each
     # float, so equal reprs are equal bits
-    pair, mode, cap = case
-    fresh = _outcome(check_conditions, pair, mode, cap)
-    want = _outcome(reference_check_conditions, pair, mode, cap)
-    warm = _outcome(check_conditions, pair, mode, cap)
+    pair, cap = case
+    fresh = _outcome(check_conditions, pair, cap)
+    want = _outcome(reference_check_conditions, pair, cap)
+    warm = _outcome(check_conditions, pair, cap)
     assert repr(fresh) == repr(want)
     assert repr(warm) == repr(want)
 
@@ -1546,9 +1538,8 @@ def test_a_pair_is_keyed_once(monkeypatch):
         assert check_conditions(pair).satisfied
         assert keyed == [lam.size, ups.size]
         keyed.clear()
-        # a warm pair: no part keyed again, in either mode
+        # a warm pair: no part keyed again
         assert check_conditions(pair).satisfied
-        assert check_conditions(pair, mode="formula").satisfied
         pair.arrays()
         assert keyed == []
 
@@ -1559,7 +1550,6 @@ def test_warm_pair_still_checks_the_cap():
         tuple(skew_eigenvalues([0.5, -0.25, 0.5, 0.0, 0.25])),
     )
     check_conditions(pair)
-    for mode in ("constructive", "formula"):
-        with pytest.raises(EnumerationCapError, match="n=5 above cap 3"):
-            check_conditions(pair, mode=mode, cap=3)
+    with pytest.raises(EnumerationCapError, match="n=5 above cap 3"):
+        check_conditions(pair, cap=3)
     assert check_conditions(pair).satisfied
