@@ -65,6 +65,14 @@ def _numbers(values):
     return set(map(type, values)) <= {int, float}
 
 
+def _floats(data, name):
+    """``np.asarray(data, float)``; an integer beyond the float range is an input error."""
+    try:
+        return np.asarray(data, float)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite") from None
+
+
 def _parse_complex_list(data, name):
     if not isinstance(data, list) or not data:
         raise ValueError(f"{name} must be a nonempty JSON array of [re, im] pairs")
@@ -73,7 +81,7 @@ def _parse_complex_list(data, name):
     ):
         raise ValueError(f"{name} entries must be [re, im] number pairs")
     # the two float64s of each pair are the parts of one complex128
-    return np.asarray(data, float).view(complex)[:, 0]
+    return _floats(data, name).view(complex)[:, 0]
 
 
 def _parse_real_vector(data, name):
@@ -81,7 +89,7 @@ def _parse_real_vector(data, name):
         raise ValueError(f"{name} must be a nonempty JSON array of numbers")
     if not _numbers(data):
         raise ValueError(f"{name} entries must be numbers")
-    return np.asarray(data, float)
+    return _floats(data, name)
 
 
 def _parse_matrix(data, name):
@@ -90,7 +98,7 @@ def _parse_matrix(data, name):
     rows = [row if isinstance(row, list) else [row] for row in data]
     if not _numbers(itertools.chain.from_iterable(rows)):
         raise ValueError(f"{name} entries must be numbers")
-    return np.asarray(data, float)
+    return _floats(data, name)
 
 
 def _load_json(path):
@@ -222,11 +230,15 @@ def _parse_grid(text):
         try:
             name, rng = part.split("=")
             lo, hi, steps = rng.split(":")
-            axes[name.strip()] = np.linspace(float(lo), float(hi), int(steps))
+            values = np.linspace(float(lo), float(hi), int(steps))
         except ValueError as exc:
             raise ValueError(f"bad grid axis {part!r}; expected name=lo:hi:steps") from exc
         if int(steps) < 1:
             raise ValueError("grid steps must be >= 1")
+        name = name.strip()
+        if name in axes:
+            raise ValueError(f"grid axis {name!r} is given twice")
+        axes[name] = values
     if set(axes) != {"r", "a", "b"}:
         raise ValueError("grid must define exactly the axes r, a and b")
     return axes["r"], axes["a"], axes["b"]
@@ -260,7 +272,7 @@ def _build_spec(args):
             for pair in data
         ):
             raise ValueError("--split must be a JSON array of [left, right] numbers")
-        split = tuple(tuple(float(v) for v in pair) for pair in data)
+        split = tuple(map(tuple, _floats(data, "--split").tolist()))
     return BlockBuildSpec(
         gamma=args.gamma, sign=1 if args.sign == "plus" else -1, last_row_split=split
     )
@@ -303,11 +315,7 @@ def _cmd_check(args):
         circulant_part=tuple(lam), skew_part=tuple(ups), gamma=args.gamma
     )
     report = check_conditions(pair)
-    payload = {
-        "satisfied": report.satisfied,
-        "bound_value": report.bound_value,
-        "witness": None,
-    }
+    payload = {"satisfied": report.satisfied, "witness": None}
     if report.witness is not None:
         payload["witness"] = {
             "alpha": list(report.witness.alpha.mapping),
@@ -332,7 +340,7 @@ def _cmd_augment(args):
     if not _numbers([rho]):
         raise ValueError("rho must be a number")
     sign = 1 if args.sign == "plus" else -1
-    plan = brauer_plan(ups, tail, float(rho))
+    plan = brauer_plan(ups, tail, _floats(rho, "rho"))
     M = _augment_from_plan(plan, args.gamma, sign)
     expected = np.concatenate([[complex(rho)], tail, sign * args.gamma * ups])
     payload = _matrix_payload(M, expected)

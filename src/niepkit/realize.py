@@ -290,16 +290,10 @@ class ConditionWitness:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Outcome of :func:`check_conditions`.
-
-    ``satisfied`` certifies ``witness``, a pair whose rows
-    :func:`build_from_witness` accepts.  ``bound_value`` is the least head
-    at which the circulant part alone has a nonnegative row
-    (:func:`circulant_head_bound`); no verdict rests on it.
-    """
+    """Outcome of :func:`check_conditions`: ``satisfied`` certifies
+    ``witness``, a pair whose rows :func:`build_from_witness` accepts."""
 
     satisfied: bool
-    bound_value: float
     witness: Optional[ConditionWitness]
 
     def __bool__(self):
@@ -309,6 +303,12 @@ class ConditionReport:
 def circulant_head_bound(values, cap=DEFAULT_ENUMERATION_CAP):
     """Least head value that leaves some reordering's recovered row nonnegative.
 
+    Index 0 of ``values`` is the head, as in
+    :func:`niepkit.spectra.enumerate_circulant_permutations`, whose
+    orderings keep it first.  Unlike :class:`SpectrumPair`, no head is
+    forced: ``circulant_head_bound((1.0, 5.0))`` is 5.0 and
+    ``circulant_head_bound((5.0, 1.0))`` is 1.0.
+
     Evaluated as a minimum over pairing-preserving reorderings of the
     largest negated cosine/sine load
 
@@ -317,35 +317,12 @@ def circulant_head_bound(values, cap=DEFAULT_ENUMERATION_CAP):
     over k = 0..n-1 (with the extra alternating real term at j = n/2 for
     even n).  The list is circulant-realizable with head lam_0 iff
     lam_0 >= bound; this trigonometric route is independent of the complex
-    inverse-DFT used by the constructive checker.
+    inverse-DFT used by the constructive checker.  One stacked
+    ``np.matmul`` gives the loads of all orderings, bit-identical to a loop
+    over them: it runs the same matrix-vector product per ordering.
     """
     v = as_complex_vector(values, "spectrum")
-    return _head_bound(v, _search_orderings(_structure_key(v, "circulant"), cap))
-
-
-@functools.lru_cache(maxsize=64)
-def _head_tables(n):
-    """The read-only tables of :func:`_head_bound` for order n: the summed
-    positions ``j``, the cosines and sines of ``2*pi*k*j/n`` and the sign of
-    the alternating term (used for even n only)."""
-    k = np.arange(n)
-    j = np.arange(1, (n + 1) // 2)
-    ang = 2.0 * np.pi * np.outer(k, j) / n
-    tables = (j, np.cos(ang), np.sin(ang), -((-1.0) ** k))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
-def _head_bound(v, orderings):
-    """:func:`circulant_head_bound` of ``v`` over its orderings (a nonempty
-    ``(K, n)`` index array).
-
-    The loads of all orderings come from one stacked ``np.matmul``, whose
-    loop runs the same matrix-vector product per ordering, on the same
-    strided vector, as ``cos @ x`` does for one; the bound is therefore
-    bit-identical to a loop over the orderings.
-    """
+    orderings = _search_orderings(_structure_key(v, "circulant"), cap)
     n = v.size
     j, cos, sin, alternating = _head_tables(n)
     nu = v[orderings]
@@ -355,6 +332,20 @@ def _head_bound(v, orderings):
     peaks = load.max(axis=1)
     # argmin keeps the first of tied minima, as a running min() does
     return float(peaks[np.argmin(peaks)])
+
+
+@functools.lru_cache(maxsize=64)
+def _head_tables(n):
+    """The read-only tables of :func:`circulant_head_bound` for order n: the
+    summed positions ``j``, the cosines and sines of ``2*pi*k*j/n`` and the
+    sign of the alternating term (used for even n only)."""
+    k = np.arange(n)
+    j = np.arange(1, (n + 1) // 2)
+    ang = 2.0 * np.pi * np.outer(k, j) / n
+    tables = (j, np.cos(ang), np.sin(ang), -((-1.0) ** k))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _permutation(orderings, row, kind):
@@ -428,10 +419,9 @@ def check_conditions(pair, cap=DEFAULT_ENUMERATION_CAP):
 
     Each part is keyed once per pair (:class:`SpectrumPair` keeps its
     structure keys and the slack), so a check only looks its orderings
-    up; the head bound and the circulant rows share one ordering array.
-    The rows of both sides are recovered in one batch at even n, one FFT
-    call and one realness pass, and in one batch per side for a bordered
-    pair, whose parts differ in length.  At even n the skew side holds
+    up.  The rows of both sides are recovered in one batch at even n, one
+    FFT call and one realness pass, and in one batch per side for a
+    bordered pair, whose parts differ in length.  At even n the skew side holds
     one ordering per shift class, the first
     (:func:`niepkit.spectra._search_orderings`): half of them for a list
     of distinct values.  The body rows of the circulant rows with no entry
@@ -450,7 +440,6 @@ def check_conditions(pair, cap=DEFAULT_ENUMERATION_CAP):
     parts = pair._parts
     lam, ups, tol = parts.headed, parts.ups, parts.tol
     alphas = _search_orderings(parts.circulant_key, cap)
-    bound = _head_bound(lam, alphas)
     odd = lam.size == ups.size + 1
     betas = _search_orderings(parts.skew_key, cap)
     if odd:  # the parts differ in length: one FFT call each
@@ -481,9 +470,9 @@ def check_conditions(pair, cap=DEFAULT_ENUMERATION_CAP):
                     skew_row=tuple(c_row.tolist()),
                     margins=tuple((s_row - c_pad).tolist()),
                 )
-                return ConditionReport(True, bound, witness)
+                return ConditionReport(True, witness)
             ok[i, b] = False
-    return ConditionReport(False, bound, None)
+    return ConditionReport(False, None)
 
 
 def build_from_witness(pair, witness):

@@ -358,7 +358,7 @@ class TestCheckConditions:
         # though the head 10 sits above the circulant part's head bound
         report = check_conditions(SpectrumPair((10, 0), (-9, -9)))
         assert not report.satisfied and report.witness is None
-        assert report.bound_value == 0.0
+        assert circulant_head_bound((10, 0)) == 0.0
 
     def test_unsatisfied_reports_no_witness(self):
         pair = SpectrumPair((5.0, -5.5), (0.0, 0.0))
@@ -469,13 +469,17 @@ class TestCheckConditions:
             assert match_spectra(spectrum(M), expected, 1e-7).matched
 
     def test_head_sits_at_the_bound(self):
-        pair = SpectrumPair(
-            circulant_part=(8, 2 + 2j, -4, 2 - 2j),
-            skew_part=tuple(upsilon_eight()),
-        )
-        report = check_conditions(pair)
-        # head 8 sits exactly at the bound (the recovered row has a zero)
-        assert abs(report.bound_value - 8.0) <= 1e-10
+        lam = (8, 2 + 2j, -4, 2 - 2j)
+        # head 8 sits exactly at the bound (the recovered row has a zero),
+        # and the search still finds a witness there
+        assert abs(circulant_head_bound(lam) - 8.0) <= 1e-10
+        assert check_conditions(SpectrumPair(lam, tuple(upsilon_eight()))).satisfied
+
+    def test_head_bound_reads_index_0_as_the_head(self):
+        # unlike a SpectrumPair, it forces no head: for n = 2 the bound is
+        # the modulus of the entry after the head
+        assert circulant_head_bound((1.0, 5.0)) == 5.0
+        assert circulant_head_bound((5.0, 1.0)) == 1.0
 
     def test_formula_implies_constructive_for_circulant_part(self):
         rng = np.random.default_rng(33)
@@ -490,7 +494,7 @@ class TestCheckConditions:
             bound = circulant_head_bound(lam)
             pair = SpectrumPair(tuple(lam), tuple(np.zeros(n)))
             constructive = check_conditions(pair)
-            assert constructive.bound_value == bound
+            assert pair._parts.order[0] == 0  # the bound's head heads the search
             # away from the bound, the head bound and the witness search agree
             if lam[0].real >= bound + 1e-9:
                 assert constructive.satisfied
@@ -525,7 +529,6 @@ def _reference_check_conditions(pair):
     the spectrum-scale slack; the witness is the first pair that
     :func:`build_from_witness` accepts."""
     lam, ups = pair.arrays()
-    bound = _reference_head_bound(lam)
     slack = 1e-12 * max(np.max(np.abs(lam)), np.max(np.abs(ups)), 1.0)
     odd = lam.size == ups.size + 1
     s_candidates = [
@@ -552,8 +555,8 @@ def _reference_check_conditions(pair):
                 build_from_witness(pair, witness)
             except MajorizationError:
                 continue
-            return ConditionReport(True, bound, witness)
-    return ConditionReport(False, bound, None)
+            return ConditionReport(True, witness)
+    return ConditionReport(False, None)
 
 
 def _edge_pair():
@@ -805,7 +808,9 @@ def test_pair_search_matches_reference_loop(bordered):
     for pair in _search_pairs(35 + bordered, bordered):
         report = check_conditions(pair)
         assert report == _reference_check_conditions(pair)
-        assert circulant_head_bound(pair.circulant_part) == report.bound_value
+        # repr tells -0.0 from 0.0: the two routes agree bit for bit
+        lam = pair.arrays()[0]
+        assert repr(circulant_head_bound(lam)) == repr(_reference_head_bound(lam))
         outcomes.add(report.satisfied)
     assert outcomes == {True, False}
 
@@ -855,7 +860,6 @@ def test_witnesses_stable_under_reference_recovery(bordered, monkeypatch):
     for pair, (report, rows) in zip(pairs, fast):
         reference = check_conditions(pair)
         assert report.satisfied == reference.satisfied
-        assert report.bound_value == reference.bound_value
         if report.satisfied:
             assert report.witness.alpha == reference.witness.alpha
             assert report.witness.beta == reference.witness.beta
@@ -886,8 +890,8 @@ def test_reports_equal_on_cold_and_warm_caches():
 
 
 def _fresh_head_tables(n):
-    """The tables ``_head_bound`` built on every call before they were
-    cached: positions, cosines, sines and the alternating sign."""
+    """The tables ``circulant_head_bound`` built on every call before they
+    were cached: positions, cosines, sines and the alternating sign."""
     k = np.arange(n)
     if n % 2 == 1:
         j = np.arange(1, (n - 1) // 2 + 1)
@@ -1280,7 +1284,8 @@ class TestMultisetParts:
         report = check_conditions(pair)
         assert report.satisfied
         assert report.witness.alpha.mapping == alpha
-        assert lam[alpha[0]] >= report.bound_value
+        headed = [lam[i] for i in pair._parts.order]
+        assert headed[0] >= circulant_head_bound(headed)
         _witness_verifies(pair, report)
 
     def test_bordered_pair_in_any_order(self):
@@ -1304,18 +1309,18 @@ class TestMultisetParts:
     def test_head_rule_margin(self, bordered):
         # an entry qualifies down to 2m*tol below the largest modulus (m
         # entries, tol the search's slack); one ulp lower, no entry does,
-        # and index 0 keeps the head.  For n = 2 the head bound is the
-        # modulus of the other entry.
+        # and index 0 keeps the head, below its bound, the modulus of the
+        # other entry
         big = 10.0
         tol = 1e-12 * big
         edge = big - 2 * 2 * tol
         ups = (0.0,) if bordered else (0.0, 0.0)
-        inside = check_conditions(SpectrumPair((-big, edge), ups))
-        assert inside.bound_value == big
+        assert SpectrumPair((-big, edge), ups)._parts.order.tolist() == [1, 0]
         below = float(np.nextafter(edge, 0.0))
-        outside = check_conditions(SpectrumPair((-big, below), ups))
-        assert outside.bound_value == below
-        assert not outside.satisfied
+        outside = SpectrumPair((-big, below), ups)
+        assert outside._parts.order.tolist() == [0, 1]
+        assert circulant_head_bound((-big, below)) == below
+        assert not check_conditions(outside).satisfied
 
     @pytest.mark.parametrize("bordered", [False, True])
     def test_largest_real_part_heads_in_either_order(self, bordered):
@@ -1326,7 +1331,7 @@ class TestMultisetParts:
         for lam, alpha in (((low, 10.0), (1, 0)), ((10.0, low), (0, 1))):
             pair = SpectrumPair(lam, ups)
             report = check_conditions(pair)
-            assert report.satisfied and report.bound_value == low
+            assert report.satisfied
             assert report.witness.alpha.mapping == alpha
             assert lam[alpha[0]] == 10.0
             _witness_verifies(pair, report)
@@ -1367,8 +1372,8 @@ class TestMultisetParts:
         pair = SpectrumPair((1.0, 10 + 1e-13j, 10 - 1e-13j), (0.0,) * 3)
         report = check_conditions(pair)
         assert not report.satisfied and report.witness is None
-        assert report.bound_value > 1.0
         assert pair._parts.order.tolist() == [0, 1, 2]
+        assert circulant_head_bound(pair.circulant_part) > 1.0
 
 
 @st.composite
@@ -1424,7 +1429,6 @@ def reference_check_conditions(pair, cap=spectra.DEFAULT_ENUMERATION_CAP):
     order = pair._parts.order
     lam = lam[order]
     alphas = _reference_layout_orderings(lam, "circulant", cap)
-    bound = realize._head_bound(lam, alphas)
     tol = 1e-12 * max(max_abs(lam), max_abs(ups), 1.0)
     odd = lam.size == ups.size + 1
     s_rows = recover_kind(lam[alphas], "circulant")
@@ -1449,9 +1453,9 @@ def reference_check_conditions(pair, cap=spectra.DEFAULT_ENUMERATION_CAP):
                     skew_row=tuple(c_row.tolist()),
                     margins=tuple((s_row - c_pad).tolist()),
                 )
-                return ConditionReport(True, bound, witness)
+                return ConditionReport(True, witness)
             ok[i, b] = False
-    return ConditionReport(False, bound, None)
+    return ConditionReport(False, None)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """The public surface: what ``niepkit`` exports and what the README shows."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -36,3 +37,9 @@ def test_all_resolves_sorted_and_without_removed_names():
     assert len(set(names)) == len(names)
     assert REMOVED.isdisjoint(names)
     assert not any(hasattr(niepkit, name) for name in REMOVED)
+
+
+def test_condition_report_has_no_bound_value():
+    # bound_value was a second head bound that no verdict read
+    fields = [f.name for f in dataclasses.fields(niepkit.ConditionReport)]
+    assert fields == ["satisfied", "witness"]
