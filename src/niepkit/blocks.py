@@ -50,11 +50,14 @@ class BlockBuildSpec:
         return self.sign * self.gamma
 
 
-def _violations(S, C):
-    """Where ``|C| <= S`` fails by more than the roundoff slack of both
-    operands, as a boolean mask: the one majorization rule of every build,
-    on rows or matrices alike.  Only a refusal lists the positions."""
-    return np.abs(C) > S + slack(ROUNDOFF_RTOL, S, C)
+def _violations(S, C, tol=None):
+    """Where ``|C| <= S`` fails by more than ``tol``, by default the
+    roundoff slack of both operands, as a boolean mask: the one
+    majorization rule of every build, on rows or matrices alike.  Only a
+    refusal lists the positions."""
+    if tol is None:
+        tol = slack(ROUNDOFF_RTOL, S, C)
+    return np.abs(C) > S + tol
 
 
 def _check_majorization(S, C):

@@ -73,6 +73,15 @@ def _floats(data, name):
         raise ValueError(f"{name} must be finite") from None
 
 
+def _finite(data, name):
+    """:func:`_floats` of a JSON input, whose inf and NaN (``1e999``,
+    ``NaN``) are input errors too, named by their key."""
+    values = _floats(data, name)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+    return values
+
+
 def _parse_complex_list(data, name):
     if not isinstance(data, list) or not data:
         raise ValueError(f"{name} must be a nonempty JSON array of [re, im] pairs")
@@ -81,7 +90,7 @@ def _parse_complex_list(data, name):
     ):
         raise ValueError(f"{name} entries must be [re, im] number pairs")
     # the two float64s of each pair are the parts of one complex128
-    return _floats(data, name).view(complex)[:, 0]
+    return _finite(data, name).view(complex)[:, 0]
 
 
 def _parse_real_vector(data, name):
@@ -89,7 +98,7 @@ def _parse_real_vector(data, name):
         raise ValueError(f"{name} must be a nonempty JSON array of numbers")
     if not _numbers(data):
         raise ValueError(f"{name} entries must be numbers")
-    return _floats(data, name)
+    return _finite(data, name)
 
 
 def _parse_matrix(data, name):
@@ -98,7 +107,7 @@ def _parse_matrix(data, name):
     rows = [row if isinstance(row, list) else [row] for row in data]
     if not _numbers(itertools.chain.from_iterable(rows)):
         raise ValueError(f"{name} entries must be numbers")
-    return _floats(data, name)
+    return _finite(data, name)
 
 
 def _load_json(path):
@@ -340,7 +349,7 @@ def _cmd_augment(args):
     if not _numbers([rho]):
         raise ValueError("rho must be a number")
     sign = 1 if args.sign == "plus" else -1
-    plan = brauer_plan(ups, tail, _floats(rho, "rho"))
+    plan = brauer_plan(ups, tail, _finite(rho, "rho"))
     M = _augment_from_plan(plan, args.gamma, sign)
     expected = np.concatenate([[complex(rho)], tail, sign * args.gamma * ups])
     payload = _matrix_payload(M, expected)

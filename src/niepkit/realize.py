@@ -361,8 +361,8 @@ def _body(s_rows):
     ``s_0`` alone and each later ``|c_k|`` with both ``s_k`` and
     ``s_{k+1}``.  Clipping and the rounded addition of a slack are
     monotone, so one comparison with the smaller of the two decides both,
-    bit for bit, and the join (:func:`_dominated`) is the same at both
-    parities.
+    bit for bit, and the join (:func:`_dominated`) and the judge of each
+    pair it passes (:func:`_builds`) are the same at both parities.
     """
     body = s_rows[..., :-1].copy()
     np.minimum(body[..., 1:], s_rows[..., 2:], out=body[..., 1:])
@@ -390,15 +390,42 @@ def _dominated(body, c_abs, tol):
 
 def _builds(s_row, c_row, odd):
     """Whether :func:`build_from_witness` accepts the rows: the builders'
-    own rule (:func:`niepkit.blocks._violations`) on what it hands them,
-    the clipped circulant row against the skew row at even n and, bordered,
-    the leading n x n block of the clipped row's circulant against the skew
-    circulant."""
+    own rule (:func:`niepkit.blocks._violations`) on the clipped circulant
+    row, or bordered its body row (:func:`_body`), against the skew row,
+    under the slack of the operands the builders compare.  Bordered, these
+    are the leading n x n block of the clipped row's circulant, which holds
+    every entry of the row for n >= 2 and ``s_0`` alone at n = 1, and the
+    skew circulant, whose entries are the skew row's up to sign."""
     s = np.clip(s_row, 0.0, None)
-    if odd:
-        n = c_row.size
-        s, c_row = _circulant(s)[:n, :n], _skew_circulant(c_row)
-    return not _violations(s, c_row).any()
+    tol = slack(ROUNDOFF_RTOL, s[:1] if c_row.size == 1 else s, c_row)
+    return not _violations(_body(s) if odd else s, c_row, tol).any()
+
+
+def _joined(body, c_abs, tol):
+    """The pairs ``(i, b)`` of body rows and skew rows that the join
+    (:func:`_dominated`) passes under ``tol``, in row-major order: the
+    first row against every skew row, then the other rows against the skew
+    rows under their envelope (:func:`check_conditions`, filters 2 and
+    3)."""
+    if not len(body):
+        return
+    first = np.maximum(body[0], 0.0) + tol
+    for b in np.flatnonzero((c_abs <= first).all(axis=1)).tolist():
+        yield 0, b
+    rest = body[1:]
+    if not len(rest):
+        return
+    envelope = np.maximum(rest.max(axis=0), 0.0) + tol
+    kept = np.flatnonzero((c_abs <= envelope).all(axis=1))
+    if not kept.size:
+        return
+    # Fortran order, as _dominated reads it: one position of all rows at a time
+    c_kept = c_abs.T.take(kept, axis=1).T
+    step = max(1, _JOIN_ELEMENTS // c_kept.size)
+    for start in range(0, len(rest), step):
+        ok = _dominated(rest[start:start + step], c_kept, tol)
+        for i, b in zip(*np.nonzero(ok)):
+            yield 1 + start + int(i), int(kept[b])
 
 
 def check_conditions(pair, cap=DEFAULT_ENUMERATION_CAP):
@@ -424,18 +451,34 @@ def check_conditions(pair, cap=DEFAULT_ENUMERATION_CAP):
     bordered pair, whose parts differ in length.  At even n the skew side holds
     one ordering per shift class, the first
     (:func:`niepkit.spectra._search_orderings`): half of them for a list
-    of distinct values.  The body rows of the circulant rows with no entry
-    below the spectrum-scale slack (the live alphas) are joined with those
-    skew rows (:func:`_dominated`, one join for both parities) in chunks
-    of at most ``_JOIN_ELEMENTS`` comparisons.  The join's slack is the
-    rows' own scale, the roundoff slack of all circulant and skew rows; it
-    bounds the builders' slack of every pair, whose operands are among
-    those rows, so the join keeps every pair the builders accept; its
-    passing pairs are then judged in row-major order by the builders' own
-    rule (:func:`_builds`).  The witness is thus the lexicographically
-    first pair (alpha, beta), over live alphas and all betas, that
-    :func:`build_from_witness` accepts: a beta left out has the magnitudes
-    of an earlier one.
+    of distinct values.
+
+    The body rows of the circulant rows with no entry below the
+    spectrum-scale slack (the live alphas) are joined with those skew rows
+    under the join's slack, the rows' own scale: the roundoff slack of all
+    circulant and skew rows.  It bounds the builders' slack of every pair,
+    whose operands are among those rows, so the join keeps every pair the
+    builders accept.  The join runs three exact filters (:func:`_joined`):
+
+    1. the live rows, their body rows and the join's slack, once;
+    2. the first live alpha against every beta in one comparison; its
+       passing pairs come first in lexicographic order, so they are
+       judged first, in beta order;
+    3. the betas under the envelope of the remaining live alphas, the
+       largest clipped body entry at each position plus the slack; when
+       none is left the pair is unsatisfied, and otherwise the remaining
+       alphas are joined with the kept betas (:func:`_dominated`, one join
+       for both parities) in chunks of at most ``_JOIN_ELEMENTS``
+       comparisons.
+
+    Rounding the added slack is monotone, ``fl(max x + t) = max fl(x +
+    t)``, so a beta the envelope drops fails the join with every remaining
+    alpha, and the filters pass the same pairs, in the same row-major
+    order, as a join of every live alpha with every beta.  Each passing
+    pair is judged by the builders' own rule (:func:`_builds`).  The
+    witness is thus the lexicographically first pair (alpha, beta), over
+    live alphas and all betas, that :func:`build_from_witness` accepts: a
+    beta left out has the magnitudes of an earlier one.
     """
     parts = pair._parts
     lam, ups, tol = parts.headed, parts.ups, parts.tol
@@ -454,24 +497,18 @@ def check_conditions(pair, cap=DEFAULT_ENUMERATION_CAP):
     live = np.flatnonzero((s_rows.T >= -tol).all(axis=0))
     body = _body(s_rows[live]) if odd else s_rows[live]
     join_tol = slack(ROUNDOFF_RTOL, s_rows, c_abs)
-    step = max(1, _JOIN_ELEMENTS // c_abs.size)
-    for start in range(0, live.size, step):
-        block = live[start:start + step]
-        ok = _dominated(body[start:start + step], c_abs, join_tol)
-        while ok.any():
-            i, b = divmod(int(np.argmax(ok)), ok.shape[1])
-            s_row, c_row = s_rows[block[i]], c_rows[b]
-            if _builds(s_row, c_row, odd):
-                c_pad = np.concatenate([c_abs[b], [0.0]]) if odd else c_abs[b]
-                witness = ConditionWitness(
-                    alpha=_permutation(parts.order[alphas], block[i], "circulant"),
-                    beta=_permutation(betas, b, "skew"),
-                    circulant_row=tuple(s_row.tolist()),
-                    skew_row=tuple(c_row.tolist()),
-                    margins=tuple((s_row - c_pad).tolist()),
-                )
-                return ConditionReport(True, witness)
-            ok[i, b] = False
+    for i, b in _joined(body, c_abs, join_tol):
+        s_row, c_row = s_rows[live[i]], c_rows[b]
+        if _builds(s_row, c_row, odd):
+            c_pad = np.concatenate([c_abs[b], [0.0]]) if odd else c_abs[b]
+            witness = ConditionWitness(
+                alpha=_permutation(parts.order[alphas], live[i], "circulant"),
+                beta=_permutation(betas, b, "skew"),
+                circulant_row=tuple(s_row.tolist()),
+                skew_row=tuple(c_row.tolist()),
+                margins=tuple((s_row - c_pad).tolist()),
+            )
+            return ConditionReport(True, witness)
     return ConditionReport(False, None)
 
 

@@ -359,6 +359,12 @@ class TestCheck:
         assert main(["check", inp]) == 2
         assert capsys.readouterr().out == '{\n  "satisfied": false,\n  "witness": null\n}\n'
 
+    def test_even_miss_at_n_10_exits_2(self, capsys):
+        # no skew row fits under the envelope of the live alphas after the
+        # first, so the search joins no pair past the first alpha
+        assert main(["check", str(DATA / "miss_10.json")]) == 2
+        assert capsys.readouterr().out == '{\n  "satisfied": false,\n  "witness": null\n}\n'
+
     def test_mode_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check", str(DATA / "even_pair.json"), "--mode", "formula"])
@@ -568,22 +574,46 @@ class TestBooleanInput:
 _HUGE = "1" + "0" * 400
 
 
-@pytest.mark.parametrize(
-    "argv, payload, name",
-    [
-        (["build"], {"circulant_row": ["x", 0], "skew_row": [0, 0]}, "circulant_row"),
-        (["build", "--split", f"[[{_HUGE}, 0]]"], {"S": [[2.0]], "skew_row": [1.0]}, "--split"),
-        (["augment"], {"skew": [[1, 0]], "tail": [[0, 0]], "rho": "x"}, "rho"),
-        (["check"], {"circulant": [["x", 0], [0, 0]], "skew": [[0, 0], [0, 0]]}, "circulant"),
-        (["verify"], {"matrix": [["x"]], "spectrum": [[1, 0]]}, "matrix"),
-        (["realize4"], [["x", 0], [0, 0], [0, 0], [0, 0]], "spectrum"),
-    ],
-    ids=["build", "build-split", "augment", "check", "verify", "realize4"],
-)
+#: Inputs with one number out of range, each marked "x", and the key named.
+_OUT_OF_RANGE = [
+    pytest.param(
+        ["build"], {"circulant_row": ["x", 0], "skew_row": [0, 0]}, "circulant_row", id="build"
+    ),
+    pytest.param(
+        ["build", "--split", f"[[{_HUGE}, 0]]"], {"S": [[2.0]], "skew_row": [1.0]}, "--split",
+        id="build-split",
+    ),
+    pytest.param(["augment"], {"skew": [[1, 0]], "tail": [[0, 0]], "rho": "x"}, "rho", id="augment"),
+    pytest.param(
+        ["check"], {"circulant": [["x", 0], [0, 0]], "skew": [[0, 0], [0, 0]]}, "circulant",
+        id="check",
+    ),
+    pytest.param(["verify"], {"matrix": [["x"]], "spectrum": [[1, 0]]}, "matrix", id="verify"),
+    pytest.param(["realize4"], [["x", 0], [0, 0], [0, 0], [0, 0]], "spectrum", id="realize4"),
+]
+
+
+@pytest.mark.parametrize("argv, payload, name", _OUT_OF_RANGE)
 def test_integer_beyond_the_float_range_exits_3(tmp_path, capsys, argv, payload, name):
     # once an OverflowError traceback and exit 1; "x" marks the huge integer
     inp = tmp_path / "in.json"
     inp.write_text(json.dumps(payload).replace('"x"', _HUGE), encoding="utf-8")
+    assert main([argv[0], str(inp), *argv[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {name} must be finite\n"
+
+
+@pytest.mark.parametrize("number", ["1e999", "-1e999", "NaN", "Infinity"])
+@pytest.mark.parametrize(
+    "argv, payload, name", [case for case in _OUT_OF_RANGE if case.id != "build-split"]
+)
+def test_nonfinite_number_names_its_key(tmp_path, capsys, argv, payload, name, number):
+    # once "s_row must have finite entries" or "list must have finite
+    # entries", the names of library parameters; --split keeps the
+    # builder's message (test_bordered_build_rejects_a_nonfinite_split)
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(payload).replace('"x"', number), encoding="utf-8")
     assert main([argv[0], str(inp), *argv[1:]]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import fixtures as fx
 from niepkit import realize, spectra
 from niepkit._util import VERIFY_RTOL, max_abs
-from niepkit.blocks import BlockBuildSpec, build_circ_skew, build_even
+from niepkit.blocks import BlockBuildSpec, _violations, build_circ_skew, build_even
 from niepkit.dft import (
     circulant_eigenvalues,
     circulant_row_from_spectrum,
@@ -736,6 +736,22 @@ def test_position_major_join_matches_broadcast_reference(block):
         assert got.tolist() == want.tolist()
 
 
+@settings(max_examples=300, deadline=None)
+@given(block=_join_blocks(), elements=st.sampled_from([1, 7, 1 << 16]))
+def test_filtered_join_passes_the_full_join_in_row_major_order(block, elements):
+    # the first row, the envelope and the chunks of the rest together pass
+    # exactly the pairs of one broadcast join, in the order it lists them
+    s, c_abs, odd, tol = block
+    s = np.atleast_2d(s)
+    want = [tuple(ix) for ix in np.argwhere(_reference_dominated(s, c_abs, odd, tol)).tolist()]
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(realize, "_JOIN_ELEMENTS", elements)
+        body = realize._body(s) if odd else s
+        got = list(realize._joined(body, np.asfortranarray(c_abs), tol))
+    assert got == want
+    assert all(type(i) is int and type(b) is int for i, b in got)
+
+
 @st.composite
 def _bordered_join_edges(draw):
     """Bordered circulant rows (one row or a block) and skew magnitudes with
@@ -813,6 +829,115 @@ def test_pair_search_matches_reference_loop(bordered):
         assert repr(circulant_head_bound(lam)) == repr(_reference_head_bound(lam))
         outcomes.add(report.satisfied)
     assert outcomes == {True, False}
+
+
+def _envelope_pairs(seed, bordered):
+    """Random and integer pairs of skew order n = 1..8 (bordered, 1..7), in
+    scrambled layouts: planted hits, whose witness is often at the first
+    live alpha; misses with a dominant head and a near-flat body, whose
+    envelope keeps some betas or none (none when the skew row is doubled);
+    small-integer rows, which tie; and uniform rows under a head raised by
+    n, whose envelope may keep every beta."""
+    rng = np.random.default_rng(seed)
+    for trial in range(50):
+        n = int(rng.integers(1, 8 if bordered else 9))
+        m = n + bordered
+        kind = trial % 5
+        c = rng.uniform(-1.0, 1.0, size=n)
+        s = np.max(np.abs(c)) + rng.uniform(0.0, 1.0, size=m)
+        if kind in (1, 2):
+            s = 1.0 + rng.uniform(-0.2, 0.2, size=m)
+            s[0] = rng.uniform(1.0, 2.0)
+            c = rng.uniform(0.6, 1.2, size=n) * rng.choice([-1.0, 1.0], size=n)
+            c[0] = rng.uniform(-0.5, 0.5)
+            c *= kind
+        elif kind == 3:
+            c = rng.integers(-3, 4, size=n).astype(float)
+            s = np.abs(c[np.arange(m) % n]) + rng.integers(-1, 2, size=m)
+        elif kind == 4:
+            s = rng.uniform(0.0, 1.0, size=m)
+            s[0] += n
+        lam, ups = circulant_eigenvalues(s), skew_eigenvalues(c)
+        yield SpectrumPair(
+            _scrambled(lam, enumerate_circulant_permutations(lam), rng),
+            _scrambled(ups, enumerate_skew_permutations(ups), rng),
+        )
+
+
+def _live_rows(pair):
+    """The live body rows and the skew magnitudes the search reads, from
+    the reference recovery: the envelope's operands."""
+    parts = pair._parts
+    alphas = spectra._search_orderings(parts.circulant_key, 10)
+    betas = spectra._search_orderings(parts.skew_key, 10)
+    s_rows = recover_kind(parts.headed[alphas], "circulant")
+    c_abs = np.abs(recover_kind(parts.ups[betas], "skew"))
+    s_rows = s_rows[np.all(s_rows >= -parts.tol, axis=1)]
+    return (realize._body(s_rows) if parts.lam.size > parts.ups.size else s_rows), c_abs
+
+
+def _spy_dominated(monkeypatch):
+    """Record the skew rows each ``_dominated`` call joins."""
+    joined, dominated = [], realize._dominated
+
+    def spy(body, c_abs, tol):
+        joined.append(c_abs.shape[0])
+        return dominated(body, c_abs, tol)
+
+    monkeypatch.setattr(realize, "_dominated", spy)
+    return joined
+
+
+@pytest.mark.parametrize("bordered", [False, True])
+def test_pruned_join_matches_reference(bordered, monkeypatch):
+    # each pair is classified by what the join did: a witness at the first
+    # live alpha or later, and an envelope that kept no beta, some or all
+    joined = _spy_dominated(monkeypatch)
+    cases = set()
+    for pair in _envelope_pairs(63, bordered):
+        want = _reference_check_conditions(pair)
+        joined.clear()
+        assert check_conditions(pair) == want
+        betas = len(spectra._search_orderings(pair._parts.skew_key, 10))
+        if want.satisfied:
+            cases.add("later alpha" if joined else "first alpha")
+        if joined:
+            cases.add("kept all" if max(joined) == betas else "kept some")
+        elif not want.satisfied and len(_live_rows(pair)[0]) > 1:
+            cases.add("kept none")
+        with monkeypatch.context() as patched:
+            # one live alpha per chunk: every chunk boundary
+            patched.setattr(realize, "_JOIN_ELEMENTS", 1)
+            assert check_conditions(pair) == want
+    assert cases == {"first alpha", "later alpha", "kept none", "kept some", "kept all"}
+
+
+def test_hit_at_the_first_live_alpha_joins_nothing(monkeypatch):
+    joined = _spy_dominated(monkeypatch)
+    pair = SpectrumPair(
+        tuple(circulant_eigenvalues(fx.EIGHT_S_ROW)), tuple(skew_eigenvalues(fx.EIGHT_C_ROW))
+    )
+    report = check_conditions(pair)
+    assert report == _reference_check_conditions(pair)
+    assert report.witness.alpha.mapping == (0, 1, 2, 3)
+    assert joined == []
+
+
+def test_miss_under_an_empty_envelope_joins_nothing(monkeypatch):
+    # tests/data/miss_10.json, an even n = 10 miss: 384 live alphas, and no
+    # skew row fits under the envelope of all but the first
+    data = json.loads((DATA / "miss_10.json").read_text())
+    pair = SpectrumPair(
+        tuple(complex(*z) for z in data["circulant"]),
+        tuple(complex(*z) for z in data["skew"]),
+    )
+    body, c_abs = _live_rows(pair)
+    assert len(body) == 384
+    envelope = np.max(np.clip(body[1:], 0.0, None), axis=0)
+    assert not np.any(np.all(c_abs <= envelope + 1e-9, axis=1))
+    joined = _spy_dominated(monkeypatch)
+    assert check_conditions(pair) == ConditionReport(False, None)
+    assert joined == []
 
 
 def _integer_pairs(seed, bordered):
@@ -1150,6 +1275,52 @@ def test_builds_decides_both_ways_at_the_edge():
             c[k] = -value
             assert realize._builds(s, c, odd) is want
             assert _reference_builds(s, c, odd) is want
+
+
+def _matrix_builds(s_row, c_row, odd):
+    """``_builds`` as it read when it judged matrices: the builders' rule
+    on what :func:`build_from_witness` hands them, the clipped circulant
+    row against the skew row at even n and, bordered, the leading n x n
+    block of the clipped row's circulant against the skew circulant."""
+    s = np.clip(s_row, 0.0, None)
+    if odd:
+        n = c_row.size
+        s, c_row = circulant(s)[:n, :n], skew_circulant(c_row)
+    return not _violations(s, c_row).any()
+
+
+@st.composite
+def _slack_edge_rows(draw):
+    """One circulant row and one skew row, even or bordered, n = 1..9, from
+    small integers, where many ``|c_k|`` equal the entries they meet, with
+    entries moved by 1e-13 (inside the slack) or by a slack and one ulp
+    either way; or the rows of :func:`_builds_edges`."""
+    if draw(st.booleans()):
+        return draw(_builds_edges())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    odd, n = draw(st.booleans()), draw(st.integers(1, 9))
+    s = rng.integers(-1, 4, size=n + odd).astype(float)
+    c = rng.integers(-3, 4, size=n).astype(float)
+    for row in (s, c):
+        moved = rng.uniform(size=row.size) < 0.3
+        row[moved] += rng.choice([-1e-13, 1e-13], size=int(moved.sum()))
+    clipped = np.clip(s, 0.0, None)
+    k = int(rng.integers(n))
+    met = clipped[k + int(odd and k > 0 and rng.uniform() < 0.5)]
+    read = clipped[:1] if odd and n == 1 else clipped
+    edge = met + 1e-12 * max(max_abs(read), max_abs(c))
+    c[k] = rng.choice([-1.0, 1.0]) * draw(
+        st.sampled_from([met, edge, np.nextafter(edge, np.inf), np.nextafter(edge, 0.0)])
+    )
+    return s, c, odd
+
+
+@seed(25)
+@settings(max_examples=500, deadline=None)
+@given(rows=_slack_edge_rows())
+def test_builds_equals_the_matrix_judgement(rows):
+    s, c, odd = rows
+    assert realize._builds(s, c, odd) is _matrix_builds(s, c, odd)
 
 
 @st.composite
