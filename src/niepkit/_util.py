@@ -1,17 +1,20 @@
 """Input coercion helpers and the package's one tolerance policy.
 
 Each tolerance below is relative: :func:`slack` scales it by the largest
-magnitude a comparison reads, or by ``floor`` when that is larger; each
-comment names its users, then those magnitudes.  Each inequality has one
-judge: ``|c| <= s`` the rule of the builders of :mod:`niepkit.blocks`,
-which the witness search applies to each pair its join (one for both
-parities, on body rows) passes; the 4x4 region :func:`realize_four`'s
-conditions, which :func:`region_check` wraps.
+magnitude among the operands a comparison reads, with no floor, so a
+verdict it judges stays put when every operand is scaled by a power of 2
+(within the normal range); each comment names its users, then those
+operands.  Only the CLI's oracle check floors its scale at 1
+(:func:`niepkit.cli._judge`).  Each inequality has one judge: ``|c| <= s``
+the rule of the builders of :mod:`niepkit.blocks`, which the witness
+search applies to each pair its join (one for both parities, on body
+rows) passes; the 4x4 region :func:`realize_four`'s conditions, which
+:func:`region_check` wraps.
 """
 
 import numpy as np
 
-ROUNDOFF_RTOL = 1e-12  # pairing, blocks, 4x4, search: operands (spectra: floor 1)
+ROUNDOFF_RTOL = 1e-12  # pairing, blocks, 4x4, search, Brauer: the operands
 REALNESS_RTOL = 1e-10  # dft row recovery: each row, at least the smallest normal
 PERMUTATIVE_RTOL = 1e-9  # is_permutative: the matrix
 VERIFY_RTOL = 1e-7  # CLI oracle check of every build: expected spectrum, floor 1
@@ -61,7 +64,7 @@ def max_abs(arr):
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
-def slack(rtol, *arrays, floor=0.0):
-    """``rtol`` times the largest magnitude in ``arrays``, or ``floor`` if that
-    is larger."""
-    return rtol * max(floor, *map(max_abs, arrays))
+def slack(rtol, *arrays):
+    """``rtol`` times the largest magnitude in ``arrays``; 0.0 when they hold
+    none."""
+    return rtol * max(map(max_abs, arrays), default=0.0)

@@ -198,7 +198,7 @@ def _resolve_split(spec, last_row):
         raise ValueError(f"last_row_split must be {n} pairs, got shape {split.shape}")
     if not np.isfinite(split).all():
         raise ValueError("last_row_split parts must be finite")
-    tol = slack(ROUNDOFF_RTOL, last_row, floor=1.0)
+    tol = slack(ROUNDOFF_RTOL, last_row, split)
     if np.any(split < -tol):
         raise ValueError("last_row_split parts must be nonnegative")
     if max_abs(split.sum(axis=1) - last_row) > tol:

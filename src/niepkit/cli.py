@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from ._util import SWEEP_RTOL, VERIFY_RTOL, slack
+from ._util import SWEEP_RTOL, VERIFY_RTOL, max_abs
 from .blocks import BlockBuildSpec, build_circ_skew, build_even, build_odd
 from .dft import circulant_eigenvalues, skew_eigenvalues
 from .errors import (
@@ -65,21 +65,17 @@ def _numbers(values):
     return set(map(type, values)) <= {int, float}
 
 
-def _floats(data, name):
-    """``np.asarray(data, float)``; an integer beyond the float range is an input error."""
-    try:
-        return np.asarray(data, float)
-    except OverflowError:
-        raise ValueError(f"{name} must be finite") from None
-
-
 def _finite(data, name):
-    """:func:`_floats` of a JSON input, whose inf and NaN (``1e999``,
-    ``NaN``) are input errors too, named by their key."""
-    values = _floats(data, name)
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} must be finite")
-    return values
+    """``np.asarray(data, float)`` of a JSON input; an integer beyond the
+    float range, inf and NaN (``1e999``, ``NaN``) are input errors, named
+    by their key."""
+    try:
+        values = np.asarray(data, float)
+        if np.isfinite(values).all():
+            return values
+    except OverflowError:
+        pass
+    raise ValueError(f"{name} must be finite")
 
 
 def _parse_complex_list(data, name):
@@ -186,9 +182,9 @@ def _emit(args, text):
 def _judge(matrix, expected, rtol, tol=None):
     """The oracle's judgement of ``matrix`` against ``expected``: the computed
     spectrum, the match report and the tolerance, which is ``tol`` when given
-    and ``slack(rtol, expected, floor=1.0)`` otherwise."""
+    and ``rtol * max(1, max|expected|)`` otherwise."""
     if tol is None:
-        tol = slack(rtol, expected, floor=1.0)
+        tol = rtol * max(1.0, max_abs(expected))
     computed = spectrum(matrix)
     return computed, match_spectra(computed, expected, tol), tol
 
@@ -281,7 +277,7 @@ def _build_spec(args):
             for pair in data
         ):
             raise ValueError("--split must be a JSON array of [left, right] numbers")
-        split = tuple(map(tuple, _floats(data, "--split").tolist()))
+        split = tuple(map(tuple, _finite(data, "--split").tolist()))
     return BlockBuildSpec(
         gamma=args.gamma, sign=1 if args.sign == "plus" else -1, last_row_split=split
     )

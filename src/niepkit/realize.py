@@ -29,7 +29,6 @@ from .spectra import (
     _has_layout,
     _search_orderings,
     _structure_key,
-    pairing_tolerance,
 )
 from .structured import _circulant, _skew_circulant, circulant
 
@@ -215,7 +214,7 @@ class SpectrumPair:
                 "circulant part must have the same length as the skew part "
                 f"or one more, got {lam.size} vs {ups.size}"
             )
-        tol = slack(ROUNDOFF_RTOL, lam, ups, floor=1.0)
+        tol = slack(ROUNDOFF_RTOL, lam, ups)
         order, circulant_key = _head_first(lam, tol)
         skew_key = _structure_key(ups, "skew")
         if not _has_layout(skew_key):
@@ -253,7 +252,7 @@ def _head_first(lam, tol):
 
     A nonnegative circulant's eigenvalue lam_0 = sum_j s_j is at least
     every |lam_k|, so only a real entry of largest modulus can head one
-    (real by the generator's rule, ``2|Im| <= pairing_tolerance(lam)``).
+    (real by the generator's rule, ``2|Im| <= slack(ROUNDOFF_RTOL, lam)``).
     The search admits rows with entries down to ``-tol``; for those,
     lam_0 >= |lam_k| - 2m*tol (m = ``lam.size``), so an entry within that
     margin of the largest modulus qualifies.  The qualifying entries are
@@ -262,7 +261,7 @@ def _head_first(lam, tol):
     keeps the head.  So the verdict does not depend on the order in which
     the part lists entries of distinct real parts.
     """
-    real = _conjugate_distance(lam, lam) <= pairing_tolerance(lam)
+    real = _conjugate_distance(lam, lam) <= slack(ROUNDOFF_RTOL, lam)
     heads = np.flatnonzero(real & (lam.real >= max_abs(lam) - 2 * lam.size * tol))
     heads = heads[np.argsort(-lam.real[heads], kind="stable")]
     for h in dict.fromkeys([*heads.tolist(), 0]):
@@ -581,7 +580,8 @@ def brauer_plan(upsilon, tail, rho, cap=DEFAULT_ENUMERATION_CAP):
 
     head = rho - (n + 1) * chi
     shifted = np.concatenate([[complex(head)], tail])
-    tol = slack(ROUNDOFF_RTOL, shifted, floor=1.0)
+    # rho is an operand: the head rho - (n+1)*chi is rounded at its scale
+    tol = slack(ROUNDOFF_RTOL, shifted, [rho])
     alphas = _search_orderings(_structure_key(shifted, "circulant"), cap)
     b_rows = _recover_rows(shifted[alphas], len(alphas))
     nonnegative = np.all(b_rows >= -tol, axis=1)

@@ -43,10 +43,10 @@ Three conventions hold throughout:
   ``|e - conj(e)| = 2|Im e| <= tol``: it may then sit at a self-partnered
   position (the circulant head, the circulant position n/2, the skew
   middle).
-* Pairing compares values within the relative tolerance of
-  :func:`pairing_tolerance` (1e-12 * max modulus), while orderings are
-  merged only when their reordered lists are exactly equal.  Two entries
-  closer than the tolerance but not equal therefore still give two
+* Pairing compares values within the list's roundoff slack,
+  ``slack(ROUNDOFF_RTOL, entries)`` (1e-12 * max modulus), while orderings
+  are merged only when their reordered lists are exactly equal.  Two
+  entries closer than the tolerance but not equal therefore still give two
   orderings.
 
 All functions are pure and deterministic; enumeration order is the
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ROUNDOFF_RTOL, as_complex_vector, max_abs
+from ._util import ROUNDOFF_RTOL, as_complex_vector, slack
 from .errors import EnumerationCapError, PairingError
 
 #: Default size cap for exhaustive enumeration; the candidate sets grow
@@ -82,12 +82,6 @@ class PairingPermutation:
     kind: str
 
 
-def pairing_tolerance(entries):
-    """Matching tolerance: zero for all-zero input, else 1e-12 * max modulus
-    (:func:`niepkit._util.slack` with no floor)."""
-    return ROUNDOFF_RTOL * max_abs(np.asarray(entries, dtype=complex))
-
-
 def _conjugate_distance(a, b):
     """``|a - conj(b)|`` elementwise.
 
@@ -102,13 +96,13 @@ def _conjugate_distance(a, b):
 
 def _satisfies(entries, order, tol, kind):
     """Whether ``entries`` (optionally reordered) has the ``kind`` layout:
-    each entry within ``tol`` (default :func:`pairing_tolerance`) of the
+    each entry within ``tol`` (default the list's roundoff slack) of the
     conjugate of its partner's."""
     entries = as_complex_vector(entries)
     if order is not None:
         entries = entries[list(order)]
     if tol is None:
-        tol = pairing_tolerance(entries)
+        tol = slack(ROUNDOFF_RTOL, entries)
     mates = _layout_partners(entries.size, kind)
     return bool((_conjugate_distance(entries[mates], entries) <= tol).all())
 
@@ -150,11 +144,11 @@ def _structure(entries, tol):
 def _structure_key(entries, kind):
     """The pairing structure of ``entries`` for a ``kind`` layout, as a
     hashable key ``(n, kind, compatible, labels)``: the order, the kind and
-    the key bytes of :func:`_structure` at :func:`pairing_tolerance`.
+    the key bytes of :func:`_structure` at the list's roundoff slack.
     Exactly what the generator reads, so every list with one key has the
     same orderings; the lookups take it as is."""
     entries = as_complex_vector(entries)
-    return (entries.size, kind, *_structure(entries, pairing_tolerance(entries)))
+    return (entries.size, kind, *_structure(entries, slack(ROUNDOFF_RTOL, entries)))
 
 
 def _lookup(key, limit, cap):
@@ -258,10 +252,9 @@ def _generate(n, kind, compatible, labels, limit):
     indices in increasing order, so they come out in lexicographic order of
     the image tuple without generating and filtering all n! permutations.
     Index j may go to a position whose layout partner already holds index i
-    when ``compatible[i][j]``, that is |e_j - conj(e_i)| <= tol with the
-    tolerance of :func:`pairing_tolerance`; a self-partnered position (the
-    skew middle, the circulant position n/2) takes only indices compatible
-    with themselves.  This is the test the ``satisfies_*`` predicates
+    when ``compatible[i][j]``, that is |e_j - conj(e_i)| <= tol, the
+    list's roundoff slack; a self-partnered position (the skew middle, the
+    circulant position n/2) takes only indices compatible with themselves.  This is the test the ``satisfies_*`` predicates
     apply, so every generated ordering passes them and no ordering passing
     them is missed.  The circulant head is not searched: index 0 stays at
     position 0, which is self-partnered, so it must be compatible with

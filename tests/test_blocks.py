@@ -359,6 +359,19 @@ class TestBuildOdd:
         with pytest.raises(ValueError):
             build_odd(S, fx.SEVEN_C_ROW, BlockBuildSpec(last_row_split=((1, 1), (3, 0), (1, 0))))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-9, 2.0**-60])
+    def test_split_judged_at_the_scale_of_its_operands(self, scale):
+        # a left part of -1e-13 times the last row is roundoff and clipped;
+        # -1e-10 times it is refused at every scale, with no floor of 1
+        S = scale * circulant(fx.SEVEN_S_ROW)
+        c_row = scale * np.asarray(fx.SEVEN_C_ROW)
+        last = S[3, :3]
+        spec = BlockBuildSpec(last_row_split=tuple(zip(-1e-13 * last, (1 + 1e-13) * last)))
+        assert not build_odd(S, c_row, spec)[6, 0:6:2].any()
+        spec = BlockBuildSpec(last_row_split=tuple(zip(-1e-10 * last, (1 + 1e-10) * last)))
+        with pytest.raises(ValueError, match="last_row_split parts must be nonnegative"):
+            build_odd(S, c_row, spec)
+
     @pytest.mark.parametrize("part", [np.nan, np.inf])
     def test_nonfinite_split(self, part):
         # NaN fails both ``< -tol`` and ``> tol``: only a finiteness test sees it

@@ -269,7 +269,7 @@ class TestBuild:
         )
         split = f"[[{part},6],[3,0],[1,0]]"
         assert main(["build", inp, "--split", split]) == 3
-        assert "last_row_split parts must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == "input error: --split must be finite\n"
 
     def test_general_pair_with_sign(self, tmp_path):
         inp = write_json(
@@ -356,6 +356,16 @@ class TestCheck:
         inp = write_json(
             tmp_path / "in.json", {"circulant": [[10, 0], [0, 0]], "skew": [[-9, 0], [-9, 0]]}
         )
+        assert main(["check", inp]) == 2
+        assert capsys.readouterr().out == '{\n  "satisfied": false,\n  "witness": null\n}\n'
+
+    @pytest.mark.parametrize("scale", [1.0, 1e9])
+    def test_negative_trace_below_scale_1_exits_2(self, tmp_path, capsys, scale):
+        # {1e-9, -1.0008e-9, 0, 0} has trace -8e-13; its circulant row
+        # (-4e-13, 1.0004e-9) is negative at every scale, with no floor
+        # to hide it below scale 1
+        lam = [[1e-9 * scale, 0], [-1.0008e-9 * scale, 0]]
+        inp = write_json(tmp_path / "in.json", {"circulant": lam, "skew": [[0, 0], [0, 0]]})
         assert main(["check", inp]) == 2
         assert capsys.readouterr().out == '{\n  "satisfied": false,\n  "witness": null\n}\n'
 
@@ -605,14 +615,13 @@ def test_integer_beyond_the_float_range_exits_3(tmp_path, capsys, argv, payload,
 
 
 @pytest.mark.parametrize("number", ["1e999", "-1e999", "NaN", "Infinity"])
-@pytest.mark.parametrize(
-    "argv, payload, name", [case for case in _OUT_OF_RANGE if case.id != "build-split"]
-)
+@pytest.mark.parametrize("argv, payload, name", _OUT_OF_RANGE)
 def test_nonfinite_number_names_its_key(tmp_path, capsys, argv, payload, name, number):
     # once "s_row must have finite entries" or "list must have finite
-    # entries", the names of library parameters; --split keeps the
-    # builder's message (test_bordered_build_rejects_a_nonfinite_split)
+    # entries", the names of library parameters, and for --split the
+    # builder's "last_row_split parts must be finite"
     inp = tmp_path / "in.json"
+    argv = [arg.replace(_HUGE, number) for arg in argv]
     inp.write_text(json.dumps(payload).replace('"x"', number), encoding="utf-8")
     assert main([argv[0], str(inp), *argv[1:]]) == 3
     captured = capsys.readouterr()

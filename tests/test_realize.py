@@ -529,7 +529,7 @@ def _reference_check_conditions(pair):
     the spectrum-scale slack; the witness is the first pair that
     :func:`build_from_witness` accepts."""
     lam, ups = pair.arrays()
-    slack = 1e-12 * max(np.max(np.abs(lam)), np.max(np.abs(ups)), 1.0)
+    slack = 1e-12 * max(np.max(np.abs(lam)), np.max(np.abs(ups)))
     odd = lam.size == ups.size + 1
     s_candidates = [
         (p, circulant_row_from_spectrum(lam[list(p.mapping)]))
@@ -796,7 +796,10 @@ def test_body_row_join_equals_the_two_comparison_join(case):
 
 @pytest.mark.parametrize("bordered", [False, True])
 def test_join_chunks_straddle_blocks_as_the_reference(bordered, monkeypatch):
-    # steps of 1, 2, 3 and 5 live alphas split the join at every boundary
+    # _JOIN_ELEMENTS of 1, 2, 3 and 5 times the entries of all skew rows:
+    # the join sizes its chunks by the betas the envelope keeps, so a chunk
+    # holds that many alphas or more; test_pruned_join_matches_reference
+    # pins every chunk boundary with chunks of one alpha
     pairs = list(_search_pairs(43 + bordered, bordered))
     pairs += list(_integer_pairs(45 + bordered, bordered))
     outcomes, split = set(), 0
@@ -804,7 +807,7 @@ def test_join_chunks_straddle_blocks_as_the_reference(bordered, monkeypatch):
         want = _reference_check_conditions(pair)
         lam, ups = pair.arrays()
         s_rows, c_rows = _all_rows(pair)
-        scale = max(np.max(np.abs(lam)), np.max(np.abs(ups)), 1.0)
+        scale = max(np.max(np.abs(lam)), np.max(np.abs(ups)))
         lives = np.sum(np.all(s_rows >= -1e-12 * scale, axis=1))
         for step in (1, 2, 3, 5):
             monkeypatch.setattr(realize, "_JOIN_ELEMENTS", step * c_rows.size)
@@ -990,7 +993,7 @@ def test_witnesses_stable_under_reference_recovery(bordered, monkeypatch):
             assert report.witness.beta == reference.witness.beta
             ties += min(np.abs(report.witness.margins)) <= 1e-12
         lam, ups = pair.arrays()
-        scale = max(np.max(np.abs(lam)), np.max(np.abs(ups)), 1.0)
+        scale = max(np.max(np.abs(lam)), np.max(np.abs(ups)))
         for got, want in zip(rows, _all_rows(pair)):
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
         outcomes.add(report.satisfied)
@@ -1063,7 +1066,7 @@ def _reference_brauer_choice(ups, tail, rho):
     chi = max(np.max(np.abs(row)) for _, row in candidates)
     beta, c_row = min(candidates, key=lambda item: np.max(np.abs(item[1])))
     shifted = np.concatenate([[complex(rho - (ups.size + 1) * chi)], tail])
-    slack = 1e-12 * max(np.max(np.abs(shifted)), 1.0)
+    slack = 1e-12 * max(np.max(np.abs(shifted)), abs(rho))
     for alpha in enumerate_circulant_permutations(shifted):
         b_row = circulant_row_from_spectrum(shifted[list(alpha.mapping)])
         if np.all(b_row >= -slack):
@@ -1161,6 +1164,20 @@ class TestBrauer:
         M = brauer_augment(ups, tail, rho, gamma=0.75, sign=-1)
         expected = np.concatenate([[rho], tail, -0.75 * ups])
         assert match_spectra(spectrum(M), expected, 1e-7).matched
+
+    def test_zero_tail_builds_at_the_least_rho(self):
+        # the head rho - (n+1)*chi rounds at rho's scale, so it may come out
+        # an ulp below 0; rho is an operand of the plan's slack
+        rng = np.random.default_rng(26)
+        for _ in range(40):
+            n = int(rng.integers(1, 7))
+            ups = skew_eigenvalues(rng.uniform(-1.0, 1.0, size=n))
+            chi = skew_row_bound(ups)
+            for rho in (n * chi + chi, np.nextafter((n + 1) * chi, 0.0)):
+                M = brauer_augment(ups, np.zeros(n), rho)
+                assert is_permutative(M).permutative
+                expected = np.concatenate([[rho], np.zeros(n), ups])
+                assert match_spectra(spectrum(M), expected, 1e-7 * rho).matched
 
     def test_tail_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -1412,7 +1429,7 @@ def test_join_chunks_straddle_blocks_over_representatives(monkeypatch):
         lam, ups = pair.arrays()
         reps = spectra._search_orderings(spectra._structure_key(ups, "skew"), 10)
         s_rows, _ = _all_rows(pair)
-        scale = max(np.max(np.abs(lam)), np.max(np.abs(ups)), 1.0)
+        scale = max(np.max(np.abs(lam)), np.max(np.abs(ups)))
         lives = np.sum(np.all(s_rows >= -1e-12 * scale, axis=1))
         for step in (1, 2, 3, 5):
             monkeypatch.setattr(realize, "_JOIN_ELEMENTS", step * reps.size)
@@ -1600,7 +1617,7 @@ def reference_check_conditions(pair, cap=spectra.DEFAULT_ENUMERATION_CAP):
     order = pair._parts.order
     lam = lam[order]
     alphas = _reference_layout_orderings(lam, "circulant", cap)
-    tol = 1e-12 * max(max_abs(lam), max_abs(ups), 1.0)
+    tol = 1e-12 * max(max_abs(lam), max_abs(ups))
     odd = lam.size == ups.size + 1
     s_rows = recover_kind(lam[alphas], "circulant")
     betas = _reference_layout_orderings(ups, "skew", cap)
@@ -1630,13 +1647,13 @@ def reference_check_conditions(pair, cap=spectra.DEFAULT_ENUMERATION_CAP):
 
 
 @st.composite
-def _reference_cases(draw):
+def _reference_cases(draw, scales=(1.0, 1.0, 1e300, 1e-300)):
     """A pair of skew order n = 1..8, even or bordered, from first rows:
     planted (a hit), uniform in [-1, 1] (mostly misses) or small integers
     (repeated values and ties); at even order the head may be exactly equal
     to lam_{n/2}.  Zero parts may carry signed zeros, both parts may be
-    scaled by 1e+-300, shuffled, or given an entry that breaks the layout.
-    Also a cap."""
+    scaled by one of ``scales``, shuffled, or given an entry that breaks
+    the layout.  Also a cap."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     bordered = draw(st.booleans())
     n = int(rng.integers(1, 8 if bordered else 9))
@@ -1661,7 +1678,7 @@ def _reference_cases(draw):
         if draw(st.booleans()):
             part.real[part.real == 0.0] = -0.0
             part.imag[part.imag == 0.0] = -0.0
-    scale = draw(st.sampled_from([1.0, 1.0, 1e300, 1e-300]))
+    scale = draw(st.sampled_from(scales))
     lam, ups = lam * scale, ups * scale
     if draw(st.booleans()):
         lam, ups = rng.permutation(lam), rng.permutation(ups)
@@ -1693,6 +1710,60 @@ def test_check_conditions_equals_the_rekeying_reference(case):
     warm = _outcome(check_conditions, pair, cap)
     assert repr(fresh) == repr(want)
     assert repr(warm) == repr(want)
+
+
+@seed(26)
+@settings(max_examples=250, deadline=None)
+@given(case=_reference_cases(scales=(1.0,)), k=st.integers(-60, 60))
+def test_verdict_and_witness_do_not_depend_on_scale(case, k):
+    # scaling by 2**k is exact, so the rows, the slacks and every
+    # comparison scale with it; uniform rows put negative entries in the
+    # circulant rows and zeroed entries in the skew rows, where a floor
+    # on the slack once let a row negative by less than 1e-12 live
+    pair, cap = case
+    scaled = SpectrumPair(
+        *(tuple(np.asarray(part) * 2.0**k) for part in (pair.circulant_part, pair.skew_part))
+    )
+    want, got = _outcome(check_conditions, pair, cap), _outcome(check_conditions, scaled, cap)
+    if isinstance(want, ConditionReport):
+        assert got.satisfied == want.satisfied
+        if want.satisfied:
+            assert got.witness.alpha == want.witness.alpha
+            assert got.witness.beta == want.witness.beta
+    else:
+        assert got == want
+
+
+def test_negative_trace_below_scale_1_is_not_satisfied():
+    # {1e-9, -1.0008e-9} with a zero skew part has trace -8e-13: its
+    # circulant row (-4e-13, 1.0004e-9) is negative at every scale
+    for scale in (1.0, 1e9):
+        pair = SpectrumPair((1e-9 * scale, -1.0008e-9 * scale), (0.0, 0.0))
+        assert check_conditions(pair) == ConditionReport(False, None)
+
+
+def test_two_plus_two_lists_agree_with_the_four_by_four_at_scale_1e_9():
+    # the 4x4 is the n = 2 even build: circulant row s = ((lam1 + lam2)/2,
+    # (lam1 - lam2)/2), skew row (Re z, Im z); margins of 1e-4 and 1e-3
+    # relative either way, and zeroed skew entries, put rows a little
+    # below zero
+    rng = np.random.default_rng(26)
+    outcomes = set()
+    for _ in range(300):
+        c = rng.uniform(-1.0, 1.0, size=2)
+        c[rng.uniform(size=2) < 0.5] = 0.0
+        margins = rng.choice([-1e-3, -1e-4, 1e-4, 1e-3, rng.uniform(0.0, 1.0)], size=2)
+        s = 1e-9 * (np.abs(c) + margins)
+        lam, ups = circulant_eigenvalues(s), skew_eigenvalues(1e-9 * c)
+        try:
+            realize_four(np.concatenate([lam, ups]))
+            four = True
+        except RealizabilityError:
+            four = False
+        report = check_conditions(SpectrumPair(tuple(lam), tuple(ups)))
+        assert report.satisfied == four
+        outcomes.add(four)
+    assert outcomes == {True, False}
 
 
 def test_a_pair_is_keyed_once(monkeypatch):

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from niepkit import spectra
+from niepkit._util import ROUNDOFF_RTOL, slack
 from niepkit.dft import _recover_rows, _skew_twiddle, skew_eigenvalues
 from niepkit.errors import EnumerationCapError, PairingError
 from niepkit.spectra import (
     _layout_partners,
     enumerate_circulant_permutations,
     enumerate_skew_permutations,
-    pairing_tolerance,
     satisfies_circulant_pairing,
     satisfies_skew_pairing,
 )
@@ -128,7 +128,7 @@ def _pairing_filter(entries, kind):
     replaced, kept as the reference."""
     entries = np.asarray(entries, dtype=complex)
     n = entries.size
-    tol = pairing_tolerance(entries)
+    tol = slack(ROUNDOFF_RTOL, entries)
     if kind == "circulant":
         candidates = ((0,) + tail for tail in itertools.permutations(range(1, n)))
         check = satisfies_circulant_pairing
@@ -266,7 +266,7 @@ def _reference_satisfies_circulant(entries, order=None, tol=None):
     if order is not None:
         entries = entries[list(order)]
     if tol is None:
-        tol = pairing_tolerance(entries)
+        tol = slack(ROUNDOFF_RTOL, entries)
     n = entries.size
     for k in range(n):
         if abs(entries[-k % n] - entries[k].conjugate()) > tol:
@@ -280,7 +280,7 @@ def _reference_satisfies_skew(entries, order=None, tol=None):
     if order is not None:
         entries = entries[list(order)]
     if tol is None:
-        tol = pairing_tolerance(entries)
+        tol = slack(ROUNDOFF_RTOL, entries)
     n = entries.size
     for k in range(n):
         if abs(entries[n - 1 - k] - entries[k].conjugate()) > tol:
@@ -481,7 +481,7 @@ def _reference_generate(n, kind, compatible, head_real, labels, limit, dedup):
 def _list_structure(entries):
     """The generator arguments of a list, less kind and limit."""
     entries = np.asarray(entries, dtype=complex)
-    compatible, labels = spectra._structure(entries, pairing_tolerance(entries))
+    compatible, labels = spectra._structure(entries, slack(ROUNDOFF_RTOL, entries))
     return entries.size, compatible, labels
 
 

@@ -42,8 +42,9 @@ def test_util_names_the_five_tolerances():
     }
 
 
-def test_slack_scales_by_the_largest_magnitude_or_the_floor():
+def test_slack_scales_by_the_largest_magnitude():
     assert _util.slack(1e-12, [3.0, -4.0], [2.0]) == 1e-12 * 4.0
-    assert _util.slack(1e-12, [0.5], floor=1.0) == 1e-12
+    assert _util.slack(1e-12, [0.5]) == 1e-12 * 0.5
+    assert _util.slack(1e-12) == 0.0
     assert _util.slack(1e-12, [], [[0.0]]) == 0.0
     assert _util.slack(1e-12, [3 + 4j]) == 1e-12 * 5.0
