@@ -4,12 +4,10 @@ Each tolerance below is relative: :func:`slack` scales it by the largest
 magnitude among the operands a comparison reads, with no floor, so a
 verdict it judges stays put when every operand is scaled by a power of 2
 (within the normal range); each comment names its users, then those
-operands.  Only the CLI's oracle check floors its scale at 1
-(:func:`niepkit.cli._judge`).  Each inequality has one judge: ``|c| <= s``
-the rule of the builders of :mod:`niepkit.blocks`, which the witness
-search applies to each pair its join (one for both parities, on body
-rows) passes; the 4x4 region :func:`realize_four`'s conditions, which
-:func:`region_check` wraps.
+operands.  Each inequality has one judge: ``|c| <= s`` the rule of the
+builders of :mod:`niepkit.blocks`, which the witness search applies to
+each pair its join (one for both parities, on body rows) passes; the 4x4
+region :func:`realize_four`'s conditions, which :func:`region_check` wraps.
 """
 
 import numpy as np
@@ -17,8 +15,8 @@ import numpy as np
 ROUNDOFF_RTOL = 1e-12  # pairing, blocks, 4x4, search, Brauer: the operands
 REALNESS_RTOL = 1e-10  # dft row recovery: each row, at least the smallest normal
 PERMUTATIVE_RTOL = 1e-9  # is_permutative: the matrix
-VERIFY_RTOL = 1e-7  # CLI oracle check of every build: expected spectrum, floor 1
-SWEEP_RTOL = 1e-8  # region-sweep, verify default: expected spectrum, floor 1
+VERIFY_RTOL = 1e-7  # CLI oracle check of every build: the expected spectrum
+SWEEP_RTOL = 1e-8  # region-sweep, verify default: the expected spectrum
 
 
 def as_float_vector(x, name="vector"):

@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from ._util import SWEEP_RTOL, VERIFY_RTOL, max_abs
+from ._util import SWEEP_RTOL, VERIFY_RTOL, slack
 from .blocks import BlockBuildSpec, build_circ_skew, build_even, build_odd
 from .dft import circulant_eigenvalues, skew_eigenvalues
 from .errors import (
@@ -182,9 +182,9 @@ def _emit(args, text):
 def _judge(matrix, expected, rtol, tol=None):
     """The oracle's judgement of ``matrix`` against ``expected``: the computed
     spectrum, the match report and the tolerance, which is ``tol`` when given
-    and ``rtol * max(1, max|expected|)`` otherwise."""
+    and ``slack(rtol, expected)`` otherwise."""
     if tol is None:
-        tol = rtol * max(1.0, max_abs(expected))
+        tol = slack(rtol, expected)
     computed = spectrum(matrix)
     return computed, match_spectra(computed, expected, tol), tol
 

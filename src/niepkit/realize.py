@@ -147,7 +147,8 @@ def region_check(point):
     realizing matrix for {1, r, a+ib, a-ib} is entrywise nonnegative.
 
     The inequalities are those of :func:`realize_four`, with its slack, so
-    a point passes exactly when ``realize_four(point.spectrum)`` succeeds.
+    for ``|a+ib| <= 1`` a point passes exactly when ``realize_four`` succeeds
+    on its spectrum (at r = 1, a = 2, b = 0 it does, with Perron root 2).
     """
     tol = slack(ROUNDOFF_RTOL, point.spectrum)
     return _four_conditions(1.0, point.r, complex(point.a, point.b), tol) is None
@@ -530,9 +531,13 @@ def skew_row_bound(upsilon, cap=DEFAULT_ENUMERATION_CAP):
     of one ordering per shift class are recovered (see
     :func:`check_conditions`): the others repeat their magnitudes.
     """
-    ups = as_complex_vector(upsilon, "skew spectrum")
+    return max_abs(_skew_rows(as_complex_vector(upsilon, "skew spectrum"), cap)[1])
+
+
+def _skew_rows(ups, cap):
+    """``(betas, c_rows)``: the skew orderings that chi reads, and their rows."""
     betas = _search_orderings(_structure_key(ups, "skew"), cap)
-    return max_abs(_recover_rows(ups[betas], 0))
+    return betas, _recover_rows(ups[betas], 0)
 
 
 @dataclass(frozen=True)
@@ -569,9 +574,10 @@ def brauer_plan(upsilon, tail, rho, cap=DEFAULT_ENUMERATION_CAP):
     if tail.size != n:
         raise ValueError(f"tail must have length {n}, got {tail.size}")
     rho = float(rho)
+    if not np.isfinite(rho):
+        raise ValueError("rho must be finite")
 
-    betas = _search_orderings(_structure_key(ups, "skew"), cap)
-    c_rows = _recover_rows(ups[betas], 0)
+    betas, c_rows = _skew_rows(ups, cap)
     magnitudes = np.abs(c_rows.T).max(axis=0)
     chi = float(magnitudes.max())
     # argmin keeps the first of tied minima: the lexicographically first beta

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 
 import fixtures as fx
 from niepkit import cli, realize
-from niepkit._util import VERIFY_RTOL, max_abs
-from niepkit.blocks import BlockBuildSpec, build_circ_skew
+from niepkit._util import SWEEP_RTOL, VERIFY_RTOL, max_abs, slack
+from niepkit.blocks import BlockBuildSpec, build_circ_skew, build_even
 from niepkit.cli import main
 from niepkit.dft import circulant_eigenvalues, skew_eigenvalues
 from niepkit.oracle import match_spectra, spectrum
-from niepkit.realize import brauer_augment, brauer_plan, realize_four
+from niepkit.realize import brauer_augment, brauer_plan, realize_four, skew_row_bound
+from test_realize import _four_lists, _majorization_edges
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -278,6 +279,15 @@ class TestBuild:
         )
         assert main(["build", inp, "--gamma", "0.5", "--sign", "minus"]) == 0
 
+    def test_nilpotent_pair_verifies_at_zero_tolerance(self, tmp_path):
+        # every expected eigenvalue is 0, so the oracle's tolerance is 0.0
+        inp = write_json(
+            tmp_path / "in.json", {"S": [[0.0, 1.0], [0.0, 0.0]], "C": [[0.0, 0.5], [0.0, 0.0]]}
+        )
+        out = tmp_path / "out.json"
+        assert main(["build", inp, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["max_pair_distance"] == 0.0
+
     def test_majorization_failure_exits_2(self, tmp_path):
         inp = write_json(
             tmp_path / "in.json",
@@ -515,6 +525,39 @@ class TestVerify:
         )
         assert main(["verify", inp, "--tol=0"]) == 0
 
+    def test_wrong_spectrum_below_scale_1_exits_2(self, tmp_path, capsys):
+        # {1e-9, 2e-9} is not {5e-9, -3e-9}: the default tolerance is judged
+        # at the claim's own scale, with no floor
+        claimed = [[5e-9, 0.0], [-3e-9, 0.0]]
+        inp = write_json(
+            tmp_path / "in.json", {"matrix": [[1e-9, 0.0], [0.0, 2e-9]], "spectrum": claimed}
+        )
+        assert main(["verify", inp]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["matched"] is False
+        tol = slack(SWEEP_RTOL, np.array(claimed).view(complex)[:, 0])
+        assert payload["tolerance"] == tol == SWEEP_RTOL * 5e-9
+        assert payload["max_pair_distance"] > tol
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[0.0, 1.0], [0.0, 0.0]],
+            [[0.0, 1.0, 2.0], [0.0, 0.0, 3.0], [0.0, 0.0, 0.0]],
+            [[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [5.0, 6.0, 0.0]],
+        ],
+        ids=["zero", "nilpotent-2", "upper-3", "lower-3"],
+    )
+    def test_zero_claim_has_zero_tolerance_and_matches(self, tmp_path, capsys, matrix):
+        # a strictly triangular matrix has exactly zero eigenvalues
+        inp = write_json(
+            tmp_path / "in.json", {"matrix": matrix, "spectrum": [[0.0, 0.0]] * len(matrix)}
+        )
+        assert main(["verify", inp]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"matched": True, "max_pair_distance": 0.0, "tolerance": 0.0}
+
 
 @pytest.mark.parametrize("command", ["build", "check", "augment", "verify"])
 def test_input_that_is_not_an_object_exits_3(tmp_path, capsys, command):
@@ -681,7 +724,7 @@ class TestNonNumericInput:
 def reference_payload_text(matrix, expected):
     """The JSON the matrix commands wrote when ``computed_spectrum`` came
     from a second eigensolve after the oracle check."""
-    tol = VERIFY_RTOL * max(1.0, max_abs(expected))
+    tol = slack(VERIFY_RTOL, expected)
     report = match_spectra(spectrum(matrix), expected, tol)
     assert report.matched
     payload = {
@@ -711,7 +754,7 @@ def test_payload_writers_give_the_bytes_of_per_entry_floats():
     assert cli._json_text(cli._complex_out(expected)) == json.dumps(
         old_complex_out(expected), indent=2
     )
-    tol = VERIFY_RTOL * max(1.0, max_abs(values))
+    tol = slack(VERIFY_RTOL, values)
     report = match_spectra(spectrum(M), values, tol)
     old = {
         "matrix": [[float(v) for v in row] for row in M],
@@ -956,3 +999,106 @@ def test_empty_array_exits_3(tmp_path, capsys, command, payload, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"input error: {message}\n"
+
+
+def _scaled(data, t):
+    """``data`` with every number in it multiplied by ``t``."""
+    if isinstance(data, dict):
+        return {key: _scaled(value, t) for key, value in data.items()}
+    if isinstance(data, list):
+        return [_scaled(value, t) for value in data]
+    return data * t
+
+
+@st.composite
+def _build_rows_inputs(draw):
+    """Paired rows with ``s = |c| + u``, ``u`` from -0.1 up, so some entry
+    may fail ``|c| <= s``, for the even build."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    c = rng.uniform(-1.0, 1.0, size=n)
+    s = np.abs(c) + rng.uniform(-0.1, 1.0, size=n)
+    return {"circulant_row": s.tolist(), "skew_row": c.tolist()}
+
+
+@st.composite
+def _build_bordered_inputs(draw):
+    """``S`` of order n + 1 from ``max|c| + u``, ``u`` from -0.1 up, and a
+    skew row ``c``, for the bordered build."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 5))
+    c = rng.uniform(-1.0, 1.0, size=n)
+    S = np.abs(c).max() + rng.uniform(-0.1, 1.0, size=(n + 1, n + 1))
+    return {"S": S.tolist(), "skew_row": c.tolist()}
+
+
+@st.composite
+def _augment_inputs(draw):
+    """A skew spectrum, the tail of a nonnegative circulant's spectrum and a
+    rho within 1 of the least one that the tail's own circulant gives."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 4))
+    ups = skew_eigenvalues(rng.uniform(-1.0, 1.0, size=n))
+    lam = circulant_eigenvalues(rng.uniform(0.0, 1.0, size=n + 1))
+    rho = (n + 1) * skew_row_bound(ups) + lam[0].real + rng.uniform(-1.0, 1.0)
+    return {"skew": pairs(ups), "tail": pairs(lam[1:]), "rho": rho}
+
+
+@st.composite
+def _verify_inputs(draw):
+    """The block build of diagonal S and C with its spectrum, true or with
+    one diagonal entry, or a mirrored pair, moved by 6 to 100 tolerances."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 5))
+    s, c = rng.uniform(1.0, 2.0, size=n), rng.uniform(-1.0, 1.0, size=n)
+    M = build_even(np.diag(s), np.diag(c))
+    expected = np.concatenate([s, c])
+    moved = draw(st.sampled_from(["none", "one", "mirrored"]))
+    delta = (moved != "none") * draw(st.floats(6.0, 100.0)) * slack(SWEEP_RTOL, expected)
+    M[0, 0] += delta
+    if moved == "mirrored":
+        M[1, 1] += delta
+    return {"matrix": M.tolist(), "spectrum": pairs(expected)}
+
+
+_FLAGS = st.sampled_from([[], ["--gamma=0.5"], ["--sign=minus"], ["--gamma=0.75", "--sign=minus"]])
+
+#: Inputs of each command that reads only numbers with a scale, drawn at
+#: scale 1 with either outcome, exit 0 or 2; the options are ratios.
+_SCALABLE_INPUTS = {
+    "build-rows": st.tuples(st.just(["build"]), _FLAGS, _build_rows_inputs()),
+    "build-bordered": st.tuples(st.just(["build"]), _FLAGS, _build_bordered_inputs()),
+    "check": st.tuples(
+        st.just(["check"]),
+        st.just([]),
+        _majorization_edges().map(
+            lambda pair: {"circulant": pairs(pair.circulant_part), "skew": pairs(pair.skew_part)}
+        ),
+    ),
+    "augment": st.tuples(st.just(["augment"]), _FLAGS, _augment_inputs()),
+    "realize4": st.tuples(
+        st.just(["realize4"]),
+        st.just([]),
+        _four_lists().map(lambda lams: pairs([*lams[:2], lams[2], lams[2].conjugate()])),
+    ),
+    "verify": st.tuples(st.just(["verify"]), st.just([]), _verify_inputs()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCALABLE_INPUTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(-60, 60))
+def test_exit_code_is_unchanged_by_scaling_the_input_by_a_power_of_2(
+    tmp_path_factory, case, data, k
+):
+    # every tolerance scales with its operands, so the verdict of t*input
+    # is the verdict of the input; LAPACK is not bit-equivariant under 2^k,
+    # so the distances may move in their last bits but not the exit code
+    command, flags, payload = data.draw(_SCALABLE_INPUTS[case])
+    tmp = tmp_path_factory.mktemp("scaled")
+    codes = []
+    for name, value in (("in.json", payload), ("scaled.json", _scaled(payload, 2.0**k))):
+        inp = write_json(tmp / name, value)
+        codes.append(main([*command, inp, *flags, "--out", str(tmp / "out.json")]))
+    assert codes[0] in (0, 2)
+    assert codes[1] == codes[0]

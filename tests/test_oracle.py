@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import fixtures as fx
 from niepkit import oracle
-from niepkit._util import VERIFY_RTOL
+from niepkit._util import VERIFY_RTOL, slack
 from niepkit.blocks import BlockBuildSpec, build_circ_skew, build_even, build_odd
 from niepkit.dft import circulant_eigenvalues, skew_eigenvalues
 from niepkit.errors import EigensolveError
@@ -322,7 +322,7 @@ def _block_case(N, seed=0):
 
 
 def _verify_tol(expected):
-    return VERIFY_RTOL * max(1.0, float(np.abs(expected).max()))
+    return slack(VERIFY_RTOL, expected)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import fixtures as fx
 from niepkit import realize, spectra
-from niepkit._util import VERIFY_RTOL, max_abs
+from niepkit._util import VERIFY_RTOL, max_abs, slack
 from niepkit.blocks import BlockBuildSpec, _violations, build_circ_skew, build_even
 from niepkit.dft import (
     circulant_eigenvalues,
@@ -220,6 +220,31 @@ class TestRegion:
                     assert np.array_equal(M, _reference_region_matrix(point))
                 edge += not exact
         assert edge == 80
+
+    def test_region_check_is_realize_four_only_at_perron_root_1(self):
+        # {1, 1, 2, 2} has Perron root 2: realize_four builds it, while the
+        # region, normalized to Perron root 1, leaves r = 1, a = 2, b = 0 out
+        point = RegionPoint(r=1.0, a=2.0, b=0.0)
+        M = realize_four(point.spectrum)
+        assert M.min() >= 0.0
+        assert match_spectra(spectrum(M), point.spectrum, 1e-12).matched
+        assert not region_check(point)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        r=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        radius=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        angle=st.sampled_from([0.0, 0.5, 1.0, 1.5]) | st.floats(0.0, 2.0),
+    )
+    def test_region_check_is_realize_four_in_the_unit_disk(self, r, radius, angle):
+        z = radius * complex(np.cos(np.pi * angle), np.sin(np.pi * angle))
+        point = RegionPoint(r=r, a=z.real, b=z.imag)
+        try:
+            realize_four(point.spectrum)
+            four = True
+        except RealizabilityError:
+            four = False
+        assert region_check(point) == four
 
     def test_edge_point_within_roundoff_accepted(self):
         point = RegionPoint(r=0.2, a=-0.5, b=0.40000000000000013)
@@ -615,7 +640,7 @@ def test_certified_witness_builds_at_the_slack_edge(pair):
         M = build_from_witness(pair, report.witness)
         lam, ups = pair.arrays()
         expected = np.concatenate([lam, ups])
-        tol = VERIFY_RTOL * max(1.0, max_abs(expected))
+        tol = slack(VERIFY_RTOL, expected)
         assert match_spectra(spectrum(M), expected, tol).matched
 
 
@@ -1183,6 +1208,15 @@ class TestBrauer:
         with pytest.raises(ValueError):
             brauer_plan(upsilon_seven(), [0, 0], 20.0)
 
+    @pytest.mark.parametrize("rho", [float("inf"), float("-inf"), float("nan")])
+    def test_nonfinite_rho_is_refused_before_any_search(self, monkeypatch, rho):
+        def search(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(realize, "_search_orderings", search)
+        with pytest.raises(ValueError, match="^rho must be finite$"):
+            brauer_plan(upsilon_seven(), [0, 0, 0], rho)
+
 
 @pytest.mark.parametrize(
     "search, kind",
@@ -1450,7 +1484,7 @@ def _witness_verifies(pair, report):
     assert satisfies_skew_pairing(ups[list(witness.beta.mapping)])
     M = build_from_witness(pair, witness)
     expected = np.concatenate([lam, pair.gamma * ups])
-    tol = VERIFY_RTOL * max(1.0, max_abs(expected))
+    tol = slack(VERIFY_RTOL, expected)
     assert match_spectra(spectrum(M), expected, tol).matched
 
 
