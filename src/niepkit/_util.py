@@ -64,5 +64,8 @@ def max_abs(arr):
 
 def slack(rtol, *arrays):
     """``rtol`` times the largest magnitude in ``arrays``; 0.0 when they hold
-    none."""
+    none.  The common one-operand call skips the variadic maximum, whose
+    result it is."""
+    if len(arrays) == 1:
+        return rtol * max_abs(arrays[0])
     return rtol * max(map(max_abs, arrays), default=0.0)

@@ -188,12 +188,16 @@ def build_circ_skew(s_row, c_row, spec=BlockBuildSpec()):
     return _finalize_nonnegative(M)
 
 
-def _resolve_split(spec, last_row):
+def _resolve_split(split, last_row):
+    """The ``(n, 2)`` parts of the last row: equal halves when ``split`` is
+    None; otherwise ``split`` (a tuple, list or array of pairs) checked for
+    shape, finiteness, sign and row sums under the roundoff slack of the
+    last row and the split, its roundoff negatives clipped to zero."""
     n = last_row.size
-    if spec.last_row_split is None:
+    if split is None:
         half = last_row / 2.0
         return np.column_stack([half, half])
-    split = np.asarray(spec.last_row_split, dtype=float)
+    split = np.asarray(split, dtype=float)
     if split.shape != (n, 2):
         raise ValueError(f"last_row_split must be {n} pairs, got shape {split.shape}")
     if not np.isfinite(split).all():
@@ -214,17 +218,24 @@ def build_odd(S, c_row, spec=BlockBuildSpec()):
     the leading n x n body.  The last row of the output splits each
     ``S[n, j]`` into the two nonnegative parts given by
     ``spec.last_row_split`` (default: equal halves); the spectrum does not
-    depend on the choice of split.
+    depend on the choice of split.  The inputs are coerced here and built
+    by :func:`_build_odd`, the one bordered assembly.
     """
     S = as_float_matrix(S, "S")
     c_row = as_float_vector(c_row, "c_row")
+    return _build_odd(S, c_row, spec.signed_gamma, spec.last_row_split)
+
+
+def _build_odd(S, c_row, g, split):
+    """:func:`build_odd` of a float matrix ``S``, a float row ``c_row``, the
+    signed scaling ``g`` and the last-row ``split`` (None for halves; see
+    :func:`_resolve_split`)."""
     n = c_row.size
     if S.shape != (n + 1, n + 1):
         raise ValueError(f"S must have order {n + 1}, got {S.shape}")
     C = _skew_circulant(c_row)
     _check_majorization(S[:n, :n], C)
-    split = _resolve_split(spec, S[n, :n])
-    g = spec.signed_gamma
+    split = _resolve_split(split, S[n, :n])
     M = np.empty((2 * n + 1, 2 * n + 1))
     M[: 2 * n, : 2 * n] = _assemble_even(S[:n, :n], C, g)
     M[0 : 2 * n : 2, 2 * n] = S[:n, n]

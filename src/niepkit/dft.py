@@ -30,10 +30,19 @@ table).  They run in batches: :func:`_recover_rows` takes one spectrum per
 row of a ``(K, n)`` array, circulant rows first and skew rows after them,
 and the public single-row functions are a batch of one.  A search of an
 even-order pair thus recovers both sides' rows with one FFT call and one
-realness pass.  ``np.fft`` transforms every row on its own, so a row comes
-out bit-identical alone, in a batch of its kind or in a mixed one.  The
-realness test reduces across the transposed rows, one position at a time
-(a maximum is exact in any order).
+realness test.  ``np.fft`` transforms every row on its own, so a row comes
+out bit-identical alone, in a batch of its kind or in a mixed one.  Each
+real row's largest magnitude is read once and returned with the rows, for
+the slacks and bounds downstream (a maximum is exact in any order).
+
+Realness is judged per row, each against ``REALNESS_RTOL`` times its own
+largest magnitude ``max|z|``.  A batch is first judged by one comparison:
+its largest imaginary residue against half that rate times the smallest
+real row maximum (or the smallest normal float).  Since ``|z| >= |Re z|``,
+every row's own limit is at least that bound, so a batch this accepts
+passes the per-row test; any other batch takes the per-row test, which
+decides and names the first bad row.  The verdict and the rows are those
+of the per-row test alone.
 
 The forward maps and the matrices ``F`` / ``G`` are the naive O(n^2) sums,
 taken over a table of the ``2n`` roots ``iota**t`` (``t = 0..2n-1``): every
@@ -131,10 +140,12 @@ def skew_eigenvalues(row):
 
 
 def _recover_rows(spectra, skew_from):
-    """First rows of the real circulants and skew circulants whose
-    index-ordered spectra are the rows of the complex ``(K, n)`` array
-    ``spectra``: rows ``0..skew_from-1`` are circulant spectra, the rest
-    skew spectra, so both kinds of one order take one ``np.fft.fft`` call.
+    """``(rows, row_max)``: the first rows of the real circulants and skew
+    circulants whose index-ordered spectra are the rows of the complex
+    ``(K, n)`` array ``spectra`` (rows ``0..skew_from-1`` are circulant
+    spectra, the rest skew spectra, so both kinds of one order take one
+    ``np.fft.fft`` call), and ``row_max[i]``, the largest magnitude of
+    real row ``i``.
 
     The rows come in Fortran order (each position of all rows is
     contiguous), as the position-major tests downstream read them.
@@ -144,17 +155,24 @@ def _recover_rows(spectra, skew_from):
     :class:`PairingError` is raised, naming the kind of the first such
     row.  An imaginary residue below the smallest normal float is roundoff
     at any scale: a row of subnormal entries has no relative precision
-    left to judge.
+    left to judge.  A batch is accepted whole when its largest imaginary
+    residue is at most half that relative limit at the smallest
+    ``row_max`` (or the smallest normal float); since ``|z| >= |Re z|``,
+    every row of such a batch passes its own test.  Any other batch is
+    judged row by row.
     """
     n = spectra.shape[-1]
     rows = np.fft.fft(spectra, axis=-1)
     rows[skew_from:] *= _skew_twiddle(n)
     rows /= n
-    cols = rows.T.copy()
-    scale = np.abs(cols).max(axis=0)
-    worst = np.abs(cols.imag).max(axis=0)
-    limit = np.maximum(REALNESS_RTOL * scale, _TINY)
-    bad = np.flatnonzero(worst > limit)
+    real = rows.real.T.copy()
+    row_max = np.abs(real).max(axis=0)
+    worst = np.abs(rows.imag)
+    if row_max.size and worst.max() <= max(0.5 * REALNESS_RTOL * row_max.min(), _TINY):
+        return real.T, row_max
+    scale = np.abs(rows).max(axis=1)
+    worst = worst.max(axis=1)
+    bad = np.flatnonzero(worst > np.maximum(REALNESS_RTOL * scale, _TINY))
     if bad.size:
         i = bad[0]
         kind = "circulant" if i < skew_from else "skew"
@@ -163,7 +181,7 @@ def _recover_rows(spectra, skew_from):
             f"part {worst[i]:.3e} exceeds {REALNESS_RTOL:.0e} * {scale[i]:.3e}); "
             "the input spectrum violates its conjugate-pairing layout"
         )
-    return cols.real.copy().T
+    return real.T, row_max
 
 
 def circulant_row_from_spectrum(values):
@@ -173,7 +191,7 @@ def circulant_row_from_spectrum(values):
     real); raises :class:`PairingError` otherwise.
     """
     values = as_complex_vector(values, "spectrum")
-    return _recover_rows(values[None, :], 1)[0]
+    return _recover_rows(values[None, :], 1)[0][0]
 
 
 def skew_row_from_spectrum(values):
@@ -183,4 +201,4 @@ def skew_row_from_spectrum(values):
     :class:`PairingError` otherwise.
     """
     values = as_complex_vector(values, "spectrum")
-    return _recover_rows(values[None, :], 0)[0]
+    return _recover_rows(values[None, :], 0)[0][0]

@@ -19,7 +19,14 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._util import ROUNDOFF_RTOL, as_complex_vector, max_abs, slack
-from .blocks import BlockBuildSpec, _assemble_even, _violations, build_circ_skew, build_odd
+from .blocks import (
+    BlockBuildSpec,
+    _assemble_even,
+    _build_odd,
+    _violations,
+    build_circ_skew,
+    build_odd,
+)
 from .dft import _recover_rows
 from .errors import PairingError, RealizabilityError
 from .spectra import (
@@ -149,9 +156,12 @@ def region_check(point):
     The inequalities are those of :func:`realize_four`, with its slack, so
     for ``|a+ib| <= 1`` a point passes exactly when ``realize_four`` succeeds
     on its spectrum (at r = 1, a = 2, b = 0 it does, with Perron root 2).
+    A ``b`` within the slack reads as 0, as ``realize_four`` reads a pair
+    that close to the real axis as a repeated real.
     """
     tol = slack(ROUNDOFF_RTOL, point.spectrum)
-    return _four_conditions(1.0, point.r, complex(point.a, point.b), tol) is None
+    b = point.b if abs(point.b) > tol else 0.0
+    return _four_conditions(1.0, point.r, complex(point.a, b), tol) is None
 
 
 def realize_region(point):
@@ -460,7 +470,8 @@ def check_conditions(pair, cap=DEFAULT_ENUMERATION_CAP):
     whose operands are among those rows, so the join keeps every pair the
     builders accept.  The join runs three exact filters (:func:`_joined`):
 
-    1. the live rows, their body rows and the join's slack, once;
+    1. the live rows, their body rows and the join's slack, once, the
+       slack from the row maxima that row recovery returns;
     2. the first live alpha against every beta in one comparison; its
        passing pairs come first in lexicographic order, so they are
        judged first, in beta order;
@@ -486,23 +497,25 @@ def check_conditions(pair, cap=DEFAULT_ENUMERATION_CAP):
     odd = lam.size == ups.size + 1
     betas = _search_orderings(parts.skew_key, cap)
     if odd:  # the parts differ in length: one FFT call each
-        s_rows = _recover_rows(lam[alphas], len(alphas))
-        c_rows = _recover_rows(ups[betas], 0)
+        s_rows, s_max = _recover_rows(lam[alphas], len(alphas))
+        c_rows, c_max = _recover_rows(ups[betas], 0)
     else:
-        rows = _recover_rows(np.concatenate([lam[alphas], ups[betas]]), len(alphas))
+        rows, row_max = _recover_rows(np.concatenate([lam[alphas], ups[betas]]), len(alphas))
         s_rows, c_rows = rows[:len(alphas)], rows[len(alphas):]
+        s_max, c_max = row_max[:len(alphas)], row_max[len(alphas):]
     # Fortran order, as recovered: the join reads one position of all skew
     # rows at a time, and the live test one position of all circulant rows
     c_abs = np.abs(c_rows)
     live = np.flatnonzero((s_rows.T >= -tol).all(axis=0))
     body = _body(s_rows[live]) if odd else s_rows[live]
-    join_tol = slack(ROUNDOFF_RTOL, s_rows, c_abs)
+    # slack(ROUNDOFF_RTOL, s_rows, c_abs), read from the recovered row maxima
+    join_tol = ROUNDOFF_RTOL * max(s_max.max(), c_max.max())
     for i, b in _joined(body, c_abs, join_tol):
         s_row, c_row = s_rows[live[i]], c_rows[b]
         if _builds(s_row, c_row, odd):
             c_pad = np.concatenate([c_abs[b], [0.0]]) if odd else c_abs[b]
             witness = ConditionWitness(
-                alpha=_permutation(parts.order[alphas], live[i], "circulant"),
+                alpha=_permutation(parts.order, alphas[live[i]], "circulant"),
                 beta=_permutation(betas, b, "skew"),
                 circulant_row=tuple(s_row.tolist()),
                 skew_row=tuple(c_row.tolist()),
@@ -531,13 +544,14 @@ def skew_row_bound(upsilon, cap=DEFAULT_ENUMERATION_CAP):
     of one ordering per shift class are recovered (see
     :func:`check_conditions`): the others repeat their magnitudes.
     """
-    return max_abs(_skew_rows(as_complex_vector(upsilon, "skew spectrum"), cap)[1])
+    return float(_skew_rows(as_complex_vector(upsilon, "skew spectrum"), cap)[2].max())
 
 
 def _skew_rows(ups, cap):
-    """``(betas, c_rows)``: the skew orderings that chi reads, and their rows."""
+    """``(betas, c_rows, c_max)``: the skew orderings that chi reads, their
+    rows and each row's largest magnitude."""
     betas = _search_orderings(_structure_key(ups, "skew"), cap)
-    return betas, _recover_rows(ups[betas], 0)
+    return (betas, *_recover_rows(ups[betas], 0))
 
 
 @dataclass(frozen=True)
@@ -560,47 +574,16 @@ class BrauerPlan:
 def brauer_plan(upsilon, tail, rho, cap=DEFAULT_ENUMERATION_CAP):
     """Plan the augmentation realizing {rho} union tail union (+/-gamma)*upsilon.
 
-    Steps: chi is :func:`skew_row_bound` of upsilon; the skew row is the
-    candidate minimizing its largest magnitude (ties to the
-    lexicographically first reordering, which is among the one ordering
-    per shift class that both read at even n); a nonnegative circulant B with
-    spectrum {rho - (n+1)*chi} union tail is searched over circulant-layout
+    Steps: chi is :func:`skew_row_bound` of upsilon, the largest of the
+    skew rows' maxima as their recovery reads them; the skew row is the
+    candidate of least maximum (ties to the lexicographically first
+    reordering, which is among the one ordering per shift class that both
+    read at even n); a nonnegative circulant B with spectrum
+    {rho - (n+1)*chi} union tail is searched over circulant-layout
     reorderings; the all-ones rank-one update B + chi * ones shifts the
     Perron root to rho while keeping the rest (Brauer), and stays circulant.
     """
-    ups = as_complex_vector(upsilon, "skew spectrum")
-    tail = as_complex_vector(tail, "tail") if len(tail) else np.zeros(0, complex)
-    n = ups.size
-    if tail.size != n:
-        raise ValueError(f"tail must have length {n}, got {tail.size}")
-    rho = float(rho)
-    if not np.isfinite(rho):
-        raise ValueError("rho must be finite")
-
-    betas, c_rows = _skew_rows(ups, cap)
-    magnitudes = np.abs(c_rows.T).max(axis=0)
-    chi = float(magnitudes.max())
-    # argmin keeps the first of tied minima: the lexicographically first beta
-    best = int(np.argmin(magnitudes))
-    c_row = c_rows[best]
-
-    head = rho - (n + 1) * chi
-    shifted = np.concatenate([[complex(head)], tail])
-    # rho is an operand: the head rho - (n+1)*chi is rounded at its scale
-    tol = slack(ROUNDOFF_RTOL, shifted, [rho])
-    alphas = _search_orderings(_structure_key(shifted, "circulant"), cap)
-    b_rows = _recover_rows(shifted[alphas], len(alphas))
-    nonnegative = np.all(b_rows >= -tol, axis=1)
-    if not nonnegative.any():
-        raise RealizabilityError(
-            f"no nonnegative circulant realizes the shifted list with head "
-            f"rho - (n+1)*chi = {head:.6g}; increase rho (chi = {chi:.6g})"
-        )
-    first = int(np.argmax(nonnegative))
-    b_row = np.clip(b_rows[first], 0.0, None)
-    r_row = b_row + chi
-    # guaranteed by construction: every entry of R dominates every |c_k|
-    assert np.min(r_row) >= chi - tol >= max_abs(c_row) - tol
+    chi, b_row, r_row, c_row, alphas, first, betas, best = _brauer_rows(upsilon, tail, rho, cap)
     return BrauerPlan(
         chi=chi,
         base_row=tuple(b_row.tolist()),
@@ -611,24 +594,69 @@ def brauer_plan(upsilon, tail, rho, cap=DEFAULT_ENUMERATION_CAP):
     )
 
 
+def _brauer_rows(upsilon, tail, rho, cap):
+    """The fields of :func:`brauer_plan`, the rows as arrays and each
+    ordering as its array and row: ``(chi, base_row, circulant_row,
+    skew_row, alphas, first, betas, best)``."""
+    ups = as_complex_vector(upsilon, "skew spectrum")
+    tail = as_complex_vector(tail, "tail") if len(tail) else np.zeros(0, complex)
+    n = ups.size
+    if tail.size != n:
+        raise ValueError(f"tail must have length {n}, got {tail.size}")
+    rho = float(rho)
+    if not np.isfinite(rho):
+        raise ValueError("rho must be finite")
+
+    betas, c_rows, c_max = _skew_rows(ups, cap)
+    chi = float(c_max.max())
+    # argmin keeps the first of tied minima: the lexicographically first beta
+    best = int(np.argmin(c_max))
+
+    head = rho - (n + 1) * chi
+    shifted = np.concatenate([[complex(head)], tail])
+    # rho is an operand: the head rho - (n+1)*chi is rounded at its scale
+    tol = slack(ROUNDOFF_RTOL, shifted, [rho])
+    alphas = _search_orderings(_structure_key(shifted, "circulant"), cap)
+    b_rows = _recover_rows(shifted[alphas], len(alphas))[0]
+    nonnegative = np.all(b_rows >= -tol, axis=1)
+    if not nonnegative.any():
+        raise RealizabilityError(
+            f"no nonnegative circulant realizes the shifted list with head "
+            f"rho - (n+1)*chi = {head:.6g}; increase rho (chi = {chi:.6g})"
+        )
+    first = int(np.argmax(nonnegative))
+    b_row = np.clip(b_rows[first], 0.0, None)
+    r_row = b_row + chi
+    # guaranteed by construction: every entry of R dominates every |c_k|
+    assert np.min(r_row) >= chi - tol >= c_max[best] - tol
+    return chi, b_row, r_row, c_rows[best], alphas, first, betas, best
+
+
 def brauer_augment(upsilon, tail, rho, gamma=1.0, sign=1, cap=DEFAULT_ENUMERATION_CAP):
     """Order-(2n+1) nonnegative matrix with spectrum
     {rho} union tail union (sign*gamma)*upsilon.
 
     The last row splits each entry of R into ``(r + g*c)/2, (r - g*c)/2``,
     which keeps the output permutative whenever R is flat (the all-zero
-    tail case, where R = circ(rho/(n+1), ...)).
+    tail case, where R = circ(rho/(n+1), ...)).  It builds from the plan's
+    rows (:func:`_brauer_rows`); the plan's errors come first.
     """
-    return _augment_from_plan(brauer_plan(upsilon, tail, rho, cap=cap), gamma, sign)
+    r_row, c_row = _brauer_rows(upsilon, tail, rho, cap)[2:4]
+    return _augment(r_row, c_row, gamma, sign)
 
 
 def _augment_from_plan(plan, gamma, sign):
     """The :func:`brauer_augment` build of an already computed plan."""
-    R = circulant(np.asarray(plan.circulant_row))
-    c_row = np.asarray(plan.skew_row)
-    g = sign * gamma
+    return _augment(np.asarray(plan.circulant_row), np.asarray(plan.skew_row), gamma, sign)
+
+
+def _augment(r_row, c_row, gamma, sign):
+    """The bordered build (:func:`niepkit.blocks._build_odd`) of the
+    circulant R with first row ``r_row`` and the skew row ``c_row``, its
+    last row split as :func:`brauer_augment` says."""
+    g = BlockBuildSpec(gamma=gamma, sign=sign).signed_gamma
+    R = _circulant(r_row)
     n = c_row.size
     last = R[n, :n]
     split = np.column_stack([(last + g * c_row) / 2.0, (last - g * c_row) / 2.0])
-    spec = BlockBuildSpec(gamma=gamma, sign=sign, last_row_split=tuple(map(tuple, split)))
-    return build_odd(R, c_row, spec)
+    return _build_odd(R, c_row, g, split)

@@ -379,6 +379,34 @@ class TestBuildOdd:
         with pytest.raises(ValueError, match="last_row_split parts must be finite"):
             build_odd(circulant([5, 6, 3, 1]), [4, -2, 1], spec)
 
+    @pytest.mark.parametrize("container", [tuple, list, np.array])
+    @pytest.mark.parametrize(
+        "split, message",
+        [
+            (((5, 1), (2, 1)), r"last_row_split must be 3 pairs, got shape \(2, 2\)"),
+            (
+                ((5, 1, 0), (2, 1, 0), (1, 0, 0)),
+                r"last_row_split must be 3 pairs, got shape \(3, 3\)",
+            ),
+            (((np.nan, 6), (3, 0), (1, 0)), "last_row_split parts must be finite"),
+            (((6, -np.inf), (3, 0), (1, 0)), "last_row_split parts must be finite"),
+            (((-1, 7), (3, 0), (1, 0)), "last_row_split parts must be nonnegative"),
+            (((1, 1), (3, 0), (1, 0)), "last_row_split pairs must sum to the last row of S"),
+        ],
+        ids=["pairs", "triples", "nan", "inf", "negative", "sums"],
+    )
+    def test_bad_split_is_refused_whatever_holds_it(self, container, split, message):
+        spec = BlockBuildSpec(last_row_split=container([container(pair) for pair in split]))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_odd(circulant(fx.SEVEN_S_ROW), fx.SEVEN_C_ROW, spec)
+
+    def test_split_builds_the_same_bytes_whatever_holds_it(self):
+        S = circulant(fx.SEVEN_S_ROW)
+        want = build_odd(S, fx.SEVEN_C_ROW, BlockBuildSpec(last_row_split=fx.SEVEN_SPLIT))
+        for split in (list(map(list, fx.SEVEN_SPLIT)), np.array(fx.SEVEN_SPLIT, dtype=float)):
+            got = build_odd(S, fx.SEVEN_C_ROW, BlockBuildSpec(last_row_split=split))
+            assert got.tobytes() == want.tobytes()
+
     def test_interior_majorization_error(self):
         S = circulant([1.0, 1.0, 1.0, 1.0])
         with pytest.raises(MajorizationError):

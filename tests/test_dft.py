@@ -328,18 +328,20 @@ def reference_skew_row(values):
 
 def reference_recover_rows(spectra, skew_from):
     """Drop-in for ``_recover_rows`` that recovers row by row through the
-    reference sums: circulant rows before ``skew_from``, skew rows after."""
-    return np.array(
+    reference sums: circulant rows before ``skew_from``, skew rows after,
+    with each row's largest magnitude."""
+    rows = np.array(
         [
             (reference_circulant_row if k < skew_from else reference_skew_row)(v)
             for k, v in enumerate(spectra)
         ]
     )
+    return rows, np.abs(rows).max(axis=1)
 
 
 def recover_kind(spectra, kind):
-    """``_recover_rows`` of a batch of one kind."""
-    return _recover_rows(spectra, len(spectra) if kind == "circulant" else 0)
+    """The rows ``_recover_rows`` recovers from a batch of one kind."""
+    return _recover_rows(spectra, len(spectra) if kind == "circulant" else 0)[0]
 
 
 _FORWARD = {"circulant": circulant_eigenvalues, "skew": skew_eigenvalues}
@@ -428,7 +430,8 @@ def test_mixed_batch_is_bit_equal_to_one_batch_per_kind(rows):
     n = circ_rows.shape[1]
     circ = np.array([circulant_eigenvalues(r) for r in circ_rows]).reshape(-1, n)
     skew = np.array([skew_eigenvalues(r) for r in skew_rows]).reshape(-1, n)
-    merged = _recover_rows(np.concatenate([circ, skew]), len(circ))
+    merged, merged_max = _recover_rows(np.concatenate([circ, skew]), len(circ))
+    assert merged_max.tobytes() == np.abs(merged).max(axis=1).tobytes()
     assert merged.shape == (len(circ) + len(skew), n)
     assert merged.flags.f_contiguous
     parts = ((merged[: len(circ)], "circulant", circ), (merged[len(circ):], "skew", skew))
@@ -450,3 +453,140 @@ def test_mixed_batch_names_the_kind_of_its_first_bad_row(bad):
     # a bad circulant row is named before a bad skew row
     with pytest.raises(PairingError, match=f"^{bad[0]} row recovery"):
         _recover_rows(np.concatenate([circ, skew]), 3)
+
+
+def reference_realness_rows(spectra, skew_from):
+    """The rows ``_recover_rows`` returned when it judged every row on its
+    own, before it returned row maxima: a copy of that code."""
+    n = spectra.shape[-1]
+    rows = np.fft.fft(spectra, axis=-1)
+    rows[skew_from:] *= _skew_twiddle(n)
+    rows /= n
+    cols = rows.T.copy()
+    scale = np.abs(cols).max(axis=0)
+    worst = np.abs(cols.imag).max(axis=0)
+    limit = np.maximum(1e-10 * scale, np.finfo(float).tiny)
+    bad = np.flatnonzero(worst > limit)
+    if bad.size:
+        i = bad[0]
+        kind = "circulant" if i < skew_from else "skew"
+        raise PairingError(
+            f"{kind} row recovery: recovered row is not real (residual imaginary "
+            f"part {worst[i]:.3e} exceeds {1e-10:.0e} * {scale[i]:.3e}); "
+            "the input spectrum violates its conjugate-pairing layout"
+        )
+    return cols.real.copy().T
+
+
+def _batch_accepts(spectra, skew_from):
+    """Whether the one comparison of ``_recover_rows`` accepts the batch."""
+    n = spectra.shape[-1]
+    rows = np.fft.fft(spectra, axis=-1)
+    rows[skew_from:] *= _skew_twiddle(n)
+    rows /= n
+    row_max = np.abs(rows.real).max(axis=1)
+    limit = max(0.5e-10 * row_max.min(), np.finfo(float).tiny)
+    return bool(np.abs(rows.imag).max() <= limit)
+
+
+def _assert_recovery_matches_reference(spectra, skew_from):
+    """The property: the rows of the per-row reference, bit for bit, their
+    row maxima, or the reference's error text.  Returns the error text."""
+    try:
+        want = reference_realness_rows(spectra, skew_from)
+    except PairingError as exc:
+        with pytest.raises(PairingError) as got:
+            _recover_rows(spectra, skew_from)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    rows, row_max = _recover_rows(spectra, skew_from)
+    assert rows.tobytes() == want.tobytes() and rows.flags.f_contiguous
+    assert row_max.tobytes() == np.abs(rows).max(axis=1).tobytes()
+    return None
+
+
+def _planted_spectra(rng, n, circ_count, skew_count, scales, plant):
+    """Spectra of random rows, circulant rows first, each row times its
+    power of 2 in ``scales``; with ``plant`` = f, the first row gets an
+    imaginary residue of f * 1e-10 times its largest magnitude."""
+    count = circ_count + skew_count
+    rows = rng.uniform(-1.0, 1.0, size=(count, n)) * np.asarray(scales)[:, None]
+    rows = rows.astype(complex)
+    if plant is not None:
+        rows[0, int(rng.integers(n))] += 1j * plant * 1e-10 * np.abs(rows[0]).max()
+    return np.concatenate(
+        [
+            rows[:circ_count] @ dft._forward_table(n, "circulant").T,
+            rows[circ_count:] @ dft._forward_table(n, "skew").T,
+        ]
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed_=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    counts=st.sampled_from(["circulant", "skew", "mixed"]).flatmap(
+        lambda kind: st.integers(1, 240).flatmap(
+            lambda count: st.just((count, 0) if kind == "circulant" else (0, count))
+            if kind != "mixed"
+            else st.integers(0, count).map(lambda c: (c, count - c))
+        )
+    ),
+    spread=st.sampled_from(["flat", "2**60", "2**-60", "2**+-60", "subnormal"]),
+    plant=st.sampled_from([None, 1.01, 0.99]),
+)
+def test_batch_accept_agrees_with_the_per_row_test(seed_, n, counts, spread, plant):
+    rng = np.random.default_rng(seed_)
+    count = sum(counts)
+    exponents = {
+        "flat": [0],
+        "2**60": [0, 60],
+        "2**-60": [0, -60],
+        "2**+-60": [-60, 0, 60],
+        "subnormal": [0, -1074],
+    }[spread]
+    scales = 2.0 ** rng.choice(exponents, size=count)
+    if plant is not None:
+        scales[0] = 1.0  # a normal row, whose own limit is relative
+    spectra = _planted_spectra(rng, n, *counts, scales, plant)
+    error = _assert_recovery_matches_reference(spectra, counts[0])
+    if plant == 1.01:
+        kind = "circulant" if counts[0] else "skew"
+        assert error is not None and error.startswith(f"{kind} row recovery")
+    elif plant == 0.99:
+        # half the relative limit declines the batch; the row's own test passes
+        assert error is None and not _batch_accepts(spectra, counts[0])
+
+
+@pytest.mark.parametrize("skew_from", [0, 1, 2])
+@pytest.mark.parametrize("exponent", [60, -60])
+def test_rows_of_distant_scales_are_judged_row_by_row(skew_from, exponent):
+    rng = np.random.default_rng(100 + exponent + skew_from)
+    spectra = _planted_spectra(rng, 6, skew_from, 2 - skew_from, [1.0, 2.0**exponent], None)
+    assert not _batch_accepts(spectra, skew_from)
+    assert _assert_recovery_matches_reference(spectra, skew_from) is None
+    # a residue just above the limit is still refused in such a batch
+    spectra = _planted_spectra(rng, 6, skew_from, 2 - skew_from, [1.0, 2.0**exponent], 1.01)
+    assert _assert_recovery_matches_reference(spectra, skew_from) is not None
+
+
+@pytest.mark.parametrize("n", [1, 4, 7])
+def test_subnormal_batches_match_the_per_row_test(n):
+    # all subnormal: the batch compares with the smallest normal float
+    row = np.full(n, 5e-324)
+    spectra = np.array([circulant_eigenvalues(row), skew_eigenvalues(2 * row)])
+    assert _batch_accepts(spectra, 1)
+    assert _assert_recovery_matches_reference(spectra, 1) is None
+    # next to a normal row the batch declines and each row passes its own test
+    spectra = np.concatenate([spectra, [skew_eigenvalues(np.linspace(-1.0, 2.0, n))]])
+    assert _assert_recovery_matches_reference(spectra, 1) is None
+
+
+@pytest.mark.parametrize("skew_from", [0, 1])
+@pytest.mark.parametrize("n", [1, 5])
+def test_empty_batch_recovers_no_rows(skew_from, n):
+    spectra = np.zeros((0, n), dtype=complex)
+    rows, row_max = _recover_rows(spectra, skew_from)
+    assert rows.shape == (0, n) and row_max.shape == (0,)
+    assert rows.tobytes() == reference_realness_rows(spectra, skew_from).tobytes()

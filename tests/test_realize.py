@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 import fixtures as fx
 from niepkit import realize, spectra
-from niepkit._util import VERIFY_RTOL, max_abs, slack
-from niepkit.blocks import BlockBuildSpec, _violations, build_circ_skew, build_even
+from niepkit._util import ROUNDOFF_RTOL, VERIFY_RTOL, max_abs, slack
+from niepkit.blocks import BlockBuildSpec, _violations, build_circ_skew, build_even, build_odd
 from niepkit.dft import (
     circulant_eigenvalues,
     circulant_row_from_spectrum,
@@ -244,6 +245,21 @@ class TestRegion:
             four = True
         except RealizabilityError:
             four = False
+        assert region_check(point) == four
+
+    @pytest.mark.parametrize("b", [1e-12, -1e-12, 0.75e-12, 0.5e-12, 1.5e-12, -3e-12])
+    @pytest.mark.parametrize("r", [1.0, np.nextafter(1.0, 0.0)])
+    def test_pair_within_the_slack_of_the_real_axis(self, r, b):
+        # realize_four reads z, conj(z) with |Im z| <= 1e-12 as a repeated
+        # real; at r = 1 the region leaves only b = 0, so region_check must
+        # read such a b as 0 (r = 1, a = 6.1e-29, b = 1e-12 disagreed)
+        point = RegionPoint(r=r, a=6.123233995736766e-29, b=b)
+        try:
+            realize_four(point.spectrum)
+            four = True
+        except RealizabilityError:
+            four = False
+        assert four == (abs(b) <= 1e-12)
         assert region_check(point) == four
 
     def test_edge_point_within_roundoff_accepted(self):
@@ -1216,6 +1232,87 @@ class TestBrauer:
         monkeypatch.setattr(realize, "_search_orderings", search)
         with pytest.raises(ValueError, match="^rho must be finite$"):
             brauer_plan(upsilon_seven(), [0, 0, 0], rho)
+
+
+def _reference_tuple_augment(plan, gamma, sign):
+    """The build of a plan as it read when the last-row split went through
+    a tuple of tuples into :func:`build_odd`: a copy of that code."""
+    R = circulant(np.asarray(plan.circulant_row))
+    c_row = np.asarray(plan.skew_row)
+    g = sign * gamma
+    n = c_row.size
+    last = R[n, :n]
+    split = np.column_stack([(last + g * c_row) / 2.0, (last - g * c_row) / 2.0])
+    spec = BlockBuildSpec(gamma=gamma, sign=sign, last_row_split=tuple(map(tuple, split)))
+    return build_odd(R, c_row, spec)
+
+
+def _brauer_inputs(rng):
+    """Skew lists of order 1..6, zero or random tails, rho from just below
+    to above the least working value, gamma in [0, 1] and both signs."""
+    for trial in range(80):
+        n = int(rng.integers(1, 7))
+        ups = skew_eigenvalues(rng.uniform(-1.0, 1.0, size=n))
+        if trial % 2:
+            tail = circulant_eigenvalues(rng.uniform(0.0, 1.0, size=n + 1))[1:]
+        else:
+            tail = np.zeros(n)
+        rho = (n + 1) * skew_row_bound(ups) + rng.uniform(-0.5, 2.0)
+        gamma = [0.0, 1.0, float(rng.uniform())][trial % 3]
+        yield ups, tail, rho, gamma, int(rng.choice([-1, 1]))
+
+
+def test_brauer_augment_equals_its_plan_build_and_the_tuple_route():
+    outcomes = set()
+    for ups, tail, rho, gamma, sign in _brauer_inputs(np.random.default_rng(2828)):
+        try:
+            plan = brauer_plan(ups, tail, rho)
+        except RealizabilityError as exc:
+            with pytest.raises(RealizabilityError, match=f"^{re.escape(str(exc))}$"):
+                brauer_augment(ups, tail, rho, gamma=gamma, sign=sign)
+            outcomes.add(False)
+            continue
+        M = brauer_augment(ups, tail, rho, gamma=gamma, sign=sign)
+        assert M.tobytes() == realize._augment_from_plan(plan, gamma, sign).tobytes()
+        assert M.tobytes() == _reference_tuple_augment(plan, gamma, sign).tobytes()
+        outcomes.add(True)
+    assert outcomes == {True, False}
+
+
+def test_brauer_plan_errors_come_before_those_of_gamma_and_sign():
+    with pytest.raises(RealizabilityError):
+        brauer_augment(upsilon_seven(), [0, 0, 0], 7.0, gamma=2.0, sign=0)
+    with pytest.raises(ValueError, match=r"^gamma must lie in \[0, 1\], got 2.0$"):
+        brauer_augment(upsilon_seven(), [0, 0, 0], 20.0, gamma=2.0)
+    with pytest.raises(ValueError, match="^sign must be"):
+        brauer_augment(upsilon_seven(), [0, 0, 0], 20.0, sign=0)
+
+
+@pytest.mark.parametrize("bordered", [False, True])
+def test_join_slack_is_the_slack_of_all_rows(bordered, monkeypatch):
+    # the join runs under slack(ROUNDOFF_RTOL, s_rows, |c_rows|), read from
+    # the recovered row maxima: the same float, bit for bit
+    seen = []
+    joined = realize._joined
+
+    def spy(body, c_abs, tol):
+        seen.append(tol)
+        return joined(body, c_abs, tol)
+
+    monkeypatch.setattr(realize, "_joined", spy)
+    pairs = list(_search_pairs(37 + bordered, bordered))
+    pairs += list(_integer_pairs(39 + bordered, bordered))
+    cap = spectra.DEFAULT_ENUMERATION_CAP
+    for pair in pairs:
+        seen.clear()
+        check_conditions(pair)
+        parts = pair._parts
+        alphas = spectra._search_orderings(parts.circulant_key, cap)
+        betas = spectra._search_orderings(parts.skew_key, cap)
+        s_rows = recover_kind(parts.headed[alphas], "circulant")
+        c_rows = recover_kind(parts.ups[betas], "skew")
+        want = slack(ROUNDOFF_RTOL, s_rows, np.abs(c_rows))
+        assert len(seen) == 1 and np.float64(seen[0]).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize(

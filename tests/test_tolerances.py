@@ -2,7 +2,10 @@
 tolerance, and no other source module carries a small float literal."""
 
 import ast
+import itertools
 from pathlib import Path
+
+import numpy as np
 
 from niepkit import _util
 
@@ -48,3 +51,29 @@ def test_slack_scales_by_the_largest_magnitude():
     assert _util.slack(1e-12) == 0.0
     assert _util.slack(1e-12, [], [[0.0]]) == 0.0
     assert _util.slack(1e-12, [3 + 4j]) == 1e-12 * 5.0
+
+
+def _reference_slack(rtol, *arrays):
+    """``slack`` as one variadic maximum for every operand count."""
+    return rtol * max(map(_util.max_abs, arrays), default=0.0)
+
+
+_OPERANDS = [
+    [],
+    np.array([]),
+    [-0.0],
+    np.array([0.0, -0.0]),
+    [3.0, -4.0],
+    [[1e-300, -2.5]],
+    [5e-324],
+    [3 + 4j],
+]
+
+
+def test_slack_is_the_variadic_maximum_bit_for_bit():
+    # the one-operand call skips the variadic maximum, with the same result
+    for count in range(4):
+        for arrays in itertools.product(_OPERANDS, repeat=count):
+            got, want = _util.slack(1e-12, *arrays), _reference_slack(1e-12, *arrays)
+            assert type(got) is type(want) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
