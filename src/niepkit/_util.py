@@ -4,10 +4,18 @@ Each tolerance below is relative: :func:`slack` scales it by the largest
 magnitude among the operands a comparison reads, with no floor, so a
 verdict it judges stays put when every operand is scaled by a power of 2
 (within the normal range); each comment names its users, then those
-operands.  Each inequality has one judge: ``|c| <= s`` the rule of the
-builders of :mod:`niepkit.blocks`, which the witness search applies to
-each pair its join (one for both parities, on body rows) passes; the 4x4
-region :func:`realize_four`'s conditions, which :func:`region_check` wraps.
+operands.  A slack may be read from a maximum the code already holds when
+that maximum is the very float :func:`slack` would compute: the row maxima
+that row recovery returns, in the search's join and in each pair's judge
+(:func:`niepkit.realize._builds`); ``M.min()`` and ``M.max()`` in the
+builders' clamp (max|M| = max(max M, -min M)); the skew row standing in
+for its skew circulant, whose entries are its own up to sign; and the
+Brauer shift, ``max(max_abs(shifted), abs(rho))``.
+
+Each inequality has one judge: ``|c| <= s`` the rule of the builders of
+:mod:`niepkit.blocks`, which the witness search applies to each pair its
+join (one for both parities, on body rows) passes; the 4x4 region
+:func:`realize_four`'s conditions, which :func:`region_check` wraps.
 """
 
 import numpy as np

@@ -60,9 +60,9 @@ def _violations(S, C, tol=None):
     return np.abs(C) > S + tol
 
 
-def _check_majorization(S, C):
+def _check_majorization(S, C, tol=None):
     """Raise unless |C| <= S entrywise (see :func:`_violations`)."""
-    bad = _violations(S, C)
+    bad = _violations(S, C, tol)
     if bad.any():
         bad = np.argwhere(bad)
         listed = ", ".join(f"({i}, {j})" for i, j in bad[:8])
@@ -74,9 +74,12 @@ def _check_majorization(S, C):
 
 
 def _finalize_nonnegative(M):
-    """Clamp roundoff negatives to zero; reject anything genuinely negative."""
-    tol = slack(ROUNDOFF_RTOL, M)
-    worst = float(M.min()) if M.size else 0.0
+    """Clamp roundoff negatives to zero; reject anything genuinely negative,
+    beyond ``slack(ROUNDOFF_RTOL, M)``.  That slack is read from the two
+    extremes the clamp needs anyway: max|M| = max(max M, -min M), bit for
+    bit, the ``abs`` keeping a zero maximum unsigned."""
+    worst, top = (float(M.min()), float(M.max())) if M.size else (0.0, 0.0)
+    tol = ROUNDOFF_RTOL * abs(max(top, -worst))
     if worst < -tol:
         raise RealizabilityError(
             f"construction produced a negative entry {worst:.3e} "
@@ -192,20 +195,25 @@ def _resolve_split(split, last_row):
     """The ``(n, 2)`` parts of the last row: equal halves when ``split`` is
     None; otherwise ``split`` (a tuple, list or array of pairs) checked for
     shape, finiteness, sign and row sums under the roundoff slack of the
-    last row and the split, its roundoff negatives clipped to zero."""
+    last row and the split, its roundoff negatives clipped to zero.  A
+    ragged or non-numeric ``split`` is refused as not ``n`` pairs of
+    numbers."""
     n = last_row.size
     if split is None:
         half = last_row / 2.0
         return np.column_stack([half, half])
-    split = np.asarray(split, dtype=float)
+    try:
+        split = np.asarray(split, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"last_row_split must be {n} pairs of numbers") from exc
     if split.shape != (n, 2):
         raise ValueError(f"last_row_split must be {n} pairs, got shape {split.shape}")
     if not np.isfinite(split).all():
         raise ValueError("last_row_split parts must be finite")
     tol = slack(ROUNDOFF_RTOL, last_row, split)
-    if np.any(split < -tol):
+    if (split < -tol).any():
         raise ValueError("last_row_split parts must be nonnegative")
-    if max_abs(split.sum(axis=1) - last_row) > tol:
+    if max_abs(split[:, 0] + split[:, 1] - last_row) > tol:
         raise ValueError("last_row_split pairs must sum to the last row of S")
     return np.clip(split, 0.0, None)
 
@@ -229,15 +237,17 @@ def build_odd(S, c_row, spec=BlockBuildSpec()):
 def _build_odd(S, c_row, g, split):
     """:func:`build_odd` of a float matrix ``S``, a float row ``c_row``, the
     signed scaling ``g`` and the last-row ``split`` (None for halves; see
-    :func:`_resolve_split`)."""
+    :func:`_resolve_split`).  The skew circulant's entries are ``c_row``'s
+    up to sign, so its majorization slack reads ``c_row``: the same float
+    as the slack of the dense operands."""
     n = c_row.size
     if S.shape != (n + 1, n + 1):
         raise ValueError(f"S must have order {n + 1}, got {S.shape}")
-    C = _skew_circulant(c_row)
-    _check_majorization(S[:n, :n], C)
+    body, C = S[:n, :n], _skew_circulant(c_row)
+    _check_majorization(body, C, slack(ROUNDOFF_RTOL, body, c_row))
     split = _resolve_split(split, S[n, :n])
     M = np.empty((2 * n + 1, 2 * n + 1))
-    M[: 2 * n, : 2 * n] = _assemble_even(S[:n, :n], C, g)
+    M[: 2 * n, : 2 * n] = _assemble_even(body, C, g)
     M[0 : 2 * n : 2, 2 * n] = S[:n, n]
     M[1 : 2 * n : 2, 2 * n] = S[:n, n]
     M[2 * n, 0 : 2 * n : 2] = split[:, 0]

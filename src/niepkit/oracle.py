@@ -55,7 +55,7 @@ def spectrum(matrix):
         values = _eigvals(matrix)
     except np.linalg.LinAlgError as exc:
         raise EigensolveError(f"eigenvalue iteration failed: {exc}") from exc
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("the eigenvalues of the matrix overflow")
     order = np.lexsort((values.imag, values.real))[::-1]
     return values[order]
@@ -111,7 +111,7 @@ def match_spectra(x, y, tol):
     dist = np.abs(x[:, None] - y[None, :])
     rows = np.arange(x.size)
     cols = _bottleneck(dist)
-    max_dist = max(dist[rows, cols].tolist())
+    max_dist = float(dist[rows, cols].max())
     pairing = tuple(zip(rows.tolist(), cols.tolist()))
     return SpectrumMatchReport(
         matched=max_dist <= tol, max_pair_distance=max_dist, pairing=pairing

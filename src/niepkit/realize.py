@@ -398,16 +398,23 @@ def _dominated(body, c_abs, tol):
     return ok
 
 
-def _builds(s_row, c_row, odd):
+def _builds(s_row, c_row, c_max, odd):
     """Whether :func:`build_from_witness` accepts the rows: the builders'
     own rule (:func:`niepkit.blocks._violations`) on the clipped circulant
     row, or bordered its body row (:func:`_body`), against the skew row,
     under the slack of the operands the builders compare.  Bordered, these
     are the leading n x n block of the clipped row's circulant, which holds
     every entry of the row for n >= 2 and ``s_0`` alone at n = 1, and the
-    skew circulant, whose entries are the skew row's up to sign."""
+    skew circulant, whose entries are the skew row's up to sign.
+
+    The slack is read from maxima, not rescanned: ``c_max`` is the skew
+    row's largest magnitude as row recovery returns it, and the clipped
+    row's is its ``max()``, its entries being nonnegative.  Put first,
+    ``c_max`` (never a signed zero) wins a tie with a clipped ``-0.0``, so
+    the slack is ``slack(ROUNDOFF_RTOL, read, c_row)`` bit for bit."""
     s = np.clip(s_row, 0.0, None)
-    tol = slack(ROUNDOFF_RTOL, s[:1] if c_row.size == 1 else s, c_row)
+    s_max = s[0] if c_row.size == 1 else s.max()
+    tol = ROUNDOFF_RTOL * max(c_max, s_max)
     return not _violations(_body(s) if odd else s, c_row, tol).any()
 
 
@@ -471,7 +478,9 @@ def check_conditions(pair, cap=DEFAULT_ENUMERATION_CAP):
     builders accept.  The join runs three exact filters (:func:`_joined`):
 
     1. the live rows, their body rows and the join's slack, once, the
-       slack from the row maxima that row recovery returns;
+       slack from the row maxima that row recovery returns: at even n the
+       largest of the one batch's ``row_max``, bordered the larger of the
+       two batches' largest;
     2. the first live alpha against every beta in one comparison; its
        passing pairs come first in lexicographic order, so they are
        judged first, in beta order;
@@ -486,7 +495,8 @@ def check_conditions(pair, cap=DEFAULT_ENUMERATION_CAP):
     t)``, so a beta the envelope drops fails the join with every remaining
     alpha, and the filters pass the same pairs, in the same row-major
     order, as a join of every live alpha with every beta.  Each passing
-    pair is judged by the builders' own rule (:func:`_builds`).  The
+    pair is judged by the builders' own rule (:func:`_builds`), under a
+    slack read from the skew row's recovered maximum.  The
     witness is thus the lexicographically first pair (alpha, beta), over
     live alphas and all betas, that :func:`build_from_witness` accepts: a
     beta left out has the magnitudes of an earlier one.
@@ -499,20 +509,22 @@ def check_conditions(pair, cap=DEFAULT_ENUMERATION_CAP):
     if odd:  # the parts differ in length: one FFT call each
         s_rows, s_max = _recover_rows(lam[alphas], len(alphas))
         c_rows, c_max = _recover_rows(ups[betas], 0)
+        top = max(s_max.max(), c_max.max())
     else:
         rows, row_max = _recover_rows(np.concatenate([lam[alphas], ups[betas]]), len(alphas))
         s_rows, c_rows = rows[:len(alphas)], rows[len(alphas):]
-        s_max, c_max = row_max[:len(alphas)], row_max[len(alphas):]
+        c_max = row_max[len(alphas):]
+        top = row_max.max()
     # Fortran order, as recovered: the join reads one position of all skew
     # rows at a time, and the live test one position of all circulant rows
     c_abs = np.abs(c_rows)
     live = np.flatnonzero((s_rows.T >= -tol).all(axis=0))
     body = _body(s_rows[live]) if odd else s_rows[live]
     # slack(ROUNDOFF_RTOL, s_rows, c_abs), read from the recovered row maxima
-    join_tol = ROUNDOFF_RTOL * max(s_max.max(), c_max.max())
+    join_tol = ROUNDOFF_RTOL * top
     for i, b in _joined(body, c_abs, join_tol):
         s_row, c_row = s_rows[live[i]], c_rows[b]
-        if _builds(s_row, c_row, odd):
+        if _builds(s_row, c_row, c_max[b], odd):
             c_pad = np.concatenate([c_abs[b], [0.0]]) if odd else c_abs[b]
             witness = ConditionWitness(
                 alpha=_permutation(parts.order, alphas[live[i]], "circulant"),
@@ -614,11 +626,13 @@ def _brauer_rows(upsilon, tail, rho, cap):
 
     head = rho - (n + 1) * chi
     shifted = np.concatenate([[complex(head)], tail])
-    # rho is an operand: the head rho - (n+1)*chi is rounded at its scale
-    tol = slack(ROUNDOFF_RTOL, shifted, [rho])
+    # slack(ROUNDOFF_RTOL, shifted, [rho]): rho is an operand, since the
+    # head rho - (n+1)*chi is rounded at its scale
+    tol = ROUNDOFF_RTOL * max(max_abs(shifted), abs(rho))
     alphas = _search_orderings(_structure_key(shifted, "circulant"), cap)
     b_rows = _recover_rows(shifted[alphas], len(alphas))[0]
-    nonnegative = np.all(b_rows >= -tol, axis=1)
+    # position-major, as recovered (Fortran order), like the search's live test
+    nonnegative = (b_rows.T >= -tol).all(axis=0)
     if not nonnegative.any():
         raise RealizabilityError(
             f"no nonnegative circulant realizes the shifted list with head "
@@ -657,6 +671,9 @@ def _augment(r_row, c_row, gamma, sign):
     g = BlockBuildSpec(gamma=gamma, sign=sign).signed_gamma
     R = _circulant(r_row)
     n = c_row.size
-    last = R[n, :n]
-    split = np.column_stack([(last + g * c_row) / 2.0, (last - g * c_row) / 2.0])
+    last, gc = R[n, :n], g * c_row
+    split = np.empty((n, 2))
+    np.add(last, gc, out=split[:, 0])
+    np.subtract(last, gc, out=split[:, 1])
+    split /= 2.0
     return _build_odd(R, c_row, g, split)

@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import fixtures as fx
+from niepkit import blocks
+from niepkit._util import ROUNDOFF_RTOL, slack
 from niepkit.blocks import (
     BlockBuildSpec,
     build_circ_skew,
@@ -13,7 +17,7 @@ from niepkit.blocks import (
     split_spectrum_odd,
 )
 from niepkit.dft import circulant_eigenvalues, skew_eigenvalues
-from niepkit.errors import MajorizationError, StructureError
+from niepkit.errors import MajorizationError, RealizabilityError, StructureError
 from niepkit.oracle import match_spectra, spectrum
 from niepkit.structured import circulant, is_permutative, skew_circulant
 
@@ -400,6 +404,17 @@ class TestBuildOdd:
         with pytest.raises(ValueError, match=f"^{message}$"):
             build_odd(circulant(fx.SEVEN_S_ROW), fx.SEVEN_C_ROW, spec)
 
+    @pytest.mark.parametrize("container", [tuple, list])
+    @pytest.mark.parametrize(
+        "split", [((1, 1), (0.5,)), (("x", 1), (1, 1))], ids=["ragged", "string"]
+    )
+    def test_split_that_is_not_pairs_of_numbers_is_refused(self, container, split):
+        # numpy's own text ("setting an array element with a sequence",
+        # "could not convert string to float") does not escape
+        spec = BlockBuildSpec(last_row_split=container(map(container, split)))
+        with pytest.raises(ValueError, match="^last_row_split must be 2 pairs of numbers$"):
+            build_odd(circulant([3, 1, 1]), [0.5, 0.5], spec)
+
     def test_split_builds_the_same_bytes_whatever_holds_it(self):
         S = circulant(fx.SEVEN_S_ROW)
         want = build_odd(S, fx.SEVEN_C_ROW, BlockBuildSpec(last_row_split=fx.SEVEN_SPLIT))
@@ -489,3 +504,132 @@ def test_majorization_error_message_and_positions(case, message, positions, kind
     assert err.value.positions == tuple(positions)
     assert {type(v) for p in err.value.positions for v in p} == {kind}
     assert all(type(p) is tuple for p in err.value.positions)
+
+
+def _reference_finalize(M):
+    """``_finalize_nonnegative`` as it read when it rescanned ``|M|`` for its
+    slack: a copy of that code."""
+    tol = slack(ROUNDOFF_RTOL, M)
+    worst = float(M.min()) if M.size else 0.0
+    if worst < -tol:
+        raise RealizabilityError(
+            f"construction produced a negative entry {worst:.3e} "
+            f"(beyond roundoff tolerance {tol:.3e})"
+        )
+    np.clip(M, 0.0, None, out=M)
+    return M
+
+
+def _finalized(finalize, M):
+    """The bytes ``finalize`` leaves in a copy of ``M``, or its error text."""
+    try:
+        return finalize(M.copy()).tobytes()
+    except RealizabilityError as exc:
+        return str(exc)
+
+
+#: Entries for the clamp: signed zeros, subnormals, 2**+-60 and ordinary values.
+_CLAMP_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1060, 2.0**60, -(2.0**60), 2.0**-60, 1.0, -1.0]
+
+
+@st.composite
+def _clamp_matrices(draw):
+    """A square matrix of order 1..6 at a scale of 2**-60, 1 or 2**60: mixed
+    signs, all negative, all signed zeros or subnormal; or nonnegative with one
+    entry planted on minus the matrix's slack, up to two ulps either side."""
+    k = draw(st.integers(1, 6))
+    entry = st.one_of(st.sampled_from(_CLAMP_ENTRIES), st.floats(-4.0, 4.0))
+    M = np.array(draw(st.lists(entry, min_size=k * k, max_size=k * k))).reshape(k, k)
+    kind = draw(st.sampled_from(["mixed", "negative", "zeros", "subnormal", "edge"]))
+    if kind == "negative":
+        M = -np.abs(M) - 2.0**-1074
+    elif kind == "zeros":
+        M = np.where(M < 0, -0.0, 0.0)
+    elif kind == "subnormal":
+        M = np.where(M < 0, -1.0, 1.0) * 2.0**-1074 * draw(st.integers(0, 7))
+    elif kind == "edge":
+        M = np.abs(M)
+        M.flat[draw(st.integers(0, k * k - 1))] = 0.0
+    M = M * draw(st.sampled_from([2.0**-60, 1.0, 2.0**60]))
+    if kind == "edge":
+        pos = np.unravel_index(np.argmin(M), M.shape)
+        edge = -slack(ROUNDOFF_RTOL, M)
+        for _ in range(draw(st.integers(0, 2))):
+            edge = np.nextafter(edge, np.inf if draw(st.booleans()) else -np.inf)
+        M[pos] = edge
+    return M
+
+
+@settings(max_examples=400, deadline=None)
+@given(M=_clamp_matrices())
+def test_clamp_reads_the_slack_of_the_matrix_bit_for_bit(M):
+    # max(max M, -min M) is max|M|: the same verdict, bytes and error text
+    assert _finalized(blocks._finalize_nonnegative, M) == _finalized(_reference_finalize, M)
+
+
+def test_clamp_refuses_one_ulp_past_the_slack():
+    for scale in (2.0**-60, 1.0, 2.0**60):
+        M = scale * np.array([[3.0, 1.0], [0.0, 2.0]])
+        edge = -slack(ROUNDOFF_RTOL, M)
+        M[1, 0] = edge
+        clamped = blocks._finalize_nonnegative(M.copy())
+        assert clamped[1, 0] == 0.0 and not np.signbit(clamped).any()
+        M[1, 0] = np.nextafter(edge, -np.inf)
+        with pytest.raises(RealizabilityError, match="^construction produced a negative entry"):
+            blocks._finalize_nonnegative(M.copy())
+
+
+@st.composite
+def _bordered_edges(draw):
+    """``S`` of order n + 1 (n = 1..7) and a skew row ``c`` at a scale of
+    2**-60, 1 or 2**60, with signed zeros and subnormals among the entries
+    of ``c``, and at times one entry 1e6 times the scale, so that ``c``
+    sets the slack; one other ``|c_k|`` sits on the slack above the least
+    body entry of ``S`` that the skew circulant meets it with, up to two
+    ulps either side."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 7))
+    scale = draw(st.sampled_from([2.0**-60, 1.0, 2.0**60]))
+    S = scale * rng.uniform(0.5, 2.0, size=(n + 1, n + 1))
+    c = scale * rng.uniform(-0.5, 0.5, size=n)
+    c[rng.uniform(size=n) < 0.2] = draw(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+    k = draw(st.integers(0, n - 1))
+    if n > 1 and draw(st.booleans()):
+        c[(k + 1) % n] = 1e6 * scale
+    i = np.arange(n)
+    met = S[i, (i + k) % n].min()
+    edge = met + slack(ROUNDOFF_RTOL, S[:n, :n], c)
+    for _ in range(draw(st.integers(0, 2))):
+        edge = np.nextafter(edge, np.inf if draw(st.booleans()) else 0.0)
+    c[k] = draw(st.sampled_from([-1.0, 1.0])) * edge
+    return S, c
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=_bordered_edges())
+def test_bordered_majorization_reads_the_skew_row_for_its_circulant(rows):
+    # the skew circulant's entries are c's up to sign: the same slack, bit
+    # for bit, and the same refusals as the dense judgement of S and C
+    S, c = rows
+    n = c.size
+    C = skew_circulant(c)
+    body = S[:n, :n]
+    want = slack(ROUNDOFF_RTOL, body, C)
+    assert np.float64(slack(ROUNDOFF_RTOL, body, c)).tobytes() == np.float64(want).tobytes()
+    judge = blocks._violations
+    bad = [tuple(p) for p in np.argwhere(judge(body, C))]
+    slacks = []
+
+    def spy(S, C, tol):
+        slacks.append(tol)
+        return judge(S, C, tol)
+
+    spec = BlockBuildSpec(gamma=0.0)  # an unsigned body: only majorization can refuse
+    with mock.patch.object(blocks, "_violations", spy):
+        if bad:
+            with pytest.raises(MajorizationError) as err:
+                build_odd(S, c, spec)
+            assert err.value.positions == tuple(bad)
+        else:
+            build_odd(S, c, spec)
+    assert [np.float64(t).tobytes() for t in slacks] == [np.float64(want).tobytes()]

@@ -2,6 +2,7 @@ import itertools
 import json
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1315,6 +1316,58 @@ def test_join_slack_is_the_slack_of_all_rows(bordered, monkeypatch):
         assert len(seen) == 1 and np.float64(seen[0]).tobytes() == np.float64(want).tobytes()
 
 
+@pytest.mark.parametrize("bordered", [False, True])
+def test_builds_reads_the_recovered_skew_row_maximum(bordered, monkeypatch):
+    # each pair the join passes is judged with its skew row's maximum as
+    # row recovery returns it: the largest magnitude of that row, bit for bit
+    seen = []
+    builds = realize._builds
+
+    def spy(s_row, c_row, c_max, odd):
+        seen.append((c_row.copy(), c_max))
+        return builds(s_row, c_row, c_max, odd)
+
+    monkeypatch.setattr(realize, "_builds", spy)
+    pairs = list(_search_pairs(37 + bordered, bordered))
+    pairs += list(_integer_pairs(39 + bordered, bordered))
+    for pair in pairs:
+        check_conditions(pair)
+    assert seen
+    for c_row, c_max in seen:
+        assert np.float64(c_max).tobytes() == np.float64(max_abs(c_row)).tobytes()
+
+
+@pytest.mark.parametrize("scale", [2.0**-60, 1.0, 2.0**60])
+@pytest.mark.parametrize("rho_factor", [0.5, 4.0, 40.0])
+def test_brauer_shift_slack_is_the_slack_of_the_shifted_list_and_rho(
+    scale, rho_factor, monkeypatch
+):
+    # every shifted row gets a least entry on minus slack(ROUNDOFF_RTOL,
+    # shifted, [rho]), or one ulp below: the plan is found on it and
+    # refused past it, whether |head| or rho is the larger operand
+    recover = realize._recover_rows
+    ups = scale * upsilon_seven()
+    tail = scale * np.array([0.5, 0.25 + 0.5j, 0.25 - 0.5j])
+    rho = rho_factor * scale
+    for below, found in ((False, True), (True, False)):
+
+        def spy(spectra, skew_from):
+            rows, row_max = recover(spectra, skew_from)
+            if skew_from:  # the shifted circulant; its head leads every ordering
+                edge = -slack(ROUNDOFF_RTOL, spectra[0], [rho])
+                rows = np.abs(rows)
+                rows[:, -1] = np.nextafter(edge, -np.inf) if below else edge
+            return rows, row_max
+
+        monkeypatch.setattr(realize, "_recover_rows", spy)
+        if found:
+            plan = brauer_plan(ups, tail, rho)
+            assert plan.base_row[-1] == 0.0
+        else:
+            with pytest.raises(RealizabilityError, match="^no nonnegative circulant"):
+                brauer_plan(ups, tail, rho)
+
+
 @pytest.mark.parametrize(
     "search, kind",
     [
@@ -1405,9 +1458,23 @@ def _builds_edges(draw):
 @given(rows=_builds_edges())
 def test_builds_matches_the_one_row_join(rows):
     s, c, odd = rows
-    got = realize._builds(s, c, odd)
-    assert type(got) is bool
-    assert got == _reference_builds(s, c, odd)
+    # as drawn; a skew row that outgrows s; signed zeros, and all of them
+    zeros = np.where(s < 0, -0.0, s)
+    for s_row, c_row in ((s, c), (s, 4.0 * c), (zeros, c), (np.full_like(s, -0.0), 0.0 * c)):
+        slacks = []
+
+        def spy(S, C, tol):
+            slacks.append(tol)
+            return _violations(S, C, tol)
+
+        # the skew row's maximum as row recovery returns it
+        with mock.patch.object(realize, "_violations", spy):
+            got = realize._builds(s_row, c_row, np.abs(c_row).max(), odd)
+        assert type(got) is bool
+        assert got == _reference_builds(s_row, c_row, odd)
+        clipped = np.clip(s_row, 0.0, None)
+        want = slack(ROUNDOFF_RTOL, clipped[:1] if c_row.size == 1 else clipped, c_row)
+        assert [np.float64(t).tobytes() for t in slacks] == [np.float64(want).tobytes()]
 
 
 def test_builds_decides_both_ways_at_the_edge():
@@ -1421,7 +1488,7 @@ def test_builds_decides_both_ways_at_the_edge():
         edge = met + 1e-12 * 2.0
         for value, want in ((edge, True), (np.nextafter(edge, np.inf), False)):
             c[k] = -value
-            assert realize._builds(s, c, odd) is want
+            assert realize._builds(s, c, np.abs(c).max(), odd) is want
             assert _reference_builds(s, c, odd) is want
 
 
@@ -1468,7 +1535,7 @@ def _slack_edge_rows(draw):
 @given(rows=_slack_edge_rows())
 def test_builds_equals_the_matrix_judgement(rows):
     s, c, odd = rows
-    assert realize._builds(s, c, odd) is _matrix_builds(s, c, odd)
+    assert realize._builds(s, c, np.abs(c).max(), odd) is _matrix_builds(s, c, odd)
 
 
 @st.composite
